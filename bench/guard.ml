@@ -13,12 +13,12 @@
    Parallel scaling is gated against the fresh run's own single-thread
    kernel rate, never against the baseline file: absolute parallel
    rates depend on the runner, but the shape of the curve is the
-   engine's responsibility.  The thresholds are core-aware (the fresh
-   file records host_cores): a multi-core runner must show >= 1.5x at
-   2 domains, while a single-core runner can only be held to a
-   no-regression floor — the engine's overhead at 1 forced worker must
-   keep >= 0.75x of the sequential kernel.  The full 8-domain curve is
-   printed as advisory only.
+   static partition's responsibility.  The thresholds are core-aware
+   (the fresh file records host_cores): a multi-core runner must show
+   >= 1.5x at 2 domains, while a single-core runner can only be held to
+   a no-regression floor — a one-domain pool must keep >= 0.75x of the
+   sequential kernel.  The full 8-domain curve is printed as advisory
+   only.
 
    With a fourth argument — a fresh BENCH_serve.json — the serving
    layer is gated on absolute ceilings rather than a baseline ratio:
@@ -160,9 +160,9 @@ let () =
       if host_cores >= 2 then
         check "parallel_speedup_d2" (require fresh fresh_path "parallel_speedup_d2") 1.5
       else
-        (* One core: parallelism cannot pay, so hold the engine to its
-           overhead — a forced single worker ingesting through the plan,
-           deque and merge machinery must stay near the plain kernel. *)
+        (* One core: parallelism cannot pay, so hold the partition to its
+           overhead — on a one-domain pool the single slice goes straight
+           into the caller's sketch and must stay near the plain kernel. *)
         check "parallel_speedup_d1 (single-core floor)" d1 0.75;
       List.iter
         (fun d ->

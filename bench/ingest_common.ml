@@ -139,7 +139,7 @@ let parallel_agm_gc ~n ~updates ~domains ~arena:use_arena =
   let proto = Ds_agm.Agm_sketch.create (Prng.create seed) ~n ~params:(agm_params ~n) in
   Ds_par.Pool.with_pool ~domains (fun pool ->
       let arena = if use_arena then Some (Ds_par.Shard_ingest.agm_arena ()) else None in
-      gc_cost (fun () -> Ds_par.Shard_ingest.agm pool ?arena ~workers:domains proto w))
+      gc_cost (fun () -> Ds_par.Shard_ingest.agm pool ?arena proto w))
 
 let baseline_agm_rate ~n ~updates =
   let w = agm_workload ~n ~updates in
@@ -167,11 +167,8 @@ let kernel_agm_rate ~n ~updates =
 let parallel_agm_rate ~n ~updates ~domains =
   let w = agm_workload ~n ~updates in
   let proto = Ds_agm.Agm_sketch.create (Prng.create seed) ~n ~params:(agm_params ~n) in
-  (* [~workers:domains] overrides the engine's cores cap: the scaling
-     curve must measure what [domains] replicas actually cost on this
-     host, not the engine's own (deliberately conservative) default. *)
   Ds_par.Pool.with_pool ~domains (fun pool ->
-      rate ~ops:updates (fun () -> Ds_par.Shard_ingest.agm pool ~workers:domains proto w))
+      rate ~ops:updates (fun () -> Ds_par.Shard_ingest.agm pool proto w))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the instrumented sharded AGM path, registry off

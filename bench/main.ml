@@ -1083,13 +1083,12 @@ let e17 () =
   Obs.Export.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* E18: parallel scaling curve of the work-stealing ingest engine       *)
+(* E18: parallel scaling curve of the static-partition ingest           *)
 (* ------------------------------------------------------------------ *)
 
 let e18 () =
-  header "E18" "Work-stealing ingest: scaling curve, efficiency and steal traffic (Sec 1)";
+  header "E18" "Static-partition parallel ingest: scaling curve and efficiency (Sec 1)";
   let module C = Ingest_common in
-  let module Obs = Ds_obs in
   let agm_n = 256 and agm_updates = 20_000 in
   let host_cores = Domain.recommended_domain_count () in
   Fmt.pr "workload: AGM end-to-end n=%d (%d updates); host cores=%d@." agm_n agm_updates
@@ -1113,34 +1112,9 @@ let e18 () =
         | Some s -> Printf.sprintf "%.3f" s
         | None -> "-"))
     [ 1; 2; 4; 8 ];
-  (* Steal traffic under a skewed deal: a star stream routed By_key lands
-     every chunk on one worker's deque; the steals counter shows the
-     other workers draining it. *)
-  let module U = Ds_stream.Update in
-  let star =
-    Array.init agm_updates (fun i -> U.insert 0 (1 + (i mod (agm_n - 1))))
-  in
-  let proto =
-    Ds_agm.Agm_sketch.create (Ds_util.Prng.create 7) ~n:agm_n
-      ~params:(Ds_agm.Agm_sketch.default_params ~n:agm_n)
-  in
-  Obs.Export.enable ();
-  Ds_par.Pool.with_pool ~domains:4 (fun pool ->
-      Ds_par.Shard_ingest.agm pool ~policy:Ds_par.Shard_ingest.by_vertex ~workers:4 proto
-        star);
-  let count name =
-    match List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.counters with
-    | Some v -> v
-    | None -> 0
-  in
-  Fmt.pr "skewed By_key star stream, 4 workers: %d chunks, %d stolen@."
-    (count "par.ingest.batches") (count "par.ingest.steals");
-  Obs.Export.disable ();
-  Obs.Export.reset ();
   Fmt.pr "expected: on multi-core hosts speedup grows to ~cores and efficiency stays@.";
-  Fmt.pr "above ~0.5; on 1-core hosts the curve is flat near 1.0x (the v1 engine fell@.";
-  Fmt.pr "to 0.2x at 8 domains on the same machine). Steals > 0 under skew shows the@.";
-  Fmt.pr "deques rebalancing a one-hot partition instead of serializing on its owner.@."
+  Fmt.pr "above ~0.5; past the host's cores the extra domains timeshare, so the curve@.";
+  Fmt.pr "flattens (the v1 engine fell to 0.2x at 8 domains on a 1-core host).@."
 
 (* ------------------------------------------------------------------ *)
 (* E19: the serving layer — admission control, crash-consistent         *)

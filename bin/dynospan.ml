@@ -119,11 +119,6 @@ let spanner_hash spanner =
     (List.sort compare !edges);
   Wire.fnv1a64 (Buffer.contents buf)
 
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -187,7 +182,7 @@ let checkpoint_cmd =
         ~params:(Two_pass_spanner.default_params ~k)
         stream
     in
-    write_file file ck;
+    Durable.write_atomic ~path:file ck;
     Fmt.pr "checkpoint: pass 1 done, %d bytes -> %s@." (String.length ck) file;
     Fmt.pr "resume with: dynospan resume --graph %s -n %d -p %g --seed %d --decoys %d -k %d --file %s@."
       family n p seed decoys k file
@@ -601,7 +596,7 @@ let trace_cmd =
     let jsonl = Ds_obs.Trace.to_jsonl () in
     match out with
     | Some path ->
-        write_file path jsonl;
+        Durable.write_atomic ~path jsonl;
         Fmt.pr "trace: %d spans -> %s@." (List.length (Ds_obs.Trace.spans ())) path
     | None -> print_string jsonl
   in
@@ -684,12 +679,12 @@ let trace_analyze_cmd =
         Fmt.pr "  %-28s %6d %12.3f %12.3f %12.3f@." r.T.r_name r.T.r_count (ms r.T.r_total_ns)
           (ms r.T.r_self_ns) (ms r.T.r_max_ns))
       (T.rollups forest);
-    write_file perfetto (T.to_chrome_json spans);
+    Durable.write_atomic ~path:perfetto (T.to_chrome_json spans);
     Fmt.pr "@.perfetto: %d events -> %s (open in ui.perfetto.dev or chrome://tracing)@."
       forest.T.node_count perfetto;
     match folded with
     | Some path ->
-        write_file path (T.to_folded forest);
+        Durable.write_atomic ~path (T.to_folded forest);
         Fmt.pr "folded stacks -> %s (flamegraph.pl / speedscope)@." path
     | None -> ()
   in

@@ -56,9 +56,9 @@ val update_batch : t -> Ds_stream.Update.t array -> unit
 
 val update_slice : t -> Ds_stream.Update.t array -> pos:int -> len:int -> unit
 (** {!update_batch} restricted to [updates.(pos .. pos+len-1)], without
-    copying the slice — the chunk-granular entry point of the parallel
-    ingestion engine; large slices get the same lower-endpoint locality
-    regrouping.
+    copying the slice — the per-worker entry point of the parallel
+    ingestion ({!Ds_par.Shard_ingest.agm}); large slices get the same
+    lower-endpoint locality regrouping.
     @raise Invalid_argument if the range is out of bounds. *)
 
 val clone_zero : t -> t

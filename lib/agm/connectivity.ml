@@ -6,7 +6,6 @@ type answers = { label : int array; count : int }
 let create rng ~n ~params = { n; sketch = Agm_sketch.create rng ~n ~params }
 let update t ~u ~v ~delta = Agm_sketch.update t.sketch ~u ~v ~delta
 let update_batch t updates = Agm_sketch.update_batch t.sketch updates
-let update_slice t updates ~pos ~len = Agm_sketch.update_slice t.sketch updates ~pos ~len
 let clone_zero t = { t with sketch = Agm_sketch.clone_zero t.sketch }
 let absorb t shard = Agm_sketch.add t.sketch shard.sketch
 let add = absorb

@@ -11,10 +11,6 @@ val update_batch : t -> Ds_stream.Update.t array -> unit
 (** Apply a whole update array; may regroup for locality (linearity makes
     the final state order-independent, bit-for-bit). *)
 
-val update_slice : t -> Ds_stream.Update.t array -> pos:int -> len:int -> unit
-(** [update_batch] over [updates.(pos .. pos+len-1)] without copying the
-    slice (the parallel engine's chunk entry point). *)
-
 val clone_zero : t -> t
 (** A fresh empty oracle compatible with [t]; shards for pre-sharded
     (parallel or distributed) ingestion are clones of one prototype. *)

@@ -146,17 +146,14 @@ let pass1_fill p ~ingest stream =
   match ingest with
   | `Sequential -> Array.iter (pass1_update p) stream
   | `Parallel pool ->
-      let filled =
-        Ds_par.Shard_ingest.ingest pool
-          ~make:(fun () -> { p with sketches = clone_sketches_zero p })
-          ~update:(fun replica stream ~pos ~len ->
-            for i = pos to pos + len - 1 do
-              pass1_update replica stream.(i)
-            done)
-          ~merge:(fun a b -> merge_sketches a.sketches b.sketches)
-          stream
-      in
-      merge_sketches p.sketches filled.sketches
+      Ds_par.Shard_ingest.ingest_into pool
+        ~clone_zero:(fun q -> { q with sketches = clone_sketches_zero q })
+        ~update:(fun replica stream ~pos ~len ->
+          for i = pos to pos + len - 1 do
+            pass1_update replica stream.(i)
+          done)
+        ~add:(fun a b -> merge_sketches a.sketches b.sketches)
+        p stream
 
 (* Attach callback: sum member sketches for target level r = level+1, then
    scan sampling levels from sparsest down; the first non-empty decodable

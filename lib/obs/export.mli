@@ -8,8 +8,8 @@ val disable : unit -> unit
 val active : unit -> bool
 
 val reset : unit -> unit
-(** Zero counters/gauges/histograms, clear spans and ledger entries.
-    Registrations persist. *)
+(** Zero counters, gauges and quantile sketches, clear spans and ledger
+    entries. Registrations persist. *)
 
 val report_json : unit -> string
 (** [{"schema":"ds_obs/v1","metrics":{..},"quantiles":{..},

@@ -1,13 +1,12 @@
-(** Metrics registry: counters, gauges and log-scale histograms.
+(** Metrics registry: counters and gauges.
 
     Design constraints (see DESIGN.md section 8):
 
     - {b cheap when disabled}: every hot-path operation is a single load
       of one [bool Atomic.t] followed by a conditional branch; no
       allocation, no locking.
-    - {b domain-safe}: counters and histograms are sharded across a
-      fixed array of atomic cells indexed by [Domain.self () land
-      (shards - 1)].  Writers never contend on a cache line unless two
+    - {b domain-safe}: counters are sharded across a fixed array of
+      atomic cells indexed by [Domain.self () land (shards - 1)].  Writers never contend on a cache line unless two
       domains alias the same shard; readers sum the shards at snapshot
       time.  Totals are exact (every increment lands in exactly one
       shard), so snapshots of a quiesced registry are deterministic.
@@ -30,14 +29,12 @@ val set_enabled : bool -> unit
 
 type counter
 type gauge
-type histogram
 
 val counter : string -> counter
 (** Find-or-create the counter registered under this name.
     @raise Invalid_argument if the name is registered as another kind. *)
 
 val gauge : string -> gauge
-val histogram : string -> histogram
 
 val incr : counter -> int -> unit
 (** [incr c n] adds [n] to the calling domain's shard of [c].  No-op
@@ -46,11 +43,6 @@ val incr : counter -> int -> unit
 val set : gauge -> int -> unit
 (** Last-writer-wins store.  No-op when disabled. *)
 
-val observe : histogram -> int -> unit
-(** Record a sample into the log2 bucket containing it: bucket [b]
-    holds values in [[2^b, 2^(b+1))], with all values [<= 1] (including
-    negatives) in bucket 0.  No-op when disabled. *)
-
 val value : counter -> int
 (** Sum over all shards. *)
 
@@ -58,20 +50,8 @@ val gauge_value : gauge -> int
 
 (** {1 Snapshots} *)
 
-type hist_view = {
-  h_count : int;  (** total number of samples *)
-  h_sum : int;  (** sum of all samples *)
-  h_buckets : (int * int) list;
-      (** [(le, count)] per non-empty bucket, ascending [le]; [le] is
-          the largest value the bucket can hold ([2^(b+1) - 1]). *)
-}
-
-type snapshot = {
-  counters : (string * int) list;
-  gauges : (string * int) list;
-  histograms : (string * hist_view) list;
-}
-(** All lists sorted by name; taken under the registry lock. *)
+type snapshot = { counters : (string * int) list; gauges : (string * int) list }
+(** Both lists sorted by name; taken under the registry lock. *)
 
 val snapshot : unit -> snapshot
 
@@ -92,10 +72,9 @@ val sanitize : string -> string
 (** {1 Exporters} *)
 
 val to_json : snapshot -> string
-(** One JSON object [{"counters":{..},"gauges":{..},"histograms":{..}}],
-    keys in sorted order, no trailing newline. *)
+(** One JSON object [{"counters":{..},"gauges":{..}}], keys in sorted
+    order, no trailing newline. *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition format.  Metric names are sanitised
-    ([.] and [-] become [_]); histograms emit cumulative [_bucket]
-    lines with [le] labels plus [_sum] and [_count]. *)
+    ([.] and [-] become [_]). *)

@@ -1,7 +1,7 @@
 (* Streaming quantile sketch: an HDR-style sub-bucketed log histogram.
 
-   The registry's log2 histograms answer "which power-of-two bucket"
-   — useless for an honest p99 (the bucket containing p99 can be 2x
+   A plain log2 histogram answers "which power-of-two bucket" —
+   useless for an honest p99 (the bucket containing p99 can be 2x
    wide).  This sketch refines each octave into [subs] equal-width
    sub-buckets, so any nonnegative int sample lands in a cell whose
    width is at most [1/subs] of its magnitude.  A nearest-rank

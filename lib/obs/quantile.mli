@@ -1,7 +1,7 @@
 (** Streaming quantile sketch: fixed-memory sub-bucketed log histogram.
 
-    Replaces the registry's raw log2 histograms wherever an honest
-    tail estimate is needed (serve ingest latency, loadgen client
+    The only distribution metric in [Ds_obs], used wherever a tail
+    estimate is needed (serve ingest latency, loadgen client
     latency).  Each power-of-two octave is refined into 32 equal-width
     sub-buckets, so [estimate] — the midpoint of the nearest-rank cell
     — carries at most [1/64] (~1.6%) relative error at any quantile,

@@ -8,11 +8,11 @@
     {!run} without paying a domain spawn per call.
 
     Scheduling is deliberately minimal (one mutex, one condition variable,
-    FIFO queue): ingestion jobs are long and coarse, so queue contention is
-    irrelevant — the fine-grained balancing lives in {!Shard_ingest}'s
-    work-stealing chunk deques, not here. Telemetry on the submit/pop path
-    is sampled (one gauge write per 32 queue operations, outside the lock)
-    so enabling metrics cannot serialize the workers. Do {e not} call
+    FIFO queue): ingestion jobs are long and coarse — {!Shard_ingest}
+    submits one equal slice per domain — so queue contention is
+    irrelevant. Telemetry on the submit/pop path is sampled (one gauge
+    write per 32 queue operations, outside the lock) so enabling metrics
+    cannot serialize the workers. Do {e not} call
     {!run} from inside a job — a worker waiting on its own pool can
     deadlock when every other worker is busy. *)
 

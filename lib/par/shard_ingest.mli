@@ -1,4 +1,4 @@
-(** Domain-parallel sketch ingestion: shard-and-sum with work stealing.
+(** Domain-parallel sketch ingestion: a static partition summed by linearity.
 
     Linear sketches commute with stream partitioning: for any split of the
     update array into shards, the sum of per-shard sketches equals the
@@ -8,74 +8,30 @@
     what makes this module's output bit-identical to sequential ingestion
     (property-tested in [test/test_par.ml]).
 
-    The engine turns the update array into a {e chunk plan} — index ranges
-    over the original array (or over one key-grouped permutation for
-    {!By_key}), never per-shard copies — and deals the chunks to worker
-    deques. Each worker owns a {e lazily created} private replica
-    ({!Ds_agm.Agm_sketch.clone_zero} and friends share the immutable hash
-    state physically, so replicas cost only their counters), drains its own
-    deque, then steals chunks from stalled peers (Chase–Lev deques,
-    {!Ws_deque}); a stolen chunk is ingested into the {e thief's} replica,
-    which is sound because any assignment of chunks to replicas sums to the
-    identical sketch. Chunks are sized for the batched [update_slice]
-    kernels, and the final reduction is a log-depth parallel tree merge.
-
-    Work stealing, the chunk size, the number of replicas and the merge
-    order are all invisible in the result: integer counter addition is
-    commutative and associative, so every schedule produces the same bytes. *)
-
-type 'a policy =
-  | Chunked  (** contiguous ranges — best cache behaviour, the default *)
-  | Round_robin
-      (** chunks dealt round-robin: every worker starts on an interleaved
-          sample of the stream (equal to the classic element-stride deal by
-          linearity, without the strided copy) *)
-  | By_key of ('a -> int)  (** locality routing, e.g. {!by_vertex} *)
-
-val by_vertex : Ds_stream.Update.t policy
-(** Route each edge update by [min u v] — every vertex's updates land on one
-    shard, mirroring a vertex-partitioned server deployment. *)
-
-val split : 'a policy -> shards:int -> 'a array -> 'a array array
-(** Materialise the partition as fresh per-shard arrays. {b Tests and custom
-    drivers only}: the engine itself works on index-range chunk plans
-    ({!plan}) and never pays the per-shard copies — [split] survives as the
-    executable specification of the three policies (every element appears in
-    exactly one shard; [Chunked] and [Round_robin] preserve relative order
-    within a shard) and for callers that genuinely need materialised shards,
-    such as the cluster simulator's per-server update logs. *)
-
-(** {2 Chunk plans} *)
-
-type 'a plan = private {
-  data : 'a array;
-      (** the array chunks index into: the caller's array unchanged
-          ([Chunked]/[Round_robin]) or one key-grouped permutation of it
-          ([By_key] — the only copy the engine ever makes) *)
-  chunk_lo : int array;  (** start of chunk [c] in [data] *)
-  chunk_len : int array;  (** length of chunk [c] *)
-  deal : int array array;  (** [deal.(w)]: chunk ids initially dealt to worker [w] *)
-}
-
-val plan : ?chunk:int -> 'a policy -> workers:int -> 'a array -> 'a plan
-(** Build the zero-copy chunk plan the engine runs on (exposed for tests and
-    custom drivers). Every index of the input appears in exactly one chunk;
-    every chunk is dealt to exactly one worker. [chunk] overrides the chunk
-    size (default: sized so each worker's deal is several kernel-friendly
-    batches, at least 512 elements per chunk).
-    @raise Invalid_argument if [workers < 1] or [chunk < 1]. *)
+    With [W = min (Pool.size pool) (Array.length items)] workers, worker [w]
+    applies [update] once to the contiguous slice
+    [[w*n/W, (w+1)*n/W)] of the caller's array (no copy). Every update of
+    a linear sketch costs the same in expectation, so equal slices are
+    balanced without any runtime scheduling. Slot 0 writes straight into the
+    caller's sketch; every other slot writes into a
+    {!Ds_agm.Agm_sketch.clone_zero}-style replica (sharing the immutable hash
+    state physically, so a replica costs only its counters), which the
+    caller's domain [add]s in at the end. Integer counter addition is
+    commutative and associative, so the pool size is invisible in the
+    result. *)
 
 (** {2 Replica arenas} *)
 
 type 's arena
 (** Keeps worker replicas alive across runs so repeated ingests into the
     same sketch structure stop allocating: a slot's replica is created
-    (one [clone_zero]) the first time that worker ever wins a chunk, and
-    every later run hands it back after a [reset] — one off-heap buffer
-    fill back to the zero vector. An arena is tied to one sketch
-    {e structure}: reusing it with a sketch of different shape or seed is
-    a contract violation (the family's own compatibility check will
-    reject the merge). Not concurrency-safe across overlapping ingests. *)
+    (one [clone_zero]) the first time that slot is ever used, and every
+    later run hands it back after a [reset] — one off-heap buffer fill
+    back to the zero vector. An arena is tied to one sketch {e structure}:
+    reusing it with a sketch of different shape or seed is a contract
+    violation (the family's own compatibility check will reject the
+    merge). It may be shared by pools of different sizes. Not
+    concurrency-safe across overlapping ingests. *)
 
 val arena : ?bytes_of:('s -> int) -> reset:('s -> unit) -> unit -> 's arena
 (** [reset] must return a replica to the zero sketch in place
@@ -93,33 +49,8 @@ val arena_bytes : 's arena -> int
 
 (** {2 Ingestion} *)
 
-val ingest :
-  Pool.t ->
-  ?policy:'a policy ->
-  ?chunk:int ->
-  ?workers:int ->
-  make:(unit -> 's) ->
-  update:('s -> 'a array -> pos:int -> len:int -> unit) ->
-  merge:('s -> 's -> unit) ->
-  'a array ->
-  's
-(** [ingest pool ~make ~update ~merge items] ingests [items] on the pool and
-    returns the merged result. [update s data ~pos ~len] must apply
-    [data.(pos .. pos+len-1)] to [s]; [make] must produce {e compatible}
-    replicas (structure derived from the same seed) and is called lazily on
-    a worker's own domain the first time that worker wins a chunk, so it
-    must be safe to call concurrently from several domains (reading shared
-    seeds/prototypes without mutation is fine). [workers] overrides the
-    replica/worker count, which defaults to
-    [min (Pool.size pool) (Domain.recommended_domain_count ())] — never more
-    replicas than can run concurrently, since each costs a clone and a
-    merge. *)
-
 val ingest_into :
   Pool.t ->
-  ?policy:'a policy ->
-  ?chunk:int ->
-  ?workers:int ->
   ?arena:'s arena ->
   clone_zero:('s -> 's) ->
   update:('s -> 'a array -> pos:int -> len:int -> unit) ->
@@ -127,72 +58,35 @@ val ingest_into :
   's ->
   'a array ->
   unit
-(** Like {!ingest}, but the reduction lands in an existing sketch: worker
-    slot 0 ingests directly into it (clone-free and merge-free when one
-    worker ends up doing all the work), other workers' replicas are
-    [clone_zero] copies merged in at the end — or recycled from [arena]
-    when one is attached, cloning only on a slot's first use ever.
-    [clone_zero] must return a physically fresh sketch. If [update]
-    raises, the sketch may be left with a partially applied stream (the
-    exception still propagates). *)
+(** [ingest_into pool ~clone_zero ~update ~add sketch items] adds the
+    sketch of [items] into [sketch] on the pool. [update s data ~pos ~len]
+    must apply [data.(pos .. pos+len-1)] to [s]; it runs once per worker
+    slice, on a pool domain. Worker slot 0 ingests directly into [sketch]
+    (clone-free and merge-free on a one-domain pool); the other slots'
+    replicas are [clone_zero] copies — or recycled from [arena] when one is
+    attached, cloning only on a slot's first use ever — added into [sketch]
+    at the end. [clone_zero] runs on the worker's own domain and must
+    return a physically fresh sketch. If [update] raises, the sketch may be
+    left with a partially applied stream (the exception still
+    propagates). *)
 
 val linear :
   Pool.t ->
-  ?policy:(int * int) policy ->
-  ?chunk:int ->
-  ?workers:int ->
   ?arena:'s arena ->
   's Ds_sketch.Linear_sketch.impl ->
   's ->
   (int * int) array ->
   unit
-(** [linear pool impl sketch pairs] shard-ingests an [(index, delta)] array
-    into {e any} sketch implementing {!Ds_sketch.Linear_sketch.S} — the one
+(** [linear pool impl sketch pairs] ingests an [(index, delta)] array into
+    {e any} sketch implementing {!Ds_sketch.Linear_sketch.S} — the one
     generic entry point; bit-identical to applying [pairs] sequentially. *)
-
-(** {2 Sketch-specific wrappers}
-
-    [agm] and [connectivity] route every chunk through the locality-sorted
-    [update_slice] batched kernels — the same fast path, key-power tables
-    included, as single-thread ingestion; the rest chunk through their
-    [update_slice] without any per-shard copy. *)
 
 val agm :
   Pool.t ->
-  ?policy:Ds_stream.Update.t policy ->
-  ?chunk:int ->
-  ?workers:int ->
   ?arena:Ds_agm.Agm_sketch.t arena ->
   Ds_agm.Agm_sketch.t ->
   Ds_stream.Update.t array ->
   unit
-
-val connectivity :
-  Pool.t ->
-  ?policy:Ds_stream.Update.t policy ->
-  ?chunk:int ->
-  ?workers:int ->
-  ?arena:Ds_agm.Connectivity.t arena ->
-  Ds_agm.Connectivity.t ->
-  Ds_stream.Update.t array ->
-  unit
-
-val l0_sampler :
-  Pool.t ->
-  ?policy:(int * int) policy ->
-  ?chunk:int ->
-  ?workers:int ->
-  ?arena:Ds_sketch.L0_sampler.t arena ->
-  Ds_sketch.L0_sampler.t ->
-  (int * int) array ->
-  unit
-
-val sparse_recovery :
-  Pool.t ->
-  ?policy:(int * int) policy ->
-  ?chunk:int ->
-  ?workers:int ->
-  ?arena:Ds_sketch.Sparse_recovery.t arena ->
-  Ds_sketch.Sparse_recovery.t ->
-  (int * int) array ->
-  unit
+(** AGM edge-stream ingest: each worker slice runs through
+    {!Ds_agm.Agm_sketch.update_slice}, the same locality-sorted batched
+    kernel (key-power tables included) as single-thread ingestion. *)

@@ -110,53 +110,15 @@ let gen_basename generation = Printf.sprintf "gen-%010d.scp" generation
 let gen_path ~dir ~tenant ~generation =
   Filename.concat (tenant_dir ~dir ~tenant) (gen_basename generation)
 
-let tmp_path ~dir ~tenant ~generation = gen_path ~dir ~tenant ~generation ^ ".tmp"
-
-let mkdir_p path =
-  let rec go p =
-    if p <> "/" && p <> "." && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path
-
-let fsync_dir path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-(* write-tmp / fsync / rename / fsync-dir: a kill -9 at any instant
-   leaves either the previous generation set untouched (tmp file, whole
-   or torn, skipped and quarantined on recovery) or the new generation
-   fully durable.  There is no window in which a reader can see a
-   half-written [.scp]. *)
+(* Durable.write_atomic's write-tmp / fsync / rename / fsync-dir: a kill
+   -9 at any instant leaves either the previous generation set untouched
+   (the [gen-N.scp.tmp] file, whole or torn, is skipped and quarantined on
+   recovery) or the new generation fully durable.  There is no window in
+   which a reader can see a half-written [.scp]. *)
 let write ~dir ~tenant ~generation records =
-  let tdir = tenant_dir ~dir ~tenant in
-  mkdir_p tdir;
-  let tmp = tmp_path ~dir ~tenant ~generation in
-  let final = gen_path ~dir ~tenant ~generation in
-  let data = encode ~generation ~tenant records in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let len = String.length data in
-  (* POSIX permits partial writes on regular files (large buffers,
-     EINTR): loop until the whole image is down, then fsync. *)
-  (try
-     let pos = ref 0 in
-     while !pos < len do
-       match Unix.write_substring fd data !pos (len - !pos) with
-       | n -> pos := !pos + n
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-     done;
-     Unix.fsync fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.close fd;
-  Unix.rename tmp final;
-  fsync_dir tdir
+  Ds_util.Durable.write_atomic
+    ~path:(gen_path ~dir ~tenant ~generation)
+    (encode ~generation ~tenant records)
 
 let parse_gen name =
   if String.length name = String.length (gen_basename 0)

@@ -6,8 +6,9 @@
     (so targeted damage degrades a copy, not the tenant), one envelope
     for scalar families.
 
-    Durability protocol: write to [gen-N.scp.tmp], [fsync], [rename] to
-    [gen-N.scp], [fsync] the directory. A kill [-9] at any instant leaves
+    Durability protocol ({!Ds_util.Durable.write_atomic}): write to
+    [gen-N.scp.tmp], [fsync], [rename] to [gen-N.scp], [fsync] the
+    directory. A kill [-9] at any instant leaves
     either the previous generation set intact (a [.tmp] is skipped and
     quarantined on recovery, whole or torn) or the new generation fully
     durable — there is no state in which a reader sees a half-written
@@ -31,14 +32,13 @@ val decode : string -> (int * string * record list, string) result
 
 val write : dir:string -> tenant:string -> generation:int -> record list -> unit
 (** The durable write path described above. Creates directories as
-    needed. @raise Failure on a short write. *)
+    needed. @raise Unix.Unix_error if the write fails. *)
 
 val read : string -> (int * string * record list, string) result
 (** Read and decode one generation file by path. *)
 
 val tenant_dir : dir:string -> tenant:string -> string
 val gen_path : dir:string -> tenant:string -> generation:int -> string
-val tmp_path : dir:string -> tenant:string -> generation:int -> string
 
 val generations : dir:string -> tenant:string -> int list
 (** Generation numbers with a well-named [.scp] file, newest first

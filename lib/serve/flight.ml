@@ -6,9 +6,9 @@
    applied.  The recorder persists exactly that — the tail of the
    trace-span ring, the metric/quantile snapshots and the live STAT
    rollup — as one JSON document under the checkpoint dir, written
-   with the same write-tmp/fsync/rename discipline as {!Checkpoint} so
-   the file is always either the previous complete dump or the new
-   complete dump, never torn.
+   through the same durable writer as {!Checkpoint} so the file is
+   always either the previous complete dump or the new complete dump,
+   never torn.
 
    Dumps are cheap (one bounded buffer + one rename) and are triggered
    on state transitions that precede most incidents: overload onset,
@@ -32,38 +32,6 @@ let create ?(max_spans = 256) ?(max_events = 64) ~dir () =
   { f_dir = dir; f_max_spans = max_spans; f_max_events = max_events; f_seq = 0 }
 
 let dumps t = t.f_seq
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_atomic ~path data =
-  mkdir_p (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let len = String.length data in
-      let pos = ref 0 in
-      while !pos < len do
-        match Unix.write_substring fd data !pos (len - !pos) with
-        | n -> pos := !pos + n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  fsync_dir (Filename.dirname path)
 
 (* Last [n] of a list, preserving order. *)
 let tail n l =
@@ -111,7 +79,7 @@ let dump t ~reason ~stats_json ~events =
       Printf.bprintf b "\"%s\"" (Ds_util.Json.escape e))
     (take t.f_max_events events);
   Buffer.add_string b "]}";
-  write_atomic ~path:(path ~dir:t.f_dir) (Buffer.contents b)
+  Ds_util.Durable.write_atomic ~path:(path ~dir:t.f_dir) (Buffer.contents b)
 
 let read ~dir =
   let p = path ~dir in

@@ -2,8 +2,9 @@
 
     Persists the tail of the trace-span ring plus metric, quantile and
     STAT-rollup snapshots as one [flight/v1] JSON document at
-    [<dir>/flight-latest.json], written write-tmp/fsync/rename (same
-    discipline as {!Checkpoint}) so the file is never torn.  The
+    [<dir>/flight-latest.json], written by
+    {!Ds_util.Durable.write_atomic} (like {!Checkpoint}) so the file is
+    never torn.  The
     server dumps on overload onset, quarantine-on-corruption, every
     checkpoint wave and graceful shutdown; after a kill -9 the last
     dump is what [dynospan serve-stats --post-mortem] replays. *)

@@ -30,8 +30,9 @@ let default_config ~dir =
 type conn = {
   cid : int;
   reader : Frame_reader.t;
-  out : Buffer.t;
-  mutable out_pos : int;
+  out : Buffer.t;  (* responses not yet taken for sending *)
+  mutable sending : string;  (* taken from [out] in one piece; "" when idle *)
+  mutable sent : int;  (* bytes of [sending] already written *)
   mutable alive : bool;
 }
 
@@ -429,7 +430,8 @@ let connect t =
     cid;
     reader = Frame_reader.create ~max_frame:t.config.max_frame ();
     out = Buffer.create 1024;
-    out_pos = 0;
+    sending = "";
+    sent = 0;
     alive = true;
   }
 
@@ -448,10 +450,14 @@ let nack ?tenant t c ~seq reason =
   | None -> ());
   respond c (Sframe.Nack { seq; reason })
 
+let unsent c = String.length c.sending - c.sent + Buffer.length c.out
+
 let take_output c =
-  let s = Buffer.sub c.out c.out_pos (Buffer.length c.out - c.out_pos) in
+  let pending = String.sub c.sending c.sent (String.length c.sending - c.sent) in
+  let s = pending ^ Buffer.contents c.out in
+  c.sending <- "";
+  c.sent <- 0;
   Buffer.clear c.out;
-  c.out_pos <- 0;
   s
 
 let pending_depth t = Queue.length t.queue
@@ -709,7 +715,7 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
        let fds = match admin_listener with Some l -> l :: fds | None -> fds in
        let writable =
          Hashtbl.fold
-           (fun fd c acc -> if Buffer.length c.out > c.out_pos then fd :: acc else acc)
+           (fun fd c acc -> if unsent c > 0 then fd :: acc else acc)
            conns []
        in
        let writable =
@@ -777,14 +783,22 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
          (fun fd ->
            match Hashtbl.find_opt conns fd with
            | Some c -> (
-               let len = Buffer.length c.out - c.out_pos in
+               (* Take the buffered responses once, then let partial
+                  writes advance an offset into that string: re-copying
+                  the unsent tail per writable event would be quadratic
+                  in the size of a large reply. *)
+               if c.sending = "" then begin
+                 c.sending <- Buffer.contents c.out;
+                 Buffer.clear c.out
+               end;
+               let len = String.length c.sending - c.sent in
                if len > 0 then
-                 match Unix.write_substring fd (Buffer.sub c.out c.out_pos len) 0 len with
+                 match Unix.write_substring fd c.sending c.sent len with
                  | n ->
-                     c.out_pos <- c.out_pos + n;
-                     if c.out_pos = Buffer.length c.out then begin
-                       Buffer.clear c.out;
-                       c.out_pos <- 0
+                     c.sent <- c.sent + n;
+                     if c.sent = String.length c.sending then begin
+                       c.sending <- "";
+                       c.sent <- 0
                      end
                  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
                  | exception Unix.Unix_error _ -> close_fd fd)
@@ -806,7 +820,7 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
        (* Poisoned connections are closed once their NACKs have flushed. *)
        Hashtbl.iter
          (fun fd c ->
-           if conn_failed c && Buffer.length c.out <= c.out_pos then close_fd fd)
+           if conn_failed c && unsent c = 0 then close_fd fd)
          (Hashtbl.copy conns)
      done
    with e ->

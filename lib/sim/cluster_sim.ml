@@ -68,6 +68,12 @@ let forest_ok ~n stream forest =
   Components.count fg = Components.count g
   && List.length forest = n - Components.count g
 
+(* Update [i] goes to server [i mod servers], each shard in stream order. *)
+let round_robin ~servers updates =
+  let n = Array.length updates in
+  Array.init servers (fun s ->
+      Array.init ((n - s + servers - 1) / servers) (fun i -> updates.(s + (i * servers))))
+
 (* Shard the stream across servers under the chosen partition. *)
 let shard ~route ~servers ~counts stream =
   let lists = Array.make servers [] in
@@ -169,10 +175,8 @@ let ship (type s) ?(mode = `Sequential) ((module L) : s Linear_sketch.impl) ~mak
   if servers < 1 then invalid_arg "Cluster_sim.ship: need at least one server";
   Ds_obs.Trace.with_span "cluster.ship_run" @@ fun () ->
   (* Round-robin shards; any partition gives the same coordinator state by
-     linearity, so the routing is not a parameter here.  [split] is the
-     materializing partition kept exactly for custom drivers like this
-     one, where each server owns its shard. *)
-  let shards = Ds_par.Shard_ingest.(split Round_robin) ~shards:servers updates in
+     linearity, so the routing is not a parameter here. *)
+  let shards = round_robin ~servers updates in
   let sketch_server part =
     let sk : s = make () in
     Ds_obs.Trace.with_span "cluster.sketch" (fun () ->
@@ -583,7 +587,7 @@ let ship_supervised (type s) ?(mode = `Sequential) ?(policy = Supervisor.default
     (updates : (int * int) array) =
   if servers < 1 then invalid_arg "Cluster_sim.ship_supervised: need at least one server";
   Ds_obs.Trace.with_span "cluster.ship_supervised" @@ fun () ->
-  let shards = Ds_par.Shard_ingest.(split Round_robin) ~shards:servers updates in
+  let shards = round_robin ~servers updates in
   let sketch_shard part =
     let sk : s = make () in
     Ds_obs.Trace.with_span "cluster.sketch" (fun () ->

@@ -89,14 +89,6 @@ let update t ~index ~delta =
 let update_batch t updates =
   Array.iter (fun (index, delta) -> update t ~index ~delta) updates
 
-let update_slice t updates ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length updates then
-    invalid_arg "L0_sampler.update_slice: range out of bounds";
-  for i = pos to pos + len - 1 do
-    let index, delta = updates.(i) in
-    update t ~index ~delta
-  done
-
 let pick_min_tiebreak t assoc =
   let best = ref None in
   List.iter

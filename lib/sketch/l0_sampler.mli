@@ -30,10 +30,6 @@ val update : t -> index:int -> delta:int -> unit
 val update_batch : t -> (int * int) array -> unit
 (** [(index, delta)] pairs, applied in order; equals the fold of {!update}. *)
 
-val update_slice : t -> (int * int) array -> pos:int -> len:int -> unit
-(** [update_batch] over [updates.(pos .. pos+len-1)] without copying the
-    slice (the parallel engine's chunk entry point). *)
-
 val clone_zero : t -> t
 (** A fresh zero sampler compatible with [t], sharing its (immutable) hash
     functions and fingerprint ladders. O(sketch cells), not O(create). *)

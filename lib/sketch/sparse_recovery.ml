@@ -100,14 +100,6 @@ let update t ~index ~delta =
 let update_batch t updates =
   Array.iter (fun (index, delta) -> update t ~index ~delta) updates
 
-let update_slice t updates ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length updates then
-    invalid_arg "Sparse_recovery.update_slice: range out of bounds";
-  for i = pos to pos + len - 1 do
-    let index, delta = updates.(i) in
-    update t ~index ~delta
-  done
-
 let is_zero t =
   let n = Words.length t.words in
   let rec go i = i >= n || (Words.unsafe_get t.words i = 0 && go (i + 1)) in

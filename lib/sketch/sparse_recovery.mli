@@ -37,10 +37,6 @@ val update : t -> index:int -> delta:int -> unit
 val update_batch : t -> (int * int) array -> unit
 (** [(index, delta)] pairs, applied in order; equals the fold of {!update}. *)
 
-val update_slice : t -> (int * int) array -> pos:int -> len:int -> unit
-(** [update_batch] over [updates.(pos .. pos+len-1)] without copying the
-    slice (the parallel engine's chunk entry point). *)
-
 val update_folded : t -> index:int -> folded:int -> delta:int -> unit
 (** {!update} with the key fold hoisted out: [folded] must equal
     [Kwise.fold_key index]. No bounds check — kernel API for containers

@@ -2,7 +2,7 @@
 
    OCaml 5.1 has no [Atomic.make_contended]; an [Atomic.make 0] is an
    ordinary 2-word heap block, so a batch of them (the 32-way sharded
-   telemetry counters, a deque's top/bottom pair) is allocated back to
+   telemetry counters, the pool's operation tick) is allocated back to
    back and up to four cells share one 64-byte line.  Every
    [fetch_and_add] then invalidates its neighbours' lines and sharded
    counters serialize on cache coherence instead of scaling.

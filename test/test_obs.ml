@@ -62,19 +62,6 @@ let test_gauge_last_writer () =
       Ds_obs.Metrics.set g 17;
       check_int "last write wins" 17 (Ds_obs.Metrics.gauge_value g))
 
-let test_histogram_buckets () =
-  with_obs (fun () ->
-      let h = Ds_obs.Metrics.histogram "test.hist" in
-      List.iter (Ds_obs.Metrics.observe h) [ 1; 2; 3; 1000 ];
-      let snap = Ds_obs.Metrics.snapshot () in
-      let v = List.assoc "test.hist" snap.Ds_obs.Metrics.histograms in
-      check_int "count" 4 v.Ds_obs.Metrics.h_count;
-      check_int "sum" 1006 v.Ds_obs.Metrics.h_sum;
-      (* 1 -> bucket [1,2) le=1; 2,3 -> [2,4) le=3; 1000 -> [512,1024) le=1023 *)
-      check_int "le=1" 1 (List.assoc 1 v.Ds_obs.Metrics.h_buckets);
-      check_int "le=3" 2 (List.assoc 3 v.Ds_obs.Metrics.h_buckets);
-      check_int "le=1023" 1 (List.assoc 1023 v.Ds_obs.Metrics.h_buckets))
-
 (* Sharded counters merged at read must be exact (not sampled) no matter
    how the increments were spread over domains, and two identical runs
    must export identical snapshots. *)
@@ -337,10 +324,8 @@ let test_exporters_smoke () =
   with_obs (fun () ->
       let c = Ds_obs.Metrics.counter "exp.count" in
       let g = Ds_obs.Metrics.gauge "exp.gauge" in
-      let h = Ds_obs.Metrics.histogram "exp.hist" in
       Ds_obs.Metrics.incr c 2;
       Ds_obs.Metrics.set g 9;
-      Ds_obs.Metrics.observe h 3;
       Ds_obs.Trace.record "exp.span" ~start_ns:1L ~dur_ns:2L;
       Ds_obs.Ledger.record ~phase:"exp.phase" ~words:10 100.0;
       let json = Ds_obs.Export.report_json () in
@@ -357,14 +342,7 @@ let test_exporters_smoke () =
       let prom = Ds_obs.Export.prometheus () in
       List.iter
         (fun needle -> check_bool ("prometheus has " ^ needle) true (contains ~needle prom))
-        [
-          "# TYPE exp_count counter";
-          "exp_count 2";
-          "exp_gauge 9";
-          "exp_hist_bucket{le=\"+Inf\"} 1";
-          "exp_hist_sum 3";
-          "exp_hist_count 1";
-        ])
+        [ "# TYPE exp_count counter"; "exp_count 2"; "exp_gauge 9" ])
 
 (* -------------------- quantile sketch -------------------- *)
 
@@ -552,7 +530,6 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter_enabled;
           Alcotest.test_case "register idempotent" `Quick test_register_idempotent;
           Alcotest.test_case "gauge" `Quick test_gauge_last_writer;
-          Alcotest.test_case "histogram" `Quick test_histogram_buckets;
           Alcotest.test_case "merge under domains" `Quick
             test_merge_under_domains_exact_and_deterministic;
         ] );

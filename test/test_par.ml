@@ -1,8 +1,8 @@
-(* Parallel ingestion engine: pool mechanics and the linearity contracts the
-   engine rests on. The load-bearing properties are the serialize-equality
-   ones — a sharded-parallel ingest followed by a merge must reproduce the
-   sequential sketch state {e bit for bit}, for every linear sketch, every
-   partition policy and every shard count. *)
+(* Parallel ingestion: pool mechanics and the linearity contract the static
+   partition rests on. The load-bearing properties are the serialize-equality
+   ones — ingesting on a pool of any size, then adding the worker replicas,
+   must reproduce the sequential sketch state {e bit for bit}, for every
+   linear sketch. *)
 
 open Ds_util
 open Ds_sketch
@@ -12,11 +12,24 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* One pool shared by every test in this binary: domains are an OS resource
-   and alcotest runs cases sequentially, so spawning per-case is pure waste. *)
-let pool = lazy (Pool.create ~domains:4 ())
-let () = at_exit (fun () -> if Lazy.is_val pool then Pool.shutdown (Lazy.force pool))
-let pool () = Lazy.force pool
+(* The pool size is the worker count, so sweeping sizes 1..8 sweeps the
+   partitions of a stream. One pool is live at a time, replaced when a test
+   asks for another size: idle domains are not free, since every one of
+   them joins each stop-the-world minor collection. *)
+let pool_sizes = List.init 8 (fun i -> i + 1)
+let current = ref None
+
+let pool_of size =
+  match !current with
+  | Some p when Pool.size p = size -> p
+  | prev ->
+      Option.iter Pool.shutdown prev;
+      let p = Pool.create ~domains:size () in
+      current := Some p;
+      p
+
+let () = at_exit (fun () -> Option.iter Pool.shutdown !current)
+let pool () = pool_of 4
 
 (* -------------------- Pool mechanics -------------------- *)
 
@@ -53,152 +66,45 @@ let test_pool_shutdown () =
   | () -> Alcotest.fail "submit after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
-let test_split_partitions () =
-  let items = Array.init 103 Fun.id in
+(* -------------------- Static partition -------------------- *)
+
+(* The slices [update] sees on a pool of [size]: recorded through
+   [ingest_into] with range lists for sketches, so the partition itself is
+   observable. *)
+let slices size n =
+  let seen = ref [] in
+  Shard_ingest.ingest_into (pool_of size)
+    ~clone_zero:(fun _ -> ref [])
+    ~update:(fun r _ ~pos ~len -> r := (pos, len) :: !r)
+    ~add:(fun dst r -> dst := !r @ !dst)
+    seen (Array.make n ());
+  List.sort compare !seen
+
+(* min(size, n) slices, each non-empty, tiling [0, n) in order, sizes
+   differing by at most one. *)
+let test_slices_tile () =
   List.iter
-    (fun policy ->
+    (fun size ->
       List.iter
-        (fun shards ->
-          let parts = Shard_ingest.split policy ~shards items in
-          let all = Array.concat (Array.to_list parts) in
-          Array.sort compare all;
-          check_bool "every element exactly once" true (all = items))
-        [ 1; 2; 3; 5 ])
-    [ Shard_ingest.Chunked; Shard_ingest.Round_robin; Shard_ingest.By_key (fun x -> 7 * x) ]
-
-(* -------------------- Work-stealing deque -------------------- *)
-
-(* Owner drains its own deque: every element exactly once, LIFO-from-deal
-   order is irrelevant (the engine only needs the exactly-once multiset). *)
-let test_deque_owner_drains () =
-  let d = Ws_deque.of_array (Array.init 57 Fun.id) in
-  check_int "initial length" 57 (Ws_deque.length d);
-  let seen = Array.make 57 0 in
-  let rec go () =
-    match Ws_deque.take d with
-    | Some c ->
-        seen.(c) <- seen.(c) + 1;
-        go ()
-    | None -> ()
-  in
-  go ();
-  check_bool "each chunk exactly once" true (Array.for_all (( = ) 1) seen);
-  check_int "drained" 0 (Ws_deque.length d)
-
-let test_deque_steal_only () =
-  let d = Ws_deque.of_array (Array.init 13 Fun.id) in
-  let seen = Array.make 13 0 in
-  let rec go () =
-    match Ws_deque.steal d with
-    | Some c ->
-        seen.(c) <- seen.(c) + 1;
-        go ()
-    | None -> ()
-  in
-  go ();
-  check_bool "thief alone sees every chunk once" true (Array.for_all (( = ) 1) seen)
-
-(* Owner takes while concurrent thieves steal: the union of everything
-   consumed must be each chunk exactly once — the property run_plan's
-   termination certificate rests on.  (On a single-core host the domains
-   timeshare, which still interleaves take and steal at the CAS level.) *)
-let test_deque_concurrent_exactly_once () =
-  let total = 2_000 in
-  let d = Ws_deque.of_array (Array.init total Fun.id) in
-  let consumed which =
-    let acc = ref [] in
-    let rec go () =
-      match which () with
-      | Some c ->
-          acc := c :: !acc;
-          go ()
-      | None -> ()
-    in
-    go ();
-    !acc
-  in
-  let thieves =
-    List.init 3 (fun _ -> Domain.spawn (fun () -> consumed (fun () -> Ws_deque.steal d)))
-  in
-  let mine = consumed (fun () -> Ws_deque.take d) in
-  let stolen = List.concat_map Domain.join thieves in
-  let all = Array.of_list (mine @ stolen) in
-  check_int "nothing lost, nothing duplicated" total (Array.length all);
-  Array.sort compare all;
-  check_bool "exactly the dealt chunks" true (all = Array.init total Fun.id)
-
-(* -------------------- Chunk plans -------------------- *)
-
-(* Structural invariants of [plan] under adversarial chunk sizes: the
-   chunks tile [0, n) of [data] (in order for index policies; after a
-   permutation for By_key), the deal covers every chunk exactly once, and
-   [data] is a permutation of the input. *)
-let check_plan_invariants ~name items (p : int Shard_ingest.plan) =
-  let n = Array.length items in
-  check_int (name ^ ": data length") n (Array.length p.Shard_ingest.data);
-  let perm = Array.copy p.Shard_ingest.data in
-  let sorted = Array.copy items in
-  Array.sort compare perm;
-  Array.sort compare sorted;
-  check_bool (name ^ ": data is a permutation") true (perm = sorted);
-  let nchunks = Array.length p.Shard_ingest.chunk_lo in
-  check_int (name ^ ": lo/len arrays agree") nchunks (Array.length p.Shard_ingest.chunk_len);
-  let covered = Array.make n 0 in
-  Array.iteri
-    (fun c lo ->
-      let len = p.Shard_ingest.chunk_len.(c) in
-      check_bool (name ^ ": chunk in bounds") true (lo >= 0 && len >= 1 && lo + len <= n);
-      for i = lo to lo + len - 1 do
-        covered.(i) <- covered.(i) + 1
-      done)
-    p.Shard_ingest.chunk_lo;
-  check_bool (name ^ ": chunks tile the data") true (Array.for_all (( = ) 1) covered);
-  let dealt = Array.make nchunks 0 in
-  Array.iter
-    (Array.iter (fun c ->
-         check_bool (name ^ ": dealt chunk exists") true (c >= 0 && c < nchunks);
-         dealt.(c) <- dealt.(c) + 1))
-    p.Shard_ingest.deal;
-  check_bool (name ^ ": every chunk dealt once") true (Array.for_all (( = ) 1) dealt)
-
-let test_plan_invariants () =
-  let items = Array.init 103 (fun i -> (i * 37) mod 11) in
-  let n = Array.length items in
-  List.iter
-    (fun (pname, policy) ->
-      List.iter
-        (fun workers ->
-          List.iter
-            (fun chunk ->
-              let name = Printf.sprintf "%s w=%d c=%d" pname workers chunk in
-              check_plan_invariants ~name items
-                (Shard_ingest.plan ~chunk policy ~workers items))
-            [ 1; 3; n; n + 7 ])
-        [ 1; 2; 5 ])
-    [
-      ("chunked", Shard_ingest.Chunked);
-      ("round_robin", Shard_ingest.Round_robin);
-      ("by_key", Shard_ingest.By_key (fun x -> x));
-    ]
-
-(* By_key must land every chunk of a key's segment on that key's owner:
-   chunk boundaries never split a worker's key set across deques (stealing
-   may move execution, but the deal itself is the routing contract). *)
-let test_plan_by_key_routing () =
-  let items = Array.init 200 (fun i -> (i * 13) mod 7) in
-  let workers = 3 in
-  let p = Shard_ingest.plan ~chunk:4 (Shard_ingest.By_key (fun x -> x)) ~workers items in
-  Array.iteri
-    (fun w chunks ->
-      Array.iter
-        (fun c ->
-          let lo = p.Shard_ingest.chunk_lo.(c) in
-          for i = lo to lo + p.Shard_ingest.chunk_len.(c) - 1 do
-            check_int "item dealt to its key's owner" w
-              ((p.Shard_ingest.data.(i) land max_int) mod workers)
-          done)
-        chunks)
-    p.Shard_ingest.deal
+        (fun n ->
+          let name = Printf.sprintf "pool %d, %d updates" size n in
+          let got = slices size n in
+          check_int (name ^ ": one slice per worker") (min size n) (List.length got);
+          let next =
+            List.fold_left
+              (fun pos (lo, len) ->
+                check_int (name ^ ": contiguous") pos lo;
+                check_bool (name ^ ": non-empty") true (len >= 1);
+                lo + len)
+              0 got
+          in
+          check_int (name ^ ": covers the stream") n next;
+          let lens = List.map snd got in
+          if lens <> [] then
+            check_bool (name ^ ": balanced") true
+              (List.fold_left max 0 lens - List.fold_left min n lens <= 1))
+        [ 0; 1; size - 1; size; size + 1; 103 ])
+    pool_sizes
 
 (* -------------------- Serialize-equality properties -------------------- *)
 
@@ -211,9 +117,9 @@ let dim = 200
 let coord_gen = QCheck.(small_list (pair (int_bound (dim - 1)) (int_range (-3) 3)))
 
 (* Zipf-ish coordinates: rank r drawn uniformly, index = exp(u ln dim) so
-   P(index = k) ~ 1/(k+1).  A handful of hot keys carry most of the mass —
-   exactly the distribution that collapses By_key partitions onto one
-   worker and forces the stealing path. *)
+   P(index = k) ~ 1/(k+1).  A handful of hot keys carry most of the mass,
+   so every worker's slice lands on the same few counters and the
+   replicas overlap exactly where the sum is most likely to go wrong. *)
 let zipf_index r =
   let u = float_of_int (r land 0xFFFFF) /. 1048576.0 in
   min (dim - 1) (int_of_float (exp (u *. log (float_of_int dim))) - 1)
@@ -223,33 +129,22 @@ let zipf_coord_gen =
     small_list (pair (int_bound 0xFFFFF) (int_range (-3) 3))
     |> map (List.map (fun (r, d) -> (zipf_index r, d))))
 
-let policies = [ ("chunked", Shard_ingest.Chunked); ("round_robin", Shard_ingest.Round_robin) ]
-
-(* Worker counts past the pool size and chunk sizes that are degenerate
-   (1), prime (7) or default: every combination must still reproduce the
-   sequential bytes. *)
-let worker_counts = [ None; Some 2; Some 5 ]
-let chunk_sizes = [ None; Some 1; Some 7 ]
-
-(* Run [w] through a sharded-parallel ingest under every policy, worker
-   count and chunk size and demand byte-identical serialized state vs the
-   sequential fold. *)
-let sharded_matches ~create ~ingest ~update ~write w =
-  let seq = create 11 in
-  Array.iter (update seq) w;
-  let expect = state_of write seq in
+(* Ingest [w] through [Shard_ingest.linear] on a pool of every size in
+   [sizes] and demand byte-identical serialized state vs the sequential
+   fold. Every sketch is a [clone_zero] of one [make ()], so they share
+   one seed-derived structure. *)
+let pooled_matches ?(sizes = pool_sizes) (type s) (impl : s Linear_sketch.impl) ~make w =
+  let (module L) = impl in
+  let proto = make () in
+  let seq = L.clone_zero proto in
+  Array.iter (fun (index, delta) -> L.update seq ~index ~delta) w;
+  let expect = Linear_sketch.serialize impl seq in
   List.for_all
-    (fun (_, policy) ->
-      List.for_all
-        (fun workers ->
-          List.for_all
-            (fun chunk ->
-              let par = create 11 in
-              ingest (pool ()) ~policy ?workers ?chunk par w;
-              state_of write par = expect)
-            chunk_sizes)
-        worker_counts)
-    (("by_key", Shard_ingest.By_key (fun (i, _) -> i)) :: policies)
+    (fun size ->
+      let par = L.clone_zero proto in
+      Shard_ingest.linear (pool_of size) impl par w;
+      Linear_sketch.serialize impl par = expect)
+    sizes
 
 let prop_one_sparse_batch =
   QCheck.Test.make ~name:"one_sparse update_batch = fold of update" ~count:50 coord_gen
@@ -283,43 +178,33 @@ let prop_l0_batch =
       L0_sampler.update_batch b w;
       state_of L0_sampler.write a = state_of L0_sampler.write b)
 
-let sr_create seed = Sparse_recovery.create (Prng.create seed) ~dim ~params:sr_params
-
-let sr_sharded_matches w =
-  sharded_matches w ~create:sr_create
-    ~ingest:(fun p ~policy ?workers ?chunk sk w ->
-      Shard_ingest.sparse_recovery p ~policy ?workers ?chunk sk w)
-    ~update:(fun sk (index, delta) -> Sparse_recovery.update sk ~index ~delta)
-    ~write:Sparse_recovery.write
+let sr_make () = Sparse_recovery.create (Prng.create 11) ~dim ~params:sr_params
+let sr_pooled_matches w = pooled_matches (module Sparse_recovery.Linear) ~make:sr_make w
 
 let prop_sr_sharded =
-  QCheck.Test.make ~name:"sparse_recovery sharded+merge = sequential (all policies)"
-    ~count:10 coord_gen (fun coords -> sr_sharded_matches (Array.of_list coords))
+  QCheck.Test.make ~name:"sparse_recovery sharded+merge = sequential (all pool sizes)"
+    ~count:10 coord_gen (fun coords -> sr_pooled_matches (Array.of_list coords))
 
 let prop_sr_sharded_zipf =
   QCheck.Test.make
     ~name:"sparse_recovery sharded+merge = sequential (zipf-skewed keys)" ~count:10
-    zipf_coord_gen (fun coords -> sr_sharded_matches (Array.of_list coords))
+    zipf_coord_gen (fun coords -> sr_pooled_matches (Array.of_list coords))
 
 let prop_l0_sharded =
-  QCheck.Test.make ~name:"l0_sampler sharded+merge = sequential (all policies)" ~count:8
+  QCheck.Test.make ~name:"l0_sampler sharded+merge = sequential (all pool sizes)" ~count:8
     coord_gen (fun coords ->
-      sharded_matches (Array.of_list coords)
-        ~create:(fun seed ->
-          L0_sampler.create (Prng.create seed) ~dim ~params:L0_sampler.default_params)
-        ~ingest:(fun p ~policy ?workers ?chunk sk w ->
-          Shard_ingest.l0_sampler p ~policy ?workers ?chunk sk w)
-        ~update:(fun sk (index, delta) -> L0_sampler.update sk ~index ~delta)
-        ~write:L0_sampler.write)
+      pooled_matches (module L0_sampler.Linear) (Array.of_list coords) ~make:(fun () ->
+          L0_sampler.create (Prng.create 11) ~dim ~params:L0_sampler.default_params))
 
-(* The degenerate streams the chunk math is most likely to get wrong. *)
-let test_sharded_edge_sizes () =
+(* Every registered linear family, through the one generic entry point. *)
+let test_every_family () =
   List.iter
-    (fun w ->
-      check_bool
-        (Printf.sprintf "len=%d stream matches" (Array.length w))
-        true (sr_sharded_matches w))
-    [ [||]; [| (0, 1) |]; [| (dim - 1, -2) |]; Array.make 3 (5, 1) ]
+    (fun (Linear_families.F f) ->
+      let (module L) = f.impl in
+      let w = Linear_families.update_stream ~count:60 ~dim:(L.dim (f.make ())) 7 in
+      check_bool (f.name ^ " pooled = sequential") true
+        (pooled_matches f.impl ~make:f.make w))
+    Linear_families.all
 
 (* Edge streams for the AGM properties. *)
 let agm_n = 24
@@ -347,31 +232,24 @@ let prop_agm_batch =
       Ds_agm.Agm_sketch.update_batch b w;
       Ds_agm.Agm_sketch.serialize a = Ds_agm.Agm_sketch.serialize b)
 
-let agm_sharded_matches w =
+let agm_pooled_matches ?(sizes = pool_sizes) w =
   let seq = agm_create 11 in
   Ds_agm.Agm_sketch.update_batch seq w;
   let expect = Ds_agm.Agm_sketch.serialize seq in
   List.for_all
-    (fun (_, policy) ->
-      List.for_all
-        (fun workers ->
-          List.for_all
-            (fun chunk ->
-              let par = agm_create 11 in
-              Shard_ingest.agm (pool ()) ~policy ?workers ?chunk par w;
-              Ds_agm.Agm_sketch.serialize par = expect)
-            chunk_sizes)
-        worker_counts)
-    (("by_vertex", Shard_ingest.by_vertex) :: policies)
+    (fun size ->
+      let par = agm_create 11 in
+      Shard_ingest.agm (pool_of size) par w;
+      Ds_agm.Agm_sketch.serialize par = expect)
+    sizes
 
 let prop_agm_sharded =
-  QCheck.Test.make ~name:"agm sharded+merge = sequential (all policies)" ~count:6 edge_gen
-    (fun edges -> agm_sharded_matches (Array.of_list edges))
+  QCheck.Test.make ~name:"agm sharded+merge = sequential (all pool sizes)" ~count:6 edge_gen
+    (fun edges -> agm_pooled_matches (Array.of_list edges))
 
-(* Star streams around vertex 0: [by_vertex] routes every update to the
-   owner of key 0, so one deque holds the whole stream and the other
-   workers can only contribute by stealing. *)
-let zipf_edge_gen =
+(* Star streams around vertex 0: every slice updates vertex 0's sampler
+   column, so all replicas carry counters for the same hot vertex. *)
+let star_edge_gen =
   QCheck.(
     small_list (pair (int_bound (agm_n - 2)) bool)
     |> map (fun l ->
@@ -383,7 +261,28 @@ let zipf_edge_gen =
 
 let prop_agm_sharded_star =
   QCheck.Test.make ~name:"agm sharded+merge = sequential (single hot vertex)" ~count:6
-    zipf_edge_gen (fun edges -> agm_sharded_matches (Array.of_list edges))
+    star_edge_gen (fun edges -> agm_pooled_matches (Array.of_list edges))
+
+(* Streams shorter than the pool (0, 1 and W-1 updates) leave workers
+   without a slice: only min(W, n) replicas may take part. *)
+let test_short_streams () =
+  let rng = Prng.create 93 in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun len ->
+          let name = Printf.sprintf "pool %d, %d updates" size len in
+          let coords = Array.init len (fun _ -> (Prng.int rng dim, Prng.int rng 7 - 3)) in
+          check_bool (name ^ ": sparse_recovery") true
+            (pooled_matches ~sizes:[ size ] (module Sparse_recovery.Linear) ~make:sr_make coords);
+          let edges =
+            Array.init len (fun _ ->
+                let u = Prng.int rng (agm_n - 1) in
+                Ds_stream.Update.insert u (u + 1 + Prng.int rng (agm_n - 1 - u)))
+          in
+          check_bool (name ^ ": agm") true (agm_pooled_matches ~sizes:[ size ] edges))
+        [ 0; 1; size - 1 ])
+    pool_sizes
 
 (* -------------------- Replica arenas -------------------- *)
 
@@ -391,7 +290,7 @@ let prop_agm_sharded_star =
    round — a recycled replica starts each round as the exact zero
    sketch — and (b) stop allocating replicas once every slot has been
    exercised: the arena's off-heap footprint is monotone during warm-up
-   and constant afterwards. *)
+   and constant afterwards. One arena serves pools of different sizes. *)
 let test_arena_reuse () =
   let rng = Prng.create 91 in
   let round _ =
@@ -400,36 +299,40 @@ let test_arena_reuse () =
         let v = u + 1 + Prng.int rng (agm_n - 1 - u) in
         if Prng.bool rng then Ds_stream.Update.insert u v else Ds_stream.Update.delete u v)
   in
-  let streams = Array.init 5 round in
+  let sizes = [ 4; 2; 8; 1; 3 ] in
   let seq = agm_create 13 and par = agm_create 13 in
   let arena = Shard_ingest.agm_arena () in
   check_int "fresh arena holds nothing" 0 (Shard_ingest.arena_bytes arena);
   let footprint = ref 0 in
-  Array.iteri
-    (fun i w ->
+  List.iteri
+    (fun i size ->
+      let w = round () in
       Ds_agm.Agm_sketch.update_batch seq w;
-      Shard_ingest.agm (pool ()) ~workers:4 ~chunk:16 ~arena par w;
+      Shard_ingest.agm (pool_of size) ~arena par w;
       check_string
-        (Printf.sprintf "round %d bit-identical to sequential" i)
+        (Printf.sprintf "round %d (pool %d) bit-identical to sequential" i size)
         (Ds_agm.Agm_sketch.serialize seq)
         (Ds_agm.Agm_sketch.serialize par);
       let b = Shard_ingest.arena_bytes arena in
-      if i = 0 then footprint := b
-      else begin
-        check_bool (Printf.sprintf "round %d footprint monotone" i) true (b >= !footprint);
-        footprint := b
-      end)
-    streams;
-  (* With 4 workers on 600 tiny chunks, at least one replica beyond slot 0
-     must have been created and priced. *)
-  check_bool "arena priced its replicas" true (Shard_ingest.arena_bytes arena > 0);
-  (* Steady state: one more run does not grow the arena. *)
+      check_bool (Printf.sprintf "round %d footprint monotone" i) true (b >= !footprint);
+      footprint := b)
+    sizes;
+  (* The 8-domain round priced one replica per slot beyond slot 0. *)
+  check_int "arena priced seven replicas"
+    (7 * 8 * Ds_agm.Agm_sketch.space_in_words par)
+    (Shard_ingest.arena_bytes arena);
+  (* Steady state: more runs, on any pool size, do not grow the arena. *)
   let before = Shard_ingest.arena_bytes arena in
-  let w = round () in
-  Ds_agm.Agm_sketch.update_batch seq w;
-  Shard_ingest.agm (pool ()) ~workers:4 ~chunk:16 ~arena par w;
-  check_string "steady-state round bit-identical" (Ds_agm.Agm_sketch.serialize seq)
-    (Ds_agm.Agm_sketch.serialize par);
+  List.iter
+    (fun size ->
+      let w = round () in
+      Ds_agm.Agm_sketch.update_batch seq w;
+      Shard_ingest.agm (pool_of size) ~arena par w;
+      check_string
+        (Printf.sprintf "steady-state round (pool %d) bit-identical" size)
+        (Ds_agm.Agm_sketch.serialize seq)
+        (Ds_agm.Agm_sketch.serialize par))
+    [ 8; 5 ];
   check_int "steady-state footprint constant" before (Shard_ingest.arena_bytes arena)
 
 (* The generic arena over the packed linear interface: recycling through
@@ -442,9 +345,7 @@ let test_arena_linear () =
   for i = 1 to 4 do
     let w = Array.init 500 (fun _ -> (Prng.int rng dim, Prng.int rng 7 - 3)) in
     Array.iter (fun (index, delta) -> Sparse_recovery.update seq ~index ~delta) w;
-    Shard_ingest.linear (pool ()) ~workers:4 ~chunk:16 ~arena
-      (module Sparse_recovery.Linear)
-      par w;
+    Shard_ingest.linear (pool ()) ~arena (module Sparse_recovery.Linear) par w;
     check_string
       (Printf.sprintf "linear arena round %d bit-identical" i)
       (state_of Sparse_recovery.write seq)
@@ -492,21 +393,20 @@ let test_cluster_sim_parallel_equal () =
     [ Ds_sim.Cluster_sim.Round_robin; Ds_sim.Cluster_sim.By_vertex ]
 
 let test_two_pass_parallel_equal () =
+  let module T = Ds_core.Two_pass_spanner in
   let n = 32 in
   let stream = random_stream 33 ~n ~updates:400 in
-  let params = Ds_core.Two_pass_spanner.default_params ~k:2 in
-  let seq = Ds_core.Two_pass_spanner.run ~ingest:`Sequential (Prng.create 9) ~n ~params stream in
-  let par =
-    Ds_core.Two_pass_spanner.run ~ingest:(`Parallel (pool ())) (Prng.create 9) ~n ~params stream
-  in
-  check_bool "identical spanner" true
-    (Ds_graph.Graph.equal_edge_sets seq.Ds_core.Two_pass_spanner.spanner
-       par.Ds_core.Two_pass_spanner.spanner);
-  check_bool "identical accessed edges" true
-    (List.sort compare seq.Ds_core.Two_pass_spanner.accessed_edges
-    = List.sort compare par.Ds_core.Two_pass_spanner.accessed_edges);
-  check_int "identical space accounting" seq.Ds_core.Two_pass_spanner.space_words
-    par.Ds_core.Two_pass_spanner.space_words
+  let params = T.default_params ~k:2 in
+  let seq = T.run ~ingest:`Sequential (Prng.create 9) ~n ~params stream in
+  List.iter
+    (fun size ->
+      let par = T.run ~ingest:(`Parallel (pool_of size)) (Prng.create 9) ~n ~params stream in
+      let name = Printf.sprintf "pool %d: identical " size in
+      check_bool (name ^ "spanner") true (Ds_graph.Graph.equal_edge_sets seq.T.spanner par.T.spanner);
+      check_bool (name ^ "accessed edges") true
+        (List.sort compare seq.T.accessed_edges = List.sort compare par.T.accessed_edges);
+      check_int (name ^ "space accounting") seq.T.space_words par.T.space_words)
+    pool_sizes
 
 (* -------------------- Kwise.to_range uniformity -------------------- *)
 
@@ -571,24 +471,16 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "reuse" `Quick test_pool_reuse;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-          Alcotest.test_case "split partitions" `Quick test_split_partitions;
-        ] );
-      ( "deque",
-        [
-          Alcotest.test_case "owner drains exactly once" `Quick test_deque_owner_drains;
-          Alcotest.test_case "lone thief steals exactly once" `Quick test_deque_steal_only;
-          Alcotest.test_case "concurrent take+steal exactly once" `Quick
-            test_deque_concurrent_exactly_once;
         ] );
       ( "plan",
         [
-          Alcotest.test_case "invariants under adversarial chunks" `Quick
-            test_plan_invariants;
-          Alcotest.test_case "by_key routes chunks to owners" `Quick
-            test_plan_by_key_routing;
-          Alcotest.test_case "empty and tiny streams" `Quick test_sharded_edge_sizes;
+          Alcotest.test_case "empty and tiny streams" `Quick test_short_streams;
+          Alcotest.test_case "slices tile the stream" `Quick test_slices_tile;
         ] );
-      ("linearity", qcheck_cases);
+      ( "linearity",
+        qcheck_cases
+        @ [ Alcotest.test_case "every linear family pooled = sequential" `Quick test_every_family ]
+      );
       ( "arena",
         [
           Alcotest.test_case "agm replica reuse stays exact" `Quick test_arena_reuse;

@@ -849,6 +849,58 @@ let test_socket_end_to_end () =
   ignore (Unix.waitpid [] pid2);
   children := List.filter (fun p -> p <> pid2) !children
 
+let test_large_reply_partial_writes () =
+  (* A State reply (~700 KB here) larger than the socket send buffer
+     cannot go out in one write: the server resumes it over several
+     writable events, and the client must still receive it whole and
+     byte-identical. *)
+  Fun.protect ~finally:reap_children @@ fun () ->
+  let dir = fresh_dir "serve-big" in
+  incr tmp_counter;
+  let path = socket_path () in
+  let rng = Prng.create 17 in
+  let n = 96 in
+  let spec =
+    {
+      Loadgen.l_tenant = "big";
+      l_stream = "s";
+      l_family = "agm";
+      l_n = n;
+      l_seed = 5;
+      l_updates = Array.init 3000 (fun _ -> (Prng.int rng (n * (n - 1) / 2), 1));
+      l_batch = 1000;
+    }
+  in
+  let expected = Loadgen.expected_envelope spec in
+  let sndbuf =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Unix.getsockopt_int fd Unix.SO_SNDBUF)
+  in
+  check_bool "reply exceeds the send buffer" true (String.length expected > sndbuf);
+  let pid = start_server (Server.default_config ~dir) ~socket:path in
+  let client = Client.connect ~socket_path:path ~delay_unit:0.005 () in
+  (match
+     Client.create_stream client ~tenant:spec.Loadgen.l_tenant ~stream:spec.Loadgen.l_stream
+       ~family:spec.Loadgen.l_family ~n ~seed:spec.Loadgen.l_seed
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("create: " ^ m));
+  List.iter
+    (fun payload ->
+      match Client.ingest client ~tenant:"big" ~stream:"s" ~payload with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail ("ingest: " ^ m))
+    (Loadgen.batches spec);
+  (match Client.query client ~tenant:"big" ~stream:"s" with
+  | Ok st -> check_bool "reply arrives byte-identical" true (st.Client.payload = expected)
+  | Error m -> Alcotest.fail ("query: " ^ m));
+  Client.close client;
+  Unix.kill pid Sys.sigterm;
+  ignore (Unix.waitpid [] pid);
+  children := List.filter (fun p -> p <> pid) !children
+
 let test_resync_keeps_undurable_suffix () =
   (* The replay-by-linearity trap: reconnect to a LIVE server whose
      checkpoint lags (applied > durable).  Resync must prune the ledger
@@ -1075,6 +1127,8 @@ let () =
       ( "socket",
         [
           Alcotest.test_case "end to end with SIGKILL" `Quick test_socket_end_to_end;
+          Alcotest.test_case "reply larger than the send buffer" `Quick
+            test_large_reply_partial_writes;
           Alcotest.test_case "live resync keeps undurable suffix" `Quick
             test_resync_keeps_undurable_suffix;
           Alcotest.test_case "flight dump survives kill -9" `Quick

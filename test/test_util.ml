@@ -2,6 +2,7 @@ open Ds_util
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 (* -------------------- Field -------------------- *)
 
@@ -244,6 +245,29 @@ let test_space_pp_words_negative () =
     (Invalid_argument "Space.pp_words: negative word count (-1)") (fun () ->
       ignore (pp_words_str (-1)))
 
+(* -------------------- Durable -------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_durable_write_atomic () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "durable-%d" (Unix.getpid ()))
+  in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Filename.concat dir "state.bin" in
+  check_bool "parents start missing" false (Sys.file_exists root);
+  let big = String.init 1_000_000 (fun i -> Char.chr (i land 0xff)) in
+  Durable.write_atomic ~path big;
+  check_bool "creates missing parents" true (read_file path = big);
+  Durable.write_atomic ~path "short";
+  check_string "replaces existing content" "short" (read_file path);
+  check_bool "leaves no .tmp" true (Sys.readdir dir = [| "state.bin" |]);
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 let () =
   Alcotest.run "util"
     [
@@ -295,4 +319,7 @@ let () =
           Alcotest.test_case "pp_words rendering" `Quick test_space_pp_words;
           Alcotest.test_case "pp_words negative" `Quick test_space_pp_words_negative;
         ] );
+      ( "durable",
+        [ Alcotest.test_case "write_atomic replaces, cleans up, mkdirs" `Quick test_durable_write_atomic ]
+      );
     ]
