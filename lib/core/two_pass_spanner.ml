@@ -288,12 +288,10 @@ let pass2_update p2 (u : Update.t) =
    pass-1 sketch counters and (b) the seed-derived structure. (b) is rebuilt
    by replaying the same PRNG chain in [resume], so the checkpoint carries
    only (a) plus enough of (n, params) to verify the caller replays the
-   chain with the same inputs. Same envelope discipline as
-   {!Linear_sketch}: magic, shape, body, trailing FNV-1a-64 checksum
-   verified before any parsing. *)
+   chain with the same inputs, inside the {!Envelope} every versioned
+   message shares. *)
 
 let checkpoint_magic = "TPS1"
-let checksum_bytes = 8
 
 let write_params sink prm =
   Wire.write_int sink prm.k;
@@ -327,34 +325,18 @@ let read_params src =
   }
 
 let serialize_pass1 p1 =
-  let sink = Wire.sink () in
-  Wire.write_tag sink checkpoint_magic;
-  Wire.write_int sink p1.n;
-  write_params sink p1.prm;
-  Wire.write_int sink p1.levels;
-  Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.write sk sink))) p1.sketches;
-  let payload = Wire.contents sink in
-  let tail = Wire.sink () in
-  Wire.write_fixed64 tail (Wire.fnv1a64 payload);
-  payload ^ Wire.contents tail
+  Envelope.seal ~magic:checkpoint_magic (fun sink ->
+      Wire.write_int sink p1.n;
+      write_params sink p1.prm;
+      Wire.write_int sink p1.levels;
+      Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.write sk sink))) p1.sketches)
 
-type checkpoint_error =
-  | Truncated of { length : int; min_length : int }
-  | Checksum_mismatch
-  | Wrong_magic of { got : string }
-  | Header_mismatch of { field : string }
-  | Malformed_body of string
-  | Trailing_bytes of int
+type checkpoint_error = Envelope of Envelope.error | Header_mismatch of { field : string }
 
 let checkpoint_error_to_string = function
-  | Truncated { length; min_length } ->
-      Printf.sprintf "truncated checkpoint (%d bytes, need at least %d)" length min_length
-  | Checksum_mismatch -> "checkpoint checksum mismatch (corrupt or truncated)"
-  | Wrong_magic { got } -> Printf.sprintf "not a TPS1 checkpoint (magic %S)" got
+  | Envelope e -> Envelope.error_to_string e
   | Header_mismatch { field } ->
       Printf.sprintf "checkpoint %s mismatch (taken with different inputs)" field
-  | Malformed_body msg -> Printf.sprintf "malformed checkpoint body (%s)" msg
-  | Trailing_bytes k -> Printf.sprintf "checkpoint has %d trailing bytes" k
 
 let pp_checkpoint_error ppf e = Format.pp_print_string ppf (checkpoint_error_to_string e)
 
@@ -362,30 +344,16 @@ let pp_checkpoint_error ppf e = Format.pp_print_string ppf (checkpoint_error_to_
    partially overwritten — callers must discard [p1] (what
    [resume_or_restart] does by recomputing pass 1 from the stream). *)
 let load_pass1_result p1 data =
-  let len = String.length data in
-  let min_length = checksum_bytes + String.length checkpoint_magic + 2 in
-  if len < min_length then Error (Truncated { length = len; min_length })
-  else begin
-    let payload_len = len - checksum_bytes in
-    let stored = ref 0L in
-    for i = checksum_bytes - 1 downto 0 do
-      stored := Int64.logor (Int64.shift_left !stored 8) (Int64.of_int (Char.code data.[payload_len + i]))
-    done;
-    if Wire.fnv1a64 ~len:payload_len data <> !stored then Error Checksum_mismatch
-    else
-      try
-        let src = Wire.source (String.sub data 0 payload_len) in
-        let magic = Wire.read_tag src in
-        if magic <> checkpoint_magic then Error (Wrong_magic { got = magic })
-        else if Wire.read_int src <> p1.n then Error (Header_mismatch { field = "n" })
-        else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
-        else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
-        else begin
-          Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src))) p1.sketches;
-          match Wire.remaining src with 0 -> Ok () | k -> Error (Trailing_bytes k)
-        end
-      with Failure msg -> Error (Malformed_body msg)
-  end
+  Envelope.unseal ~magic:checkpoint_magic ~wrap:(fun e -> Envelope e) data (fun src ->
+      if Wire.read_int src <> p1.n then Error (Header_mismatch { field = "n" })
+      else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
+      else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
+      else
+        Ok
+          (Array.iter
+             (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src)))
+             p1.sketches))
+  |> Result.map fst
 
 
 (* ------------------------------------------------------------------ *)

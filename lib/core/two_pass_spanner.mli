@@ -105,17 +105,12 @@ val resume :
     clean exit-code path, the self-healing fallback below) instead of
     parsing exception strings. *)
 type checkpoint_error =
-  | Truncated of { length : int; min_length : int }
-      (** shorter than any well-formed checkpoint *)
-  | Checksum_mismatch  (** corrupt or cut short; caught before any parsing *)
-  | Wrong_magic of { got : string }  (** not a TPS1 checkpoint at all *)
+  | Envelope of Ds_util.Envelope.error
+      (** truncated, corrupt (caught before any parsing), not a TPS1
+          checkpoint at all, a malformed body or trailing bytes *)
   | Header_mismatch of { field : string }
       (** a valid checkpoint taken with different [n], [params] or level
           count — resuming it would decode garbage *)
-  | Malformed_body of string
-      (** the body failed to parse despite a valid checksum (forged or
-          writer bug) *)
-  | Trailing_bytes of int  (** the body did not consume the blob *)
 
 val checkpoint_error_to_string : checkpoint_error -> string
 val pp_checkpoint_error : Format.formatter -> checkpoint_error -> unit

@@ -9,7 +9,8 @@ type record = {
   r_parts : string list;
 }
 
-(* On-disk generation format (SCP1):
+(* On-disk generation format (SCP1): an {!Envelope} header, then the
+   parts raw.
 
      tag "SCP1" . int generation . tag tenant . int stream_count
      per stream: tag stream . tag family . int n . int seed
@@ -25,80 +26,74 @@ type record = {
 let magic = "SCP1"
 
 let encode ~generation ~tenant records =
-  let buf = Wire.sink () in
-  Wire.write_tag buf magic;
-  Wire.write_int buf generation;
-  Wire.write_tag buf tenant;
-  Wire.write_int buf (List.length records);
-  List.iter
-    (fun r ->
-      Wire.write_tag buf r.r_stream;
-      Wire.write_tag buf r.r_family;
-      Wire.write_int buf r.r_n;
-      Wire.write_int buf r.r_seed;
-      Wire.write_int buf r.r_applied_seq;
-      Wire.write_int buf (List.length r.r_parts);
-      List.iter (fun p -> Wire.write_int buf (String.length p)) r.r_parts)
-    records;
-  let header = Wire.contents buf in
-  Wire.write_fixed64 buf (Wire.fnv1a64 header);
-  let out = Buffer.create (String.length header + 8) in
-  Buffer.add_string out (Wire.contents buf);
-  List.iter (fun r -> List.iter (Buffer.add_string out) r.r_parts) records;
-  Buffer.contents out
+  let header =
+    Envelope.seal ~magic (fun buf ->
+        Wire.write_int buf generation;
+        Wire.write_tag buf tenant;
+        Wire.write_int buf (List.length records);
+        List.iter
+          (fun r ->
+            Wire.write_tag buf r.r_stream;
+            Wire.write_tag buf r.r_family;
+            Wire.write_int buf r.r_n;
+            Wire.write_int buf r.r_seed;
+            Wire.write_int buf r.r_applied_seq;
+            Wire.write_int buf (List.length r.r_parts);
+            List.iter (fun p -> Wire.write_int buf (String.length p)) r.r_parts)
+          records)
+  in
+  String.concat "" (header :: List.concat_map (fun r -> r.r_parts) records)
+
+let read_header len src =
+  let generation = Wire.read_int src in
+  let tenant = Wire.read_tag src in
+  let count = Wire.read_int src in
+  if count < 0 || count > len then failwith "implausible stream count";
+  let skeleton =
+    List.init count (fun _ ->
+        let r_stream = Wire.read_tag src in
+        let r_family = Wire.read_tag src in
+        let r_n = Wire.read_int src in
+        let r_seed = Wire.read_int src in
+        let r_applied_seq = Wire.read_int src in
+        let part_count = Wire.read_int src in
+        if part_count < 0 || part_count > len then failwith "implausible part count";
+        let lens =
+          List.init part_count (fun _ ->
+              let l = Wire.read_int src in
+              if l < 0 || l > len then failwith "implausible part length";
+              l)
+        in
+        (r_stream, r_family, r_n, r_seed, r_applied_seq, lens))
+  in
+  Ok (generation, tenant, skeleton)
 
 let decode data =
   let len = String.length data in
-  let src = Wire.source data in
   match
-    let got = Wire.read_tag src in
-    if got <> magic then failwith (Printf.sprintf "bad magic %S" got);
-    let generation = Wire.read_int src in
-    let tenant = Wire.read_tag src in
-    let count = Wire.read_int src in
-    if count < 0 || count > len then failwith "implausible stream count";
-    let skeleton =
-      List.init count (fun _ ->
-          let r_stream = Wire.read_tag src in
-          let r_family = Wire.read_tag src in
-          let r_n = Wire.read_int src in
-          let r_seed = Wire.read_int src in
-          let r_applied_seq = Wire.read_int src in
-          let part_count = Wire.read_int src in
-          if part_count < 0 || part_count > len then failwith "implausible part count";
-          let lens =
-            List.init part_count (fun _ ->
-                let l = Wire.read_int src in
-                if l < 0 || l > len then failwith "implausible part length";
-                l)
-          in
-          (r_stream, r_family, r_n, r_seed, r_applied_seq, lens))
-    in
-    let header_len = len - Wire.remaining src in
-    let declared = Wire.read_fixed64 src in
-    if Wire.fnv1a64 ~pos:0 ~len:header_len data <> declared then
-      failwith "header checksum mismatch";
-    let pos = ref (header_len + 8) in
-    let records =
-      List.map
-        (fun (r_stream, r_family, r_n, r_seed, r_applied_seq, lens) ->
-          let r_parts =
-            List.map
-              (fun l ->
-                if !pos + l > len then failwith "torn: parts cut short";
-                let p = String.sub data !pos l in
-                pos := !pos + l;
-                p)
-              lens
-          in
-          { r_stream; r_family; r_n; r_seed; r_applied_seq; r_parts })
-        skeleton
-    in
-    if !pos <> len then failwith (Printf.sprintf "%d trailing bytes" (len - !pos));
-    (generation, tenant, records)
+    Envelope.unseal_prefix ~magic ~wrap:Envelope.error_to_string data (read_header len)
   with
-  | v -> Ok v
-  | exception Failure m -> Error m
+  | Error _ as e -> e
+  | Ok ((generation, tenant, skeleton), pos) -> (
+      let pos = ref pos in
+      match
+        List.map
+          (fun (r_stream, r_family, r_n, r_seed, r_applied_seq, lens) ->
+            let r_parts =
+              List.map
+                (fun l ->
+                  if !pos + l > len then failwith "torn: parts cut short";
+                  let p = String.sub data !pos l in
+                  pos := !pos + l;
+                  p)
+                lens
+            in
+            { r_stream; r_family; r_n; r_seed; r_applied_seq; r_parts })
+          skeleton
+      with
+      | records when !pos = len -> Ok (generation, tenant, records)
+      | _ -> Error (Printf.sprintf "%d trailing bytes" (len - !pos))
+      | exception Failure m -> Error m)
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

@@ -94,80 +94,51 @@ let pp_nack ppf = function
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Every frame payload is  tag "SRV1" . kind byte . fields . fixed64
-   FNV-1a of all preceding bytes.  The checksum is verified before any
-   field is interpreted, mirroring the LSK1 envelope discipline: a
-   corrupted frame is a typed decode error, never garbage state. *)
+(* Every frame payload is an {!Envelope} with magic SRV1 whose fields
+   are a kind number and that kind's fields.  The checksum is verified
+   before any field is interpreted, so a corrupted frame is a typed
+   decode error, never garbage state.  Requests may carry the envelope's
+   trace extension; untraced frames are byte-identical to the format
+   before it existed, so old servers and old clients interoperate with
+   new peers as long as tracing stays off (the default). *)
 
 let magic = "SRV1"
 
-(* Same strictly-additive trace-context extension as the LSK1 envelope
-   (lib/sketch/linear_sketch.ml): an optional trailing
-   [tag "TCTX" . fixed64 trace_id . fixed64 span_id] INSIDE the
-   checksummed payload.  Untraced frames are byte-identical to the
-   PR 8 wire format, so old servers and old clients interoperate with
-   new peers as long as tracing stays off (the default). *)
-let trace_ext_tag = "TCTX"
-
-let finish buf =
-  let body = Wire.contents buf in
-  Wire.write_fixed64 buf (Wire.fnv1a64 body);
-  Wire.contents buf
-
-let checked msg =
-  let len = String.length msg in
-  if len < 8 then Error "frame shorter than its checksum"
-  else
-    let body_len = len - 8 in
-    let declared = Wire.read_fixed64 (Wire.source (String.sub msg body_len 8)) in
-    if Wire.fnv1a64 ~pos:0 ~len:body_len msg <> declared then Error "frame checksum mismatch"
-    else Ok (String.sub msg 0 body_len)
-
-let write_header buf kind =
-  Wire.write_tag buf magic;
-  Wire.write_int buf kind
-
 let encode_request ?trace r =
-  let buf = Wire.sink () in
-  (match r with
+  let trace = Option.map (fun { Ds_obs.Trace.trace_id; span_id } -> (trace_id, span_id)) trace in
+  Envelope.seal ?trace ~magic @@ fun buf ->
+  match r with
   | Create { tenant; stream; family; n; seed } ->
-      write_header buf 1;
+      Wire.write_int buf 1;
       Wire.write_tag buf tenant;
       Wire.write_tag buf stream;
       Wire.write_tag buf family;
       Wire.write_int buf n;
       Wire.write_int buf seed
   | Ingest { tenant; stream; seq; payload } ->
-      write_header buf 2;
+      Wire.write_int buf 2;
       Wire.write_tag buf tenant;
       Wire.write_tag buf stream;
       Wire.write_int buf seq;
       Wire.write_tag buf payload
   | Query { tenant; stream } ->
-      write_header buf 3;
+      Wire.write_int buf 3;
       Wire.write_tag buf tenant;
       Wire.write_tag buf stream
   | Seq_query { tenant; stream } ->
-      write_header buf 4;
+      Wire.write_int buf 4;
       Wire.write_tag buf tenant;
       Wire.write_tag buf stream
   | Flush { tenant } ->
-      write_header buf 5;
+      Wire.write_int buf 5;
       Wire.write_tag buf tenant
   | Drop_copies { tenant; stream; copies } ->
-      write_header buf 6;
+      Wire.write_int buf 6;
       Wire.write_tag buf tenant;
       Wire.write_tag buf stream;
       Wire.write_array buf (Array.of_list copies)
-  | Stats -> write_header buf 7
-  | Stat_rollup -> write_header buf 8);
-  (match trace with
-  | Some { Ds_obs.Trace.trace_id; span_id } ->
-      Wire.write_tag buf trace_ext_tag;
-      Wire.write_fixed64 buf trace_id;
-      Wire.write_fixed64 buf span_id
-  | None -> ());
-  finish buf
+  | Stats -> Wire.write_int buf 7
+  | Stat_rollup -> Wire.write_int buf 8
 
 let encode_nack buf = function
   | Overloaded { queue_depth; bound } ->
@@ -192,66 +163,53 @@ let encode_nack buf = function
       Wire.write_tag buf m
 
 let encode_response r =
-  let buf = Wire.sink () in
-  (match r with
+  Envelope.seal ~magic @@ fun buf ->
+  match r with
   | Created { words } ->
-      write_header buf 64;
+      Wire.write_int buf 64;
       Wire.write_int buf words
   | Ack { seq; durable_seq } ->
-      write_header buf 65;
+      Wire.write_int buf 65;
       Wire.write_int buf seq;
       Wire.write_int buf durable_seq
   | Nack { seq; reason } ->
-      write_header buf 66;
+      Wire.write_int buf 66;
       Wire.write_int buf seq;
       encode_nack buf reason
   | State { payload; applied_seq; copies_total; copies_lost; certified_delta } ->
-      write_header buf 67;
+      Wire.write_int buf 67;
       Wire.write_tag buf payload;
       Wire.write_int buf applied_seq;
       Wire.write_int buf copies_total;
       Wire.write_int buf copies_lost;
       Wire.write_fixed64 buf (Int64.bits_of_float certified_delta)
   | Seqs { applied_seq; durable_seq } ->
-      write_header buf 68;
+      Wire.write_int buf 68;
       Wire.write_int buf applied_seq;
       Wire.write_int buf durable_seq
   | Flushed { generation } ->
-      write_header buf 69;
+      Wire.write_int buf 69;
       Wire.write_int buf generation
   | Stats_reply { tenants; streams; applied_frames; words } ->
-      write_header buf 70;
+      Wire.write_int buf 70;
       Wire.write_int buf tenants;
       Wire.write_int buf streams;
       Wire.write_int buf applied_frames;
       Wire.write_int buf words
   | Dropped { copies_lost } ->
-      write_header buf 71;
+      Wire.write_int buf 71;
       Wire.write_int buf copies_lost
   | Stat_rollup_reply { json } ->
-      write_header buf 72;
-      Wire.write_tag buf json);
-  finish buf
+      Wire.write_int buf 72;
+      Wire.write_tag buf json
 
-let decode_header src =
-  let got = Wire.read_tag src in
-  if got <> magic then failwith (Printf.sprintf "not an SRV1 frame (magic %S)" got);
-  Wire.read_int src
-
-let decode_guard f msg =
-  match checked msg with
-  | Error e -> Error e
-  | Ok body -> (
-      let src = Wire.source body in
-      match f src with
-      | v ->
-          if Wire.remaining src <> 0 then
-            Error (Printf.sprintf "%d trailing bytes" (Wire.remaining src))
-          else Ok v
-      | exception Failure m -> Error m)
+(* String errors: a bad frame becomes a [Bad_frame] NACK or a dropped
+   connection, never a branch. *)
+let decode read msg =
+  Envelope.unseal ~magic ~wrap:Envelope.error_to_string msg (fun src -> Ok (read src))
 
 let read_request src =
-  match decode_header src with
+  match Wire.read_int src with
   | 1 ->
       let tenant = Wire.read_tag src in
       let stream = Wire.read_tag src in
@@ -284,28 +242,12 @@ let read_request src =
   | k -> failwith (Printf.sprintf "unknown request kind %d" k)
 
 let decode_request_traced msg =
-  decode_guard
-    (fun src ->
-      let req = read_request src in
-      let ctx =
-        if Wire.remaining src = 0 then None
-        else
-          (* Anything after the request fields must be exactly one
-             trace-context extension; otherwise it is trailing garbage
-             exactly as before. *)
-          match
-            try Some (Wire.read_tag src) with Failure _ -> None
-          with
-          | Some tag when tag = trace_ext_tag && Wire.remaining src = 16 ->
-              let trace_id = Wire.read_fixed64 src in
-              let span_id = Wire.read_fixed64 src in
-              Some { Ds_obs.Trace.trace_id; span_id }
-          | Some _ | None -> failwith "trailing bytes after request"
-      in
-      (req, ctx))
-    msg
+  Result.map
+    (fun (req, trace) ->
+      (req, Option.map (fun (trace_id, span_id) -> { Ds_obs.Trace.trace_id; span_id }) trace))
+    (decode read_request msg)
 
-let decode_request msg = Result.map fst (decode_request_traced msg)
+let decode_request msg = Result.map fst (decode read_request msg)
 
 let decode_nack src =
   match Wire.read_int src with
@@ -327,41 +269,40 @@ let decode_nack src =
   | 7 -> Bad_frame (Wire.read_tag src)
   | k -> failwith (Printf.sprintf "unknown nack kind %d" k)
 
-let decode_response msg =
-  decode_guard
-    (fun src ->
-      match decode_header src with
-      | 64 -> Created { words = Wire.read_int src }
-      | 65 ->
-          let seq = Wire.read_int src in
-          let durable_seq = Wire.read_int src in
-          Ack { seq; durable_seq }
-      | 66 ->
-          let seq = Wire.read_int src in
-          let reason = decode_nack src in
-          Nack { seq; reason }
-      | 67 ->
-          let payload = Wire.read_tag src in
-          let applied_seq = Wire.read_int src in
-          let copies_total = Wire.read_int src in
-          let copies_lost = Wire.read_int src in
-          let certified_delta = Int64.float_of_bits (Wire.read_fixed64 src) in
-          State { payload; applied_seq; copies_total; copies_lost; certified_delta }
-      | 68 ->
-          let applied_seq = Wire.read_int src in
-          let durable_seq = Wire.read_int src in
-          Seqs { applied_seq; durable_seq }
-      | 69 -> Flushed { generation = Wire.read_int src }
-      | 70 ->
-          let tenants = Wire.read_int src in
-          let streams = Wire.read_int src in
-          let applied_frames = Wire.read_int src in
-          let words = Wire.read_int src in
-          Stats_reply { tenants; streams; applied_frames; words }
-      | 71 -> Dropped { copies_lost = Wire.read_int src }
-      | 72 -> Stat_rollup_reply { json = Wire.read_tag src }
-      | k -> failwith (Printf.sprintf "unknown response kind %d" k))
-    msg
+let read_response src =
+  match Wire.read_int src with
+  | 64 -> Created { words = Wire.read_int src }
+  | 65 ->
+      let seq = Wire.read_int src in
+      let durable_seq = Wire.read_int src in
+      Ack { seq; durable_seq }
+  | 66 ->
+      let seq = Wire.read_int src in
+      let reason = decode_nack src in
+      Nack { seq; reason }
+  | 67 ->
+      let payload = Wire.read_tag src in
+      let applied_seq = Wire.read_int src in
+      let copies_total = Wire.read_int src in
+      let copies_lost = Wire.read_int src in
+      let certified_delta = Int64.float_of_bits (Wire.read_fixed64 src) in
+      State { payload; applied_seq; copies_total; copies_lost; certified_delta }
+  | 68 ->
+      let applied_seq = Wire.read_int src in
+      let durable_seq = Wire.read_int src in
+      Seqs { applied_seq; durable_seq }
+  | 69 -> Flushed { generation = Wire.read_int src }
+  | 70 ->
+      let tenants = Wire.read_int src in
+      let streams = Wire.read_int src in
+      let applied_frames = Wire.read_int src in
+      let words = Wire.read_int src in
+      Stats_reply { tenants; streams; applied_frames; words }
+  | 71 -> Dropped { copies_lost = Wire.read_int src }
+  | 72 -> Stat_rollup_reply { json = Wire.read_tag src }
+  | k -> failwith (Printf.sprintf "unknown response kind %d" k)
+
+let decode_response msg = Result.map fst (decode read_response msg)
 
 let frame msg =
   let buf = Buffer.create (String.length msg + 4) in

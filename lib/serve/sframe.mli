@@ -1,11 +1,10 @@
 (** SRV1: the serving layer's frame protocol.
 
     Clients speak length-prefixed frames ({!Ds_util.Wire.write_frame} /
-    {!Frame_reader}) whose payloads are the tagged, checksummed messages
-    below: [tag "SRV1" . kind . fields . fixed64 FNV-1a]. The checksum is
-    verified before any field is parsed, mirroring the LSK1 envelope
-    discipline — a damaged frame is a typed decode error, never garbage
-    state.
+    {!Frame_reader}) whose payloads are {!Ds_util.Envelope}s with magic
+    [SRV1] and fields [kind . kind's fields]. The checksum is verified
+    before any field is parsed, as for every envelope — a damaged frame is
+    a decode error, never garbage state.
 
     Sketch payloads inside [Ingest] and [State] are ordinary LSK1
     envelopes ({!Ds_sketch.Linear_sketch}): the server absorbs ingests by
@@ -82,10 +81,9 @@ val nack_retryable : nack -> bool
 val pp_nack : Format.formatter -> nack -> unit
 
 val encode_request : ?trace:Ds_obs.Trace.context -> request -> string
-(** [?trace] appends the same strictly-additive TCTX extension the
-    LSK1 envelope carries (tag + two fixed64 ids, inside the checksum)
-    so the server can link its [serve.apply] span under the client's
-    send span.  Without it the bytes are identical to the PR 8 format,
+(** [?trace] adds the envelope's strictly-additive trace extension so
+    the server can link its [serve.apply] span under the client's send
+    span.  Without it the bytes are identical to the untraced format,
     which old servers require. *)
 
 val decode_request : string -> (request, string) result

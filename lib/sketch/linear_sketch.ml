@@ -20,15 +20,6 @@ type 'a impl = (module S with type t = 'a)
 
 let version = 1
 let magic = "LSK1"
-let checksum_bytes = 8
-
-(* Optional trace-context extension: appended after the body, inside the
-   checksummed payload, so a corrupted extension is caught by the same
-   integrity check as the counters.  Plain envelopes (no [?trace]) are
-   byte-identical to version-1 messages without the extension, and
-   readers that predate it would see it as trailing bytes — both
-   directions of compatibility are property-tested in test_trace.ml. *)
-let trace_ext_tag = "TCTX"
 
 (* Decode/encode telemetry: one counter bump per envelope, never per
    byte (no-ops unless Ds_obs.Metrics is enabled). *)
@@ -38,116 +29,60 @@ let m_dec_ok = Ds_obs.Metrics.counter "sketch.decode.ok"
 let m_dec_err = Ds_obs.Metrics.counter "sketch.decode.err"
 
 let serialize (type a) ?trace ((module L) : a impl) (t : a) =
-  let sink = Wire.sink () in
-  Wire.write_tag sink magic;
-  Wire.write_tag sink L.family;
-  Wire.write_array sink (L.shape t);
-  L.write_body t sink;
-  (match trace with
-  | Some { Ds_obs.Trace.trace_id; span_id } ->
-      Wire.write_tag sink trace_ext_tag;
-      Wire.write_fixed64 sink trace_id;
-      Wire.write_fixed64 sink span_id
-  | None -> ());
-  let payload = Wire.contents sink in
-  let tail = Wire.sink () in
-  Wire.write_fixed64 tail (Wire.fnv1a64 payload);
-  let msg = payload ^ Wire.contents tail in
+  let trace = Option.map (fun { Ds_obs.Trace.trace_id; span_id } -> (trace_id, span_id)) trace in
+  let msg =
+    Envelope.seal ?trace ~magic (fun sink ->
+        Wire.write_tag sink L.family;
+        Wire.write_array sink (L.shape t);
+        L.write_body t sink)
+  in
   Ds_obs.Metrics.incr m_ser_count 1;
   Ds_obs.Metrics.incr m_ser_bytes (String.length msg);
   msg
 
 type error =
-  | Truncated of { length : int; min_length : int }
-  | Checksum_mismatch
-  | Wrong_magic of { got : string }
+  | Envelope of Envelope.error
   | Wrong_family of { expected : string; got : string }
   | Shape_mismatch of { expected : int array; got : int array }
-  | Malformed_body of string
-  | Trailing_bytes of int
 
 let error_to_string = function
-  | Truncated { length; min_length } ->
-      Printf.sprintf "truncated message (%d bytes, need at least %d)" length min_length
-  | Checksum_mismatch -> "checksum mismatch (corrupt or truncated message)"
-  | Wrong_magic { got } -> Printf.sprintf "bad magic %S (expected %S)" got magic
+  | Envelope e -> Envelope.error_to_string e
   | Wrong_family { expected; got } ->
       Printf.sprintf "family mismatch: message is %S, receiver is %S" got expected
   | Shape_mismatch { expected; got } ->
       Printf.sprintf "shape mismatch: message [%s], receiver [%s]"
         (String.concat ";" (Array.to_list (Array.map string_of_int got)))
         (String.concat ";" (Array.to_list (Array.map string_of_int expected)))
-  | Malformed_body msg -> Printf.sprintf "malformed body (%s)" msg
-  | Trailing_bytes n -> Printf.sprintf "%d trailing bytes after the body" n
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
-(* Trailing checksum, located from the message length alone (fixed width, no
-   varint layer), so truncation can never shift where the reader looks. *)
-let stored_checksum data pos =
-  let v = ref 0L in
-  for i = 0 to checksum_bytes - 1 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code data.[pos + i])) (8 * i))
-  done;
-  !v
-
 let deserialize_result (type a) ((module L) : a impl) (t : a) data =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let count r =
-    (match r with
-    | Ok () -> Ds_obs.Metrics.incr m_dec_ok 1
-    | Error _ -> Ds_obs.Metrics.incr m_dec_err 1);
-    r
-  in
   let tracing = Ds_obs.Trace.enabled () in
   let t0 = if tracing then Ds_obs.Clock.now_ns () else 0L in
-  count
-  @@
-  let len = String.length data in
-  let min_length = checksum_bytes + String.length magic + 2 in
-  let* () = if len < min_length then Error (Truncated { length = len; min_length }) else Ok () in
-  let payload_len = len - checksum_bytes in
-  (* Integrity first: nothing is parsed (and the destination is untouched)
-     unless the bytes are exactly what some writer produced. *)
-  let* () =
-    if Wire.fnv1a64 ~len:payload_len data <> stored_checksum data payload_len then
-      Error Checksum_mismatch
-    else Ok ()
+  let r =
+    Envelope.unseal ~magic ~wrap:(fun e -> Envelope e) data (fun src ->
+        let got = Wire.read_tag src in
+        if got <> L.family then Error (Wrong_family { expected = L.family; got })
+        else
+          let shape = Wire.read_array src in
+          if shape <> L.shape t then Error (Shape_mismatch { expected = L.shape t; got = shape })
+          else Ok (L.read_body t src))
   in
-  let src = Wire.source (String.sub data 0 payload_len) in
-  let read_tag () = try Ok (Wire.read_tag src) with Failure m -> Error (Malformed_body m) in
-  let* got_magic = read_tag () in
-  let* () = if got_magic <> magic then Error (Wrong_magic { got = got_magic }) else Ok () in
-  let* got_family = read_tag () in
-  let* () =
-    if got_family <> L.family then
-      Error (Wrong_family { expected = L.family; got = got_family })
-    else Ok ()
-  in
-  let* shape = try Ok (Wire.read_array src) with Failure m -> Error (Malformed_body m) in
-  let* () =
-    if shape <> L.shape t then Error (Shape_mismatch { expected = L.shape t; got = shape })
-    else Ok ()
-  in
-  let* () = try Ok (L.read_body t src) with Failure m -> Error (Malformed_body m) in
-  match Wire.remaining src with
-  | 0 -> Ok ()
-  | n -> (
-      (* Anything after the body must be exactly one trace-context
-         extension; otherwise it is trailing garbage as before. *)
-      match (try Ok (Wire.read_tag src) with Failure _ -> Error (Trailing_bytes n)) with
-      | Ok tag when tag = trace_ext_tag && Wire.remaining src = 16 ->
-          let trace_id = Wire.read_fixed64 src in
-          let span_id = Wire.read_fixed64 src in
-          (* The decode span parents under the *sender's* shipping span
-             via the carried context, linking the receiving process into
-             the coordinator's trace. *)
-          if tracing then
-            Ds_obs.Trace.record_linked "sketch.decode"
-              { Ds_obs.Trace.trace_id; span_id }
-              ~start_ns:t0 ~dur_ns:(Ds_obs.Clock.elapsed_ns t0);
-          Ok ()
-      | Ok _ | Error _ -> Error (Trailing_bytes n))
+  match r with
+  | Ok ((), trace) ->
+      Ds_obs.Metrics.incr m_dec_ok 1;
+      (* The decode span parents under the *sender's* shipping span via
+         the carried context, linking the receiving process into the
+         coordinator's trace. *)
+      (match trace with
+      | Some (trace_id, span_id) when tracing ->
+          Ds_obs.Trace.record_linked "sketch.decode" { Ds_obs.Trace.trace_id; span_id }
+            ~start_ns:t0 ~dur_ns:(Ds_obs.Clock.elapsed_ns t0)
+      | _ -> ());
+      Ok ()
+  | Error _ as e ->
+      Ds_obs.Metrics.incr m_dec_err 1;
+      e
 
 let deserialize_into impl t data =
   match deserialize_result impl t data with

@@ -13,21 +13,20 @@
 
     {2 Wire format (version 1)}
 
-    A serialized sketch is a self-delimiting byte string:
+    A serialized sketch is an {!Ds_util.Envelope} with magic [LSK1] whose
+    fields are:
 
     {v
-    tag  "LSK1"            magic + format version
     tag  family            the implementation's family name
     array shape            structural fingerprint (dims, rows, ...)
     body                   counters only, implementation-defined
-    fixed64 checksum       FNV-1a of every preceding byte
     v}
 
     Structure (hash functions, fingerprint bases) is derived from a shared
     seed and never shipped — exactly the paper's model, where servers agree
     on the sketching matrix and ship [S x^i]. Readers verify the checksum
     {e before} parsing, then magic, family and shape, so truncated,
-    bit-flipped or mis-routed messages raise [Failure] instead of decoding
+    bit-flipped or mis-routed messages are rejected instead of decoding
     garbage (property-fuzzed in [test/test_linear.ml]). *)
 
 module type S = sig
@@ -86,39 +85,24 @@ val version : int
 val serialize : ?trace:Ds_obs.Trace.context -> 'a impl -> 'a -> string
 (** The sketch's counters in the versioned envelope described above.
 
-    [?trace] appends an optional trace-context extension after the
-    body, inside the checksummed payload:
-
-    {v
-    tag  "TCTX"            extension marker
-    fixed64 trace_id       the shipping run's trace
-    fixed64 span_id        the shipping span (decode spans parent here)
-    v}
-
-    Without [?trace] the envelope is byte-identical to what this module
-    always produced — merge-equality comparisons and checkpoint hashes
-    are unaffected.  A reader finding the extension records a
-    ["sketch.decode"] span linked to the carried context (when tracing
-    is enabled) and otherwise ignores it. *)
+    [?trace] adds the envelope's trace-context extension (the shipping
+    run's trace and span). Without it the envelope is byte-identical to
+    what this module always produced — merge-equality comparisons and
+    checkpoint hashes are unaffected.  A reader finding the extension
+    records a ["sketch.decode"] span linked to the carried context (when
+    tracing is enabled) and otherwise ignores it. *)
 
 (** Why a decode was rejected — the typed face of envelope validation, in
     the order the checks run. A supervising coordinator branches on this
     (retry a [Checksum_mismatch], refuse to retry a [Wrong_family]) instead
     of parsing exception strings. *)
 type error =
-  | Truncated of { length : int; min_length : int }
-      (** shorter than any well-formed envelope *)
-  | Checksum_mismatch  (** corrupt or truncated bytes, caught before parsing *)
-  | Wrong_magic of { got : string }  (** not an LSK1 message *)
+  | Envelope of Ds_util.Envelope.error
+      (** truncated, corrupt, not LSK1, a malformed body (the destination
+          may then be partially overwritten) or trailing bytes *)
   | Wrong_family of { expected : string; got : string }  (** mis-routed *)
   | Shape_mismatch of { expected : int array; got : int array }
       (** same family, structurally incompatible parameters *)
-  | Malformed_body of string
-      (** the body failed to parse despite a valid checksum (forged or
-          writer bug); the destination may be partially overwritten *)
-  | Trailing_bytes of int
-      (** the body did not consume the message (and what follows is not
-          a well-formed trace-context extension) *)
 
 val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit

@@ -1,10 +1,16 @@
 type sink = Buffer.t
-type source = { data : string; mutable pos : int }
+type source = { data : string; mutable pos : int; limit : int }
 
 let sink () = Buffer.create 256
 let contents = Buffer.contents
-let source data = { data; pos = 0 }
-let remaining s = String.length s.data - s.pos
+
+let source ?(pos = 0) ?len data =
+  let len = match len with Some l -> l | None -> String.length data - pos in
+  if pos < 0 || len < 0 || pos + len > String.length data then
+    invalid_arg "Wire.source: range out of bounds";
+  { data; pos; limit = pos + len }
+
+let remaining s = s.limit - s.pos
 
 (* Zig-zag then base-128 varint; total over the full 63-bit int range (the
    recursion uses logical shifts, so a negative zig-zag word terminates
@@ -21,7 +27,7 @@ let write_int buf v =
   go z
 
 let read_byte s =
-  if s.pos >= String.length s.data then failwith "Wire: truncated input";
+  if s.pos >= s.limit then failwith "Wire: truncated input";
   let b = Char.code s.data.[s.pos] in
   s.pos <- s.pos + 1;
   b
@@ -61,9 +67,9 @@ let read_fixed64 s =
   done;
   !v
 
-(* FNV-1a over a byte range, the integrity check of the Linear_sketch wire
-   envelope. 64-bit arithmetic via Int64 so writer and reader agree on every
-   platform word size. *)
+(* FNV-1a over a byte range: the checksum of Envelope (and a content hash
+   for callers that compare serialized states). 64-bit arithmetic via Int64
+   so writer and reader agree on every platform word size. *)
 let fnv1a64 ?(pos = 0) ?len data =
   let len = match len with Some l -> l | None -> String.length data - pos in
   if pos < 0 || len < 0 || pos + len > String.length data then

@@ -13,7 +13,10 @@ type source
 
 val sink : unit -> sink
 val contents : sink -> string
-val source : string -> source
+val source : ?pos:int -> ?len:int -> string -> source
+(** Read [data.[pos .. pos+len-1]] (defaults: the whole string) in place,
+    without copying; reads past the range fail as truncated input.
+    @raise Invalid_argument if the range is out of bounds. *)
 
 val remaining : source -> int
 (** Bytes not yet consumed. *)
@@ -34,8 +37,8 @@ val read_fixed64 : source -> int64
 
 val fnv1a64 : ?pos:int -> ?len:int -> string -> int64
 (** FNV-1a 64-bit hash of [data.[pos .. pos+len-1]] (defaults: the whole
-    string). The corruption check of every versioned sketch wire message:
-    writers append it, readers verify it before parsing anything else. *)
+    string). {!Envelope} seals every versioned message with it; callers
+    also use it as a content hash of serialized state. *)
 
 (** {1 Length-prefixed framing}
 

@@ -104,10 +104,10 @@ let test_typed_errors () =
     | Ok _ -> Alcotest.failf "%s: accepted a damaged checkpoint" name
   in
   expect "empty is truncated"
-    (function Two_pass_spanner.Truncated _ -> true | _ -> false)
+    (function Two_pass_spanner.Envelope (Envelope.Truncated _) -> true | _ -> false)
     (resume_result_from ~seed ~n ~k ~checkpoint:"" stream);
   expect "cut blob fails the checksum"
-    (function Two_pass_spanner.Checksum_mismatch -> true | _ -> false)
+    (function Two_pass_spanner.Envelope Envelope.Checksum_mismatch -> true | _ -> false)
     (resume_result_from ~seed ~n ~k
        ~checkpoint:(String.sub ck 0 (String.length ck / 2))
        stream);
@@ -117,7 +117,7 @@ let test_typed_errors () =
     Bytes.to_string b
   in
   expect "bit flip fails the checksum"
-    (function Two_pass_spanner.Checksum_mismatch -> true | _ -> false)
+    (function Two_pass_spanner.Envelope Envelope.Checksum_mismatch -> true | _ -> false)
     (resume_result_from ~seed ~n ~k ~checkpoint:flipped stream);
   expect "wrong k is a header mismatch"
     (function Two_pass_spanner.Header_mismatch _ -> true | _ -> false)
@@ -132,7 +132,8 @@ let test_typed_errors () =
   in
   expect "foreign envelope rejected"
     (function
-      | Two_pass_spanner.Wrong_magic _ | Two_pass_spanner.Malformed_body _ -> true | _ -> false)
+      | Two_pass_spanner.Envelope (Envelope.Wrong_magic _ | Envelope.Malformed_body _) -> true
+      | _ -> false)
     (resume_result_from ~seed ~n ~k ~checkpoint:foreign stream);
   match resume_result_from ~seed ~n ~k ~checkpoint:ck stream with
   | Ok _ -> ()
@@ -164,7 +165,7 @@ let test_resume_or_restart () =
     Two_pass_spanner.resume_or_restart (Prng.create seed) ~n ~params ~checkpoint:corrupt stream
   in
   (match verdict with
-  | `Recomputed Two_pass_spanner.Checksum_mismatch -> ()
+  | `Recomputed (Two_pass_spanner.Envelope Envelope.Checksum_mismatch) -> ()
   | `Recomputed e ->
       Alcotest.failf "unexpected error: %s" (Two_pass_spanner.checkpoint_error_to_string e)
   | `Resumed -> Alcotest.fail "corrupt checkpoint resumed");
