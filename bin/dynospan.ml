@@ -950,6 +950,7 @@ let serve_stats_cmd =
     match Option.bind (Json.member k j) Json.to_float with Some v -> v | None -> 0.0
   in
   let int_ k j = int_of_float (num k j) in
+  let int64_ k j = Option.value ~default:0L (Option.bind (Json.member k j) Json.to_int64) in
   let bool_ k j = match Json.member k j with Some (Json.Bool b) -> b | _ -> false in
   let str_ k j =
     match Option.bind (Json.member k j) Json.to_str with Some s -> s | None -> "?"
@@ -1026,7 +1027,7 @@ let serve_stats_cmd =
             List.iter
               (fun sp ->
                 Fmt.pr "  %-24s dur=%.0fns trace=%Lx@." (str_ "name" sp) (num "dur_ns" sp)
-                  (Int64.of_float (num "trace_id" sp)))
+                  (int64_ "trace_id" sp))
               tail;
             (match Option.bind (Json.member "events" doc) Json.to_list with
             | Some ((_ :: _) as events) ->

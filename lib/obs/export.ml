@@ -15,21 +15,18 @@ let reset () =
   Ledger.reset ()
 
 let report_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"ds_obs/v1\",\"metrics\":";
-  Buffer.add_string b (Metrics.to_json (Metrics.snapshot ()));
-  Buffer.add_string b ",\"quantiles\":";
-  Buffer.add_string b (Quantile.to_json (Quantile.snapshot ()));
-  Buffer.add_string b ",\"spans\":[";
-  List.iteri
-    (fun i (sp : Trace.span) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Trace.span_to_json sp))
-    (Trace.spans ());
-  Buffer.add_string b (Printf.sprintf "],\"spans_dropped\":%d,\"ledger\":" (Trace.dropped ()));
-  Buffer.add_string b (Ledger.to_json ());
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let open Ds_util.Json in
+  to_string
+    (Obj
+       [
+         ("schema", Str "ds_obs/v1");
+         ("metrics", Metrics.to_json (Metrics.snapshot ()));
+         ("quantiles", Quantile.to_json (Quantile.snapshot ()));
+         ("spans", Arr (List.map Trace.span_to_json (Trace.spans ())));
+         ("spans_dropped", int (Trace.dropped ()));
+         ("ledger", Ledger.to_json ());
+       ])
+  ^ "\n"
 
 let write_report ~path =
   let oc = open_out path in

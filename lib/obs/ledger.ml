@@ -59,15 +59,18 @@ let pp_entry ppf e =
     e.words e.wire_bytes e.off_heap_bytes e.bound_words e.constant (check e)
 
 let to_json () =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"phase\":\"%s\",\"words\":%d,\"wire_bytes\":%d,\"off_heap_bytes\":%d,\"bound_words\":%.3f,\"constant\":%.6f,\"within_bound\":%b}"
-           e.phase e.words e.wire_bytes e.off_heap_bytes e.bound_words e.constant (check e)))
-    (entries ());
-  Buffer.add_char b ']';
-  Buffer.contents b
+  let open Ds_util.Json in
+  Arr
+    (List.map
+       (fun e ->
+         Obj
+           [
+             ("phase", Str e.phase);
+             ("words", int e.words);
+             ("wire_bytes", int e.wire_bytes);
+             ("off_heap_bytes", int e.off_heap_bytes);
+             ("bound_words", Num e.bound_words);
+             ("constant", Num e.constant);
+             ("within_bound", Bool (check e));
+           ])
+       (entries ()))

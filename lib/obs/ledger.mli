@@ -44,6 +44,6 @@ val reset : unit -> unit
 val pp_entry : Format.formatter -> entry -> unit
 (** [phase words=… wire=…B bound=… c=… ok=…] — one line. *)
 
-val to_json : unit -> string
+val to_json : unit -> Ds_util.Json.t
 (** JSON array of entries, each with a ["within_bound"] field from
     [check] at the default tolerance. *)

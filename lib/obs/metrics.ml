@@ -89,40 +89,9 @@ let reset () =
 
 (* --- exporters ------------------------------------------------------- *)
 
-let escape b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let json_obj b fields emit =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      escape b name;
-      Buffer.add_string b "\":";
-      emit b v)
-    fields;
-  Buffer.add_char b '}'
-
 let to_json snap =
-  let b = Buffer.create 1024 in
-  let int_emit b v = Buffer.add_string b (string_of_int v) in
-  Buffer.add_string b "{\"counters\":";
-  json_obj b snap.counters int_emit;
-  Buffer.add_string b ",\"gauges\":";
-  json_obj b snap.gauges int_emit;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let ints l = Ds_util.Json.Obj (List.map (fun (name, v) -> (name, Ds_util.Json.int v)) l) in
+  Ds_util.Json.Obj [ ("counters", ints snap.counters); ("gauges", ints snap.gauges) ]
 
 (* Prometheus metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*.  Map
    every out-of-charset byte to '_' and prefix '_' when the first byte

@@ -71,9 +71,9 @@ val sanitize : string -> string
 
 (** {1 Exporters} *)
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Ds_util.Json.t
 (** One JSON object [{"counters":{..},"gauges":{..}}], keys in sorted
-    order, no trailing newline. *)
+    order. *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition format.  Metric names are sanitised

@@ -197,22 +197,23 @@ let reset_all () =
 
 (* --- exporters --- *)
 
+(* An empty sketch's quantiles are NaN; both exports print them as 0. *)
 let num f = if Float.is_nan f then "0" else Printf.sprintf "%.1f" f
 
 let summary_json s =
-  Printf.sprintf "{\"count\":%d,\"sum\":%d,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"p999\":%s}"
-    s.s_count s.s_sum (num s.s_p50) (num s.s_p90) (num s.s_p99) (num s.s_p999)
+  let open Ds_util.Json in
+  let q f = Num (if Float.is_nan f then 0. else f) in
+  Obj
+    [
+      ("count", int s.s_count);
+      ("sum", int s.s_sum);
+      ("p50", q s.s_p50);
+      ("p90", q s.s_p90);
+      ("p99", q s.s_p99);
+      ("p999", q s.s_p999);
+    ]
 
-let to_json items =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%s" (Ds_util.Json.escape name) (summary_json s))
-    items;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json items = Ds_util.Json.Obj (List.map (fun (name, s) -> (name, summary_json s)) items)
 
 let to_prometheus items =
   let b = Buffer.create 256 in

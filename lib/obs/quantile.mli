@@ -69,10 +69,10 @@ val snapshot : unit -> (string * summary) list
 val reset_all : unit -> unit
 (** Zero every registered sketch (registrations persist). *)
 
-val summary_json : summary -> string
+val summary_json : summary -> Ds_util.Json.t
 (** One JSON object; empty sketches print quantiles as [0]. *)
 
-val to_json : (string * summary) list -> string
+val to_json : (string * summary) list -> Ds_util.Json.t
 (** JSON object keyed by sketch name. *)
 
 val to_prometheus : (string * summary) list -> string

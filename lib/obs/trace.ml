@@ -168,16 +168,24 @@ let spans () =
 let dropped () = max 0 (recorded () - min (recorded ()) (capacity ()))
 
 let span_to_json sp =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"start_ns\":%Ld,\"dur_ns\":%Ld,\"domain\":%d,\"pid\":%d,\"trace_id\":%Ld,\"span_id\":%Ld,\"parent_id\":%Ld}"
-    (String.concat "\\\"" (String.split_on_char '"' sp.name))
-    sp.start_ns sp.dur_ns sp.domain sp.pid sp.trace_id sp.span_id sp.parent_id
+  let open Ds_util.Json in
+  Obj
+    [
+      ("name", Str sp.name);
+      ("start_ns", Int sp.start_ns);
+      ("dur_ns", Int sp.dur_ns);
+      ("domain", int sp.domain);
+      ("pid", int sp.pid);
+      ("trace_id", Int sp.trace_id);
+      ("span_id", Int sp.span_id);
+      ("parent_id", Int sp.parent_id);
+    ]
 
 let to_jsonl () =
   let b = Buffer.create 1024 in
   List.iter
     (fun sp ->
-      Buffer.add_string b (span_to_json sp);
+      Buffer.add_string b (Ds_util.Json.to_string (span_to_json sp));
       Buffer.add_char b '\n')
     (spans ());
   Buffer.contents b

@@ -83,8 +83,8 @@ val reset : ?capacity:int -> unit -> unit
 (** Clear the ring; optionally resize it.
     @raise Invalid_argument on non-positive capacity. *)
 
-val span_to_json : span -> string
-(** One span as a JSON object (no trailing newline). *)
+val span_to_json : span -> Ds_util.Json.t
+(** One span as a JSON object, ids as exact integers. *)
 
 val to_jsonl : unit -> string
 (** One JSON object per line:

@@ -219,142 +219,64 @@ let main_root forest =
 
 (* -------------------- JSONL parsing -------------------- *)
 
-(* Minimal parser for the flat one-object-per-line format Trace.to_jsonl
-   writes: string and integer values only.  Unknown keys are ignored and
-   missing causal ids default to 0, so pre-causal trace files still load. *)
-let parse_object line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Trace_tree.parse: %s at byte %d" msg !pos) in
-  let skip_ws () =
-    while !pos < len && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect ch =
-    skip_ws ();
-    if !pos >= len || line.[!pos] <> ch then fail (Printf.sprintf "expected %C" ch);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          if !pos + 1 >= len then fail "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              if !pos + 5 >= len then fail "short unicode escape";
-              let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-              Buffer.add_char b (Char.chr (code land 0xff));
-              pos := !pos + 4
-          | c -> Buffer.add_char b c);
-          pos := !pos + 2;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if !pos < len && line.[!pos] = '-' then incr pos;
-    while !pos < len && line.[!pos] >= '0' && line.[!pos] <= '9' do incr pos done;
-    if !pos = start then fail "expected integer";
-    Int64.of_string (String.sub line start (!pos - start))
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < len && line.[!pos] = '}' then incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let v =
-        if !pos < len && line.[!pos] = '"' then `Str (parse_string ()) else `Int (parse_int ())
-      in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      if !pos < len && line.[!pos] = ',' then begin
-        incr pos;
-        members ()
-      end
-      else expect '}'
-    in
-    members ()
-  end;
-  !fields
-
-let span_of_fields fields =
-  let int_field key default =
-    match List.assoc_opt key fields with Some (`Int v) -> v | _ -> default
-  in
-  let str_field key default =
-    match List.assoc_opt key fields with Some (`Str v) -> v | _ -> default
-  in
-  {
-    Trace.name = str_field "name" "?";
-    start_ns = int_field "start_ns" 0L;
-    dur_ns = int_field "dur_ns" 0L;
-    domain = Int64.to_int (int_field "domain" 0L);
-    pid = Int64.to_int (int_field "pid" 0L);
-    trace_id = int_field "trace_id" 0L;
-    span_id = int_field "span_id" 0L;
-    parent_id = int_field "parent_id" 0L;
-  }
+(* One Json object per line, as Trace.to_jsonl writes.  Unknown keys are
+   ignored and missing causal ids default to 0, so pre-causal trace files
+   still load. *)
+let span_of_line line =
+  let module J = Ds_util.Json in
+  match J.parse line with
+  | Ok (J.Obj _ as j) ->
+      let int64 key = Option.value ~default:0L (Option.bind (J.member key j) J.to_int64) in
+      {
+        Trace.name = Option.value ~default:"?" (Option.bind (J.member "name" j) J.to_str);
+        start_ns = int64 "start_ns";
+        dur_ns = int64 "dur_ns";
+        domain = Int64.to_int (int64 "domain");
+        pid = Int64.to_int (int64 "pid");
+        trace_id = int64 "trace_id";
+        span_id = int64 "span_id";
+        parent_id = int64 "parent_id";
+      }
+  | Ok _ -> failwith "Trace_tree.parse: not a JSON object"
+  | Error m -> failwith ("Trace_tree.parse: " ^ m)
 
 let parse_jsonl data =
   String.split_on_char '\n' data
   |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun l -> span_of_fields (parse_object l))
+  |> List.map span_of_line
 
 (* -------------------- exporters -------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* Chrome trace-event JSON (the array form): complete events ("ph":"X")
    with microsecond timestamps, pid/tid from the recording process/domain.
    Loads directly in Perfetto and chrome://tracing. *)
 let to_chrome_json spans =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[";
-  List.iteri
-    (fun i (sp : Trace.span) ->
-      if i > 0 then Buffer.add_string b ",\n ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"trace_id\":\"%Lx\",\"span_id\":\"%Lx\",\"parent_id\":\"%Lx\"}}"
-           (json_escape sp.Trace.name)
-           (Int64.to_float sp.Trace.start_ns /. 1e3)
-           (Int64.to_float sp.Trace.dur_ns /. 1e3)
-           sp.Trace.pid sp.Trace.domain sp.Trace.trace_id sp.Trace.span_id sp.Trace.parent_id))
-    spans;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+  let open Ds_util.Json in
+  let us ns = Num (Int64.to_float ns /. 1e3) in
+  let id v = Str (Printf.sprintf "%Lx" v) in
+  to_string
+    (Arr
+       (List.map
+          (fun (sp : Trace.span) ->
+            Obj
+              [
+                ("name", Str sp.Trace.name);
+                ("cat", Str "span");
+                ("ph", Str "X");
+                ("ts", us sp.Trace.start_ns);
+                ("dur", us sp.Trace.dur_ns);
+                ("pid", int sp.Trace.pid);
+                ("tid", int sp.Trace.domain);
+                ( "args",
+                  Obj
+                    [
+                      ("trace_id", id sp.Trace.trace_id);
+                      ("span_id", id sp.Trace.span_id);
+                      ("parent_id", id sp.Trace.parent_id);
+                    ] );
+              ])
+          spans))
+  ^ "\n"
 
 (* Folded-stack output for flamegraph.pl / speedscope: one line per
    distinct root-to-node chain, weighted by summed self time in ns. *)

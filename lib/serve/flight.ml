@@ -45,41 +45,31 @@ let take n l =
   let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
   go n l
 
-let dump t ~reason ~stats_json ~events =
+let dump t ~reason ~stats ~events =
   t.f_seq <- t.f_seq + 1;
-  let b = Buffer.create 8192 in
-  Printf.bprintf b
-    "{\"schema\":\"flight/v1\",\"seq\":%d,\"reason\":\"%s\",\"pid\":%d,\"wall_s\":%.3f,\"mono_ns\":%Ld,"
-    t.f_seq
-    (Ds_util.Json.escape reason)
-    (Unix.getpid ()) (Unix.gettimeofday ())
-    (Ds_obs.Clock.now_ns ());
-  (* Tail of the span ring: the most recent serve.apply/client spans. *)
-  let spans = tail t.f_max_spans (Ds_obs.Trace.spans ()) in
-  Buffer.add_string b "\"spans\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Ds_obs.Trace.span_to_json sp))
-    spans;
-  Printf.bprintf b "],\"spans_recorded\":%d,\"spans_dropped\":%d,"
-    (Ds_obs.Trace.recorded ())
-    (Ds_obs.Trace.dropped ());
-  Buffer.add_string b "\"metrics\":";
-  Buffer.add_string b (Ds_obs.Metrics.to_json (Ds_obs.Metrics.snapshot ()));
-  Buffer.add_string b ",\"quantiles\":";
-  Buffer.add_string b (Ds_obs.Quantile.to_json (Ds_obs.Quantile.snapshot ()));
-  Buffer.add_string b ",\"stats\":";
-  Buffer.add_string b stats_json;
-  (* Newest-first event tail, as kept by the server. *)
-  Buffer.add_string b ",\"events\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\"" (Ds_util.Json.escape e))
-    (take t.f_max_events events);
-  Buffer.add_string b "]}";
-  Ds_util.Durable.write_atomic ~path:(path ~dir:t.f_dir) (Buffer.contents b)
+  let doc =
+    Ds_util.Json.(
+      Obj
+        [
+          ("schema", Str "flight/v1");
+          ("seq", int t.f_seq);
+          ("reason", Str reason);
+          ("pid", int (Unix.getpid ()));
+          ("wall_s", Num (Unix.gettimeofday ()));
+          ("mono_ns", Int (Ds_obs.Clock.now_ns ()));
+          (* Tail of the span ring: the most recent serve.apply/client spans. *)
+          ( "spans",
+            Arr (List.map Ds_obs.Trace.span_to_json (tail t.f_max_spans (Ds_obs.Trace.spans ()))) );
+          ("spans_recorded", int (Ds_obs.Trace.recorded ()));
+          ("spans_dropped", int (Ds_obs.Trace.dropped ()));
+          ("metrics", Ds_obs.Metrics.to_json (Ds_obs.Metrics.snapshot ()));
+          ("quantiles", Ds_obs.Quantile.to_json (Ds_obs.Quantile.snapshot ()));
+          ("stats", stats);
+          (* Newest-first event tail, as kept by the server. *)
+          ("events", Arr (List.map (fun e -> Str e) (take t.f_max_events events)));
+        ])
+  in
+  Ds_util.Durable.write_atomic ~path:(path ~dir:t.f_dir) (Ds_util.Json.to_string doc)
 
 let read ~dir =
   let p = path ~dir in

@@ -15,9 +15,10 @@ val create : ?max_spans:int -> ?max_events:int -> dir:string -> unit -> t
 (** [max_spans] (default 256) bounds the span tail kept per dump;
     [max_events] (default 64) bounds the event-log tail. *)
 
-val dump : t -> reason:string -> stats_json:string -> events:string list -> unit
-(** Write one dump (atomically replacing the previous one).  [events]
-    is newest-first, as {!Server} keeps it. *)
+val dump : t -> reason:string -> stats:Ds_util.Json.t -> events:string list -> unit
+(** Write one dump (atomically replacing the previous one).  [stats] is
+    the [serve_stats/v1] rollup; [events] is newest-first, as {!Server}
+    keeps it. *)
 
 val dumps : t -> int
 (** Dumps written so far by this recorder. *)

@@ -175,18 +175,12 @@ let tenants_by_words t =
       compare (b.Registry.words, a.Registry.t_name) (a.Registry.words, b.Registry.t_name))
     !tenants
 
-let bprint_nacks b counts =
-  Buffer.add_char b '{';
-  let first = ref true in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Printf.bprintf b "\"%s\":%d" Sframe.nack_kinds.(i) n
-      end)
-    counts;
-  Buffer.add_char b '}'
+let nacks_json counts =
+  Json.Obj
+    (List.filteri (fun i _ -> counts.(i) > 0)
+       (Array.to_list (Array.mapi (fun i kind -> (kind, Json.int counts.(i))) Sframe.nack_kinds)))
+
+let ingest_json q = Ds_obs.Quantile.summary_json (Ds_obs.Quantile.summarize q)
 
 (* The [serve_stats/v1] document: global queue/backpressure state,
    totals, NACK taxonomy and ingest quantiles, plus a per-tenant
@@ -194,11 +188,9 @@ let bprint_nacks b counts =
    aggregated under [tenants_omitted]) — this is where per-tenant
    numbers live now that registry gauges only track the top-K. *)
 let stat_json t =
-  let b = Buffer.create 2048 in
   let all = tenants_by_words t in
   let shown = take t.config.tenant_stats_cap all in
-  let n_shown = List.length shown in
-  let omitted = List.length all - n_shown in
+  let omitted = List.length all - List.length shown in
   let omitted_words =
     if omitted = 0 then 0
     else
@@ -208,68 +200,81 @@ let stat_json t =
   let tenants_total, streams_total, frames_total, words_total =
     Registry.stats t.registry
   in
-  Printf.bprintf b "{\"schema\":\"serve_stats/v1\",\"observability\":%b,"
-    (Ds_obs.Metrics.enabled ());
-  Printf.bprintf b "\"queue\":{\"depth\":%d,\"bound\":%d,\"overloaded\":%b},"
-    (Queue.length t.queue) t.config.queue_bound t.overloaded;
-  Printf.bprintf b
-    "\"totals\":{\"tenants\":%d,\"streams\":%d,\"applied_frames\":%d,\"words\":%d,\"quota_words\":%d,\"checkpoint_lag\":%d},"
-    tenants_total streams_total frames_total words_total
-    (Registry.quota_words t.registry)
-    (total_lag t);
-  Buffer.add_string b "\"nacks\":";
-  bprint_nacks b t.nack_totals;
-  Printf.bprintf b ",\"ingest\":%s,"
-    (Ds_obs.Quantile.summary_json (Ds_obs.Quantile.summarize q_latency));
-  Printf.bprintf b "\"flight\":{\"armed\":%b,\"dumps\":%d},"
-    (t.flight <> None)
-    (match t.flight with Some f -> Flight.dumps f | None -> 0);
-  Buffer.add_string b "\"tenants\":{";
-  List.iteri
-    (fun i (tn : Registry.tenant) ->
-      if i > 0 then Buffer.add_char b ',';
-      let applied = ref 0 and durable = ref 0 in
-      Hashtbl.iter
-        (fun _ (s : Registry.stream) ->
-          applied := !applied + s.Registry.applied_seq;
-          durable := !durable + s.Registry.durable_seq)
-        tn.Registry.streams;
-      Printf.bprintf b
-        "\"%s\":{\"words\":%d,\"quota_words\":%d,\"streams\":%d,\"generation\":%d,\"applied_frames\":%d,\"durable_frames\":%d,\"checkpoint_lag\":%d,"
-        (Json.escape tn.Registry.t_name)
-        tn.Registry.words
-        (Registry.quota_words t.registry)
-        (Hashtbl.length tn.Registry.streams)
-        tn.Registry.generation !applied !durable
-        (Registry.checkpoint_lag tn);
-      let summary, nacks =
-        match Hashtbl.find_opt t.tstats tn.Registry.t_name with
-        | Some ts -> (Ds_obs.Quantile.summarize ts.ts_lat, ts.ts_nacks)
-        | None -> (empty_summary, Array.make n_nack_kinds 0)
-      in
-      Printf.bprintf b "\"ingest\":%s,\"nacks\":"
-        (Ds_obs.Quantile.summary_json summary);
-      bprint_nacks b nacks;
-      Buffer.add_char b '}')
-    shown;
-  Buffer.add_string b "},";
-  Printf.bprintf b "\"tenants_omitted\":{\"count\":%d,\"words\":%d}" omitted
-    omitted_words;
-  (match Hashtbl.find_opt t.tstats overflow_tenant with
-  | Some ts ->
-      Printf.bprintf b ",\"overflow\":{\"ingest\":%s,\"nacks\":"
-        (Ds_obs.Quantile.summary_json (Ds_obs.Quantile.summarize ts.ts_lat));
-      bprint_nacks b ts.ts_nacks;
-      Buffer.add_char b '}'
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let tenant_json (tn : Registry.tenant) =
+    let applied = ref 0 and durable = ref 0 in
+    Hashtbl.iter
+      (fun _ (s : Registry.stream) ->
+        applied := !applied + s.Registry.applied_seq;
+        durable := !durable + s.Registry.durable_seq)
+      tn.Registry.streams;
+    let ingest, nacks =
+      match Hashtbl.find_opt t.tstats tn.Registry.t_name with
+      | Some ts -> (ingest_json ts.ts_lat, nacks_json ts.ts_nacks)
+      | None -> (Ds_obs.Quantile.summary_json empty_summary, Json.Obj [])
+    in
+    ( tn.Registry.t_name,
+      Json.Obj
+        [
+          ("words", Json.int tn.Registry.words);
+          ("quota_words", Json.int (Registry.quota_words t.registry));
+          ("streams", Json.int (Hashtbl.length tn.Registry.streams));
+          ("generation", Json.int tn.Registry.generation);
+          ("applied_frames", Json.int !applied);
+          ("durable_frames", Json.int !durable);
+          ("checkpoint_lag", Json.int (Registry.checkpoint_lag tn));
+          ("ingest", ingest);
+          ("nacks", nacks);
+        ] )
+  in
+  let overflow =
+    match Hashtbl.find_opt t.tstats overflow_tenant with
+    | Some ts ->
+        [
+          ( "overflow",
+            Json.Obj [ ("ingest", ingest_json ts.ts_lat); ("nacks", nacks_json ts.ts_nacks) ] );
+        ]
+    | None -> []
+  in
+  Json.Obj
+    ([
+       ("schema", Json.Str "serve_stats/v1");
+       ("observability", Json.Bool (Ds_obs.Metrics.enabled ()));
+       ( "queue",
+         Json.Obj
+           [
+             ("depth", Json.int (Queue.length t.queue));
+             ("bound", Json.int t.config.queue_bound);
+             ("overloaded", Json.Bool t.overloaded);
+           ] );
+       ( "totals",
+         Json.Obj
+           [
+             ("tenants", Json.int tenants_total);
+             ("streams", Json.int streams_total);
+             ("applied_frames", Json.int frames_total);
+             ("words", Json.int words_total);
+             ("quota_words", Json.int (Registry.quota_words t.registry));
+             ("checkpoint_lag", Json.int (total_lag t));
+           ] );
+       ("nacks", nacks_json t.nack_totals);
+       ("ingest", ingest_json q_latency);
+       ( "flight",
+         Json.Obj
+           [
+             ("armed", Json.Bool (t.flight <> None));
+             ("dumps", Json.int (match t.flight with Some f -> Flight.dumps f | None -> 0));
+           ] );
+       ("tenants", Json.Obj (List.map tenant_json shown));
+       ( "tenants_omitted",
+         Json.Obj [ ("count", Json.int omitted); ("words", Json.int omitted_words) ] );
+     ]
+    @ overflow)
 
 let flight_dump t reason =
   match t.flight with
   | None -> ()
   | Some f ->
-      Flight.dump f ~reason ~stats_json:(stat_json t) ~events:t.events
+      Flight.dump f ~reason ~stats:(stat_json t) ~events:t.events
 
 (* ------------------------------------------------------------------ *)
 (* Durability                                                          *)
@@ -532,7 +537,7 @@ let handle t c ?ctx (req : Sframe.request) =
       respond c (Sframe.Stats_reply { tenants; streams; applied_frames; words })
   | Sframe.Stat_rollup ->
       Ds_obs.Metrics.incr m_stat 1;
-      respond c (Sframe.Stat_rollup_reply { json = stat_json t })
+      respond c (Sframe.Stat_rollup_reply { json = Json.to_string (stat_json t) })
 
 let feed t c bytes =
   Frame_reader.feed c.reader bytes;
@@ -636,7 +641,7 @@ let admin_respond t a =
   in
   let status, ctype, body =
     match target with
-    | "/stats" -> ("200 OK", "application/json", stat_json t ^ "\n")
+    | "/stats" -> ("200 OK", "application/json", Json.to_string (stat_json t) ^ "\n")
     | "/metrics" ->
         ("200 OK", "text/plain; version=0.0.4", Ds_obs.Export.prometheus ())
     | "/json" -> ("200 OK", "application/json", Ds_obs.Export.report_json ())

@@ -87,7 +87,7 @@ val checkpoint_now : t -> unit
 (** Checkpoint every dirty tenant immediately (also the [Flush] path),
     refresh the top-K tenant gauges, and flight-dump when armed. *)
 
-val stat_json : t -> string
+val stat_json : t -> Ds_util.Json.t
 (** The [serve_stats/v1] rollup answered to [Stat_rollup] requests and
     served at [/stats] on the admin socket: queue/backpressure state,
     totals, NACK taxonomy, ingest latency quantiles (p50/p90/p99/p999)

@@ -1,17 +1,19 @@
-(* Minimal JSON reader/writer.
+(* Minimal JSON reader/writer, the only one in lib/ and bin/.
 
-   The repo emits all of its JSON by hand (Ds_obs.Export, bench
-   writers); this module adds the other direction so in-tree tools —
-   [dynospan serve-stats], the flight-recorder post-mortem reader, and
-   the test suite — can consume those documents without taking on an
-   external dependency. It is a strict recursive-descent parser over
-   the subset of JSON our emitters produce (objects, arrays, strings
-   with escapes, numbers incl. exponents, booleans, null), with enough
-   generality to read anything a scraper like jq would accept. *)
+   Every JSON document the repo emits (the ds_obs/v1 report, span JSONL,
+   Chrome traces, serve_stats/v1, flight/v1) is built as a [t] and
+   printed by [to_string]; [dynospan serve-stats], the flight-recorder
+   post-mortem, the trace analyzer and the tests read them back with
+   [parse].  It is a strict recursive-descent parser (objects, arrays,
+   strings with escapes, numbers incl. exponents, booleans, null), with
+   enough generality to read anything a scraper like jq would accept.
+   Integer literals that fit in 64 bits stay exact ([Int]): span and
+   trace ids use all 63 bits, beyond double precision. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int64
   | Num of float
   | Str of string
   | Arr of t list
@@ -126,9 +128,18 @@ let parse_number c =
     c.pos <- c.pos + 1
   done;
   let s = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> fail "bad number %S at %d" s start
+  let unsigned =
+    if String.starts_with ~prefix:"-" s then String.sub s 1 (String.length s - 1) else s
+  in
+  let integral =
+    unsigned <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) unsigned
+  in
+  match (if integral then Int64.of_string_opt s else None) with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt s with
+      | Some f -> Num f
+      | None -> fail "bad number %S at %d" s start)
 
 let rec parse_value c =
   skip_ws c;
@@ -213,20 +224,27 @@ let escape_to b s =
       | c -> Buffer.add_char b c)
     s
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  escape_to b s;
-  Buffer.contents b
-
+(* Integral values below 1e15 print as plain digits; the rest with the
+   fewest significant digits (12, 15 or 17) that read back as the same
+   float, and never as an integer literal.  JSON has no infinities:
+   "1e999" reads back as one. *)
 let number_to_string f =
   if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.abs f = Float.infinity then if f > 0. then "1e999" else "-1e999"
+  else
+    let digits p = Printf.sprintf "%.*g" p f in
+    let s =
+      match List.find_opt (fun p -> float_of_string (digits p) = f) [ 12; 15 ] with
+      | Some p -> digits p
+      | None -> digits 17
+    in
+    if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (Int64.to_string i)
   | Num f -> Buffer.add_string b (number_to_string f)
   | Str s ->
       Buffer.add_char b '"';
@@ -263,8 +281,10 @@ let member key = function
   | Obj l -> List.assoc_opt key l
   | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
-let to_int = function Num f -> Some (int_of_float f) | _ -> None
+let int n = Int (Int64.of_int n)
+let to_float = function Int i -> Some (Int64.to_float i) | Num f -> Some f | _ -> None
+let to_int = function Int i -> Some (Int64.to_int i) | Num f -> Some (int_of_float f) | _ -> None
+let to_int64 = function Int i -> Some i | Num f -> Some (Int64.of_float f) | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let to_obj = function Obj l -> Some l | _ -> None

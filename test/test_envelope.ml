@@ -22,14 +22,15 @@ let ctx = { Ds_obs.Trace.trace_id = 0x0123_4567_89ab_cdefL; span_id = 0x7edc_ba9
 (* The committed golden fixtures pin untraced LSK1 and the SRV1 tests pin
    two untraced requests; these pins cover the rest of each format: the
    TCTX extension, every response kind, the TPS1 checkpoint and the SCP1
-   generation layout.  The values were taken before the formats moved
-   onto one shared envelope codec and may never change. *)
+   generation layout.  A change to any of them is a wire-format change:
+   old checkpoints and old peers would stop reading the new bytes. *)
 
 let lsk1_sketch ?(updates = 5) ?(seed = 7) fam =
   let (Linear_families.F f) = fam in
   let t = f.make () in
   let (module L) = f.impl in
-  Linear_families.apply_stream f.impl t (Linear_families.update_stream ~count:updates ~dim:(L.dim t) seed);
+  Linear_families.apply_stream f.impl t
+    (Linear_families.update_stream ~count:updates ~dim:(L.dim t) seed);
   Linear_sketch.Packed.pack f.impl t
 
 let test_lsk1_traced () =
@@ -53,7 +54,13 @@ let srv1_responses =
     ( Sframe.Nack { seq = 4; reason = Sframe.Bad_seq { expected = 2; got = 4 } },
       "08535256318401080c0408d0a0eedaf169e318" );
     ( Sframe.State
-        { payload = "p"; applied_seq = 7; copies_total = 3; copies_lost = 1; certified_delta = 0.25 },
+        {
+          payload = "p";
+          applied_seq = 7;
+          copies_total = 3;
+          copies_lost = 1;
+          certified_delta = 0.25;
+        },
       "0853525631860102700e0602000000000000d03ff709d8faa9a825df" );
     (Sframe.Seqs { applied_seq = 9; durable_seq = 8 }, "0853525631880112101e89fdc38db6fcfb");
     (Sframe.Flushed { generation = 2 }, "08535256318a01045a42a3f6bed424be");
@@ -66,7 +73,10 @@ let srv1_responses =
 let test_srv1_responses () =
   List.iteri
     (fun i (r, want) ->
-      check_string (Printf.sprintf "response kind %d" (64 + i)) want (hex (Sframe.encode_response r)))
+      check_string
+        (Printf.sprintf "response kind %d" (64 + i))
+        want
+        (hex (Sframe.encode_response r)))
     srv1_responses
 
 let scp1_records =
@@ -191,20 +201,22 @@ let srv1_messages =
 let families = Array.of_list Linear_families.all
 
 (* One case: pick a reader, build an intact message for it, damage it,
-   and decode.  Returns the reader's name and the damaged bytes on a
-   raise. *)
+   and decode.  On a raise, returns the reader, the exception and the
+   damaged bytes. *)
 let run_case (pick, seed) =
   let rng = Prng.create seed in
   let reader, covered, rest, decode =
     if pick < 50 then begin
       let fam = families.(seed mod Array.length families) in
       let sk = lsk1_sketch ~updates:(1 + Prng.int rng 40) ~seed fam in
-      let msg = Linear_sketch.Packed.serialize ?trace:(if Prng.bool rng then Some ctx else None) sk in
+      let trace = if Prng.bool rng then Some ctx else None in
+      let msg = Linear_sketch.Packed.serialize ?trace sk in
       let covered, rest = tail_sealed msg in
       ( "LSK1 " ^ Linear_families.name fam,
         covered,
         rest,
-        fun data -> ignore (Linear_sketch.Packed.deserialize_result (Linear_families.pack fam) data) )
+        fun data ->
+          ignore (Linear_sketch.Packed.deserialize_result (Linear_families.pack fam) data) )
     end
     else if pick < 80 then begin
       let msg = List.nth srv1_messages (seed mod List.length srv1_messages) in
@@ -218,11 +230,13 @@ let run_case (pick, seed) =
     end
     else if pick < 97 then begin
       let msg = scp1_generation () in
-      let parts = List.fold_left (fun acc r -> acc + List.fold_left (fun a p -> a + String.length p) 0 r.Checkpoint.r_parts) 0 scp1_records in
-      let header = String.length msg - parts - 8 in
+      let parts =
+        String.concat "" (List.concat_map (fun r -> r.Checkpoint.r_parts) scp1_records)
+      in
+      let header = String.length msg - String.length parts - 8 in
       ( "SCP1",
         String.sub msg 0 header,
-        String.sub msg (header + 8) parts,
+        parts,
         fun data -> ignore (Checkpoint.decode data) )
     end
     else begin

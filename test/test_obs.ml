@@ -78,7 +78,7 @@ let test_merge_under_domains_exact_and_deterministic () =
                   done))
         in
         Array.iter Domain.join domains;
-        Ds_obs.Metrics.to_json (Ds_obs.Metrics.snapshot ())
+        Ds_util.Json.to_string (Ds_obs.Metrics.to_json (Ds_obs.Metrics.snapshot ()))
       in
       let json1 = run () in
       check_int "exact total across domains" ((2 * 10_000 * 1) + (2 * 10_000 * 2))

@@ -1023,14 +1023,12 @@ let test_flight_dump_survives_kill9 () =
     payloads;
   (* The parent traces its sends: every ingest above carried a TCTX
      context whose trace ids the server's apply spans must echo. *)
-  (* Ids are 63-bit, beyond double precision: compare through the same
-     float rounding the JSON reader applies. *)
+  (* Ids are 63-bit, beyond double precision; the JSON reader keeps
+     them exact, so they compare as int64. *)
   let client_traces =
     List.filter_map
       (fun s ->
-        if s.Ds_obs.Trace.name = "client.send" then
-          Some (Int64.to_float s.Ds_obs.Trace.trace_id)
-        else None)
+        if s.Ds_obs.Trace.name = "client.send" then Some s.Ds_obs.Trace.trace_id else None)
       (Ds_obs.Trace.spans ())
   in
   check_bool "client recorded send spans" true (client_traces <> []);
@@ -1057,7 +1055,8 @@ let test_flight_dump_survives_kill9 () =
         List.filter_map
           (fun sp ->
             match Option.bind (Json.member "name" sp) Json.to_str with
-            | Some "serve.apply" -> Option.bind (Json.member "trace_id" sp) Json.to_float
+            | Some "serve.apply" -> (
+                match Json.member "trace_id" sp with Some (Json.Int id) -> Some id | _ -> None)
             | _ -> None)
           spans
       in

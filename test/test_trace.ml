@@ -129,6 +129,19 @@ let prop_jsonl_round_trip =
           ignore (assert_well_formed parsed);
           true))
 
+(* Span names are arbitrary strings: quotes, backslashes and newline
+   bytes must come back from the JSONL byte for byte (one object per
+   line, so an unescaped newline would split a span in two). *)
+let test_jsonl_names_verbatim () =
+  with_obs (fun () ->
+      T.reset ~capacity:64 ();
+      let names = [ "say \"hi\""; "a\\b"; "line\nbreak"; "\\\"\n\t\x01 mixed"; "plain.name" ] in
+      List.iteri (fun i name -> T.record name ~start_ns:(Int64.of_int i) ~dur_ns:1L) names;
+      let parsed = TT.parse_jsonl (T.to_jsonl ()) in
+      Alcotest.(check (list string))
+        "names survive JSONL" names
+        (List.map (fun (sp : T.span) -> sp.T.name) parsed))
+
 (* ------------------------------------------------------------------ *)
 (* LSK1 trace-context extension under the faulted channel              *)
 (* ------------------------------------------------------------------ *)
@@ -253,7 +266,11 @@ let () =
   Alcotest.run "trace"
     [
       ( "forest",
-        [ q prop_forest_well_formed; q prop_jsonl_round_trip ] );
+        [
+          q prop_forest_well_formed;
+          q prop_jsonl_round_trip;
+          Alcotest.test_case "JSONL keeps span names verbatim" `Quick test_jsonl_names_verbatim;
+        ] );
       ( "wire",
         [ q prop_context_survives_faults; q prop_wire_backward_compatible ] );
     ]

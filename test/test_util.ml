@@ -268,6 +268,105 @@ let test_durable_write_atomic () =
   Sys.rmdir (Filename.dirname dir);
   Sys.rmdir root
 
+(* -------------------- Json -------------------- *)
+
+let test_json_exact_ints () =
+  let id = 3856937752191412510L in
+  let doc = Json.Obj [ ("trace_id", Json.Int id); ("n", Json.Int Int64.min_int) ] in
+  let text = Json.to_string doc in
+  check_string "ids print as plain digits"
+    "{\"trace_id\":3856937752191412510,\"n\":-9223372036854775808}" text;
+  (match Json.parse text with
+  | Ok parsed ->
+      check_bool "ids read back exactly" true (Json.member "trace_id" parsed = Some (Json.Int id));
+      check_bool "to_int64 is exact" true
+        (Option.bind (Json.member "trace_id" parsed) Json.to_int64 = Some id)
+  | Error m -> Alcotest.fail m);
+  check_bool "to_float and to_int accept Int" true
+    (Json.to_float (Json.Int 3L) = Some 3.0 && Json.to_int (Json.Int 3L) = Some 3);
+  check_bool "beyond int64 reads as a float" true
+    (Json.parse "9223372036854775808" = Ok (Json.Num 9223372036854775808.));
+  check_bool "fractions and exponents read as floats" true
+    (Json.parse "[1.5,2e3,-0.25]"
+    = Ok (Json.Arr [ Json.Num 1.5; Json.Num 2000.; Json.Num (-0.25) ]));
+  check_string "integral floats print as digits" "1234" (Json.to_string (Json.Num 1234.));
+  check_string "NaN prints as null" "null" (Json.to_string (Json.Num Float.nan))
+
+(* Integral floats below 1e15 print as plain digits and so read back as
+   [Int] (integers are [Int] in a document), and NaN prints as null:
+   neither is generated as a [Num]. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    let chunk =
+      oneof
+        [
+          string_size (int_bound 6);
+          (* quote, backslash, control bytes, 2-4 byte UTF-8, a literal
+             escape sequence *)
+          oneofl
+            [ "\""; "\\"; "\n"; "\r\t"; "\x00"; "\x1f"; "\x7f"; "\xc3\xa9"; "\xe6\x97\xa5";
+              "\xf0\x9f\x98\x80"; "\\u0041" ];
+        ]
+    in
+    map (String.concat "") (list_size (int_bound 4) chunk)
+  in
+  let int64 =
+    oneof [ map Int64.of_int int; ui64; oneofl [ Int64.min_int; Int64.max_int; 0L; -1L ] ]
+  in
+  let float =
+    oneof
+      [
+        float;
+        map (fun x -> float_of_int x +. 0.5) small_signed_int;
+        oneofl
+          [ Float.infinity; Float.neg_infinity; 1e15; 12345678901234568.; -1e300; 5e-324; 0.1 ];
+      ]
+    |> map (fun f ->
+           if Float.is_nan f || (Float.is_integer f && Float.abs f < 1e15) then 0.5 else f)
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int64;
+        map (fun f -> Json.Num f) float;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"Json.parse (Json.to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+(* -------------------- Wire sources over a byte range -------------------- *)
+
+let test_wire_source_range () =
+  let sink = Wire.sink () in
+  Wire.write_int sink 300;
+  Wire.write_tag sink "ab";
+  let inner = Wire.contents sink in
+  let data = "xyz" ^ inner ^ "tail" in
+  let src = Wire.source ~pos:3 ~len:(String.length inner) data in
+  check_int "int" 300 (Wire.read_int src);
+  check_string "tag" "ab" (Wire.read_tag src);
+  check_int "range consumed" 0 (Wire.remaining src);
+  check_bool "reads stop at the range end" true
+    (match Wire.read_int src with _ -> false | exception Failure _ -> true)
+
 let () =
   Alcotest.run "util"
     [
@@ -311,7 +410,13 @@ let () =
           Alcotest.test_case "tag mismatch" `Quick test_wire_tag_mismatch;
           Alcotest.test_case "truncation" `Quick test_wire_truncation;
           Alcotest.test_case "compact zeros" `Quick test_wire_compact;
+          Alcotest.test_case "source over a byte range" `Quick test_wire_source_range;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "exact integers" `Quick test_json_exact_ints;
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
         ] );
       ( "space",
         [
