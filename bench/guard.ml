@@ -1,228 +1,150 @@
 (* Bench-regression guard.
 
-     dune exec bench/guard.exe -- BASELINE.json FRESH.json [TOLERANCE] [SERVE.json]
-                                  [SPARSIFY_BASELINE.json SPARSIFY_FRESH.json]
+     dune exec bench/guard.exe -- BASE_DIR FRESH_DIR
 
-   Compares a freshly measured BENCH_ingest.json against the committed
-   baseline: every single-thread kernel throughput must be within
-   TOLERANCE (default 25%) of the baseline, and the telemetry overheads
-   recorded in the fresh file (metrics enabled vs disabled, and span
-   tracing enabled vs disabled, each measured interleaved on the
-   sharded AGM path) must be under 3%.
+   Checks the fresh FRESH_DIR/BENCH_{ingest,serve,sparsify}.json, and
+   the committed BASE_DIR/BENCH_{ingest,sparsify}.json some rows compare
+   them with, against one table, printing a verdict line per row.  Exits
+   1 if a row fails or a file or key is missing: the fresh files come
+   from the same commit's bench programs, so a missing key is a bug.
 
-   Parallel scaling is gated against the fresh run's own single-thread
-   kernel rate, never against the baseline file: absolute parallel
-   rates depend on the runner, but the shape of the curve is the
-   static partition's responsibility.  The thresholds are core-aware
-   (the fresh file records host_cores): a multi-core runner must show
-   >= 1.5x at 2 domains, while a single-core runner can only be held to
-   a no-regression floor — a one-domain pool must keep >= 0.75x of the
-   sequential kernel.  The full 8-domain curve is printed as advisory
-   only.
+   Parallel speedup is taken over the fresh kernel rate, since absolute
+   parallel rates depend on the runner, and its row switches on the
+   fresh host_cores: one core can only be held to a no-regression floor
+   on a one-domain pool, whose one slice goes straight into the caller's
+   sketch.  Arena major words are near deterministic and sketch words
+   deterministic, hence their tight ratios.  The absolute ceilings are
+   loose on purpose: they catch pathologies (an O(store) scan per frame,
+   a lost fsync batch, an extra chain pass), not scheduler noise. *)
 
-   With a fourth argument — a fresh BENCH_serve.json — the serving
-   layer is gated on absolute ceilings rather than a baseline ratio:
-   ingest latency through the socket is dominated by syscalls and
-   checkpoint fsyncs, so its budget is a wall-clock promise (p99 under
-   250 ms, recovery of the full store under 2 s), not a machine-relative
-   one.  The ceilings are deliberately loose: they catch the pathology
-   class (an accidental O(store) scan per frame, a lost fsync batch, a
-   recovery walk that re-decodes every generation), not scheduler noise.
-
-   With a fifth and sixth argument — the committed BENCH_sparsify.json
-   baseline and a freshly measured one — the single-pass sparsifier is
-   gated three ways: the fresh run must report pencil_ok (every suite
-   graph inside its exact (1 +- eps) window), its decode time must stay
-   under an absolute wall-clock ceiling (decode is CG solves plus a
-   candidate sweep; the ceiling catches an accidental extra chain pass
-   or a quadratic blow-up, not machine noise), and its sketch size in
-   words — which is deterministic — may not exceed the baseline's by
-   more than 10%.
-
-   The values are extracted with a key scanner rather than a JSON
-   parser: the repo deliberately has no JSON dependency, and
-   bench/ingest.ml writes each key exactly once. *)
+module Json = Ds_util.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("guard: " ^ m); exit 1) fmt
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let data = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    data
-  with Sys_error m -> fail "cannot read %s: %s" path m
-
-let is_number_char = function
-  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-  | _ -> false
-
-(* First occurrence of ["key": <number>]; None if the key is absent. *)
-let find_number json key =
-  let pat = Printf.sprintf "\"%s\"" key in
-  let plen = String.length pat and len = String.length json in
-  let rec search i =
-    if i + plen > len then None
-    else if String.sub json i plen = pat then
-      let j = ref (i + plen) in
-      while !j < len && (json.[!j] = ':' || json.[!j] = ' ') do incr j done;
-      let start = !j in
-      while !j < len && is_number_char json.[!j] do incr j done;
-      if !j = start then search (i + 1)
-      else float_of_string_opt (String.sub json start (!j - start))
-    else search (i + 1)
+let load dir name =
+  let path = Filename.concat dir name in
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error m -> fail "cannot read %s" m
   in
-  search 0
+  match Json.parse text with Ok doc -> (path, doc) | Error m -> fail "%s: %s" path m
 
-let require json path key =
-  match find_number json key with
+let num (path, doc) keys =
+  match Option.bind (Json.path keys doc) Json.to_float with
   | Some v -> v
-  | None -> fail "%s: key %S not found" path key
+  | None -> fail "%s: no number at %s" path (String.concat "." keys)
 
-let throughput_keys =
-  [
-    "kernel_one_sparse_ops_per_sec";
-    "kernel_sparse_recovery_ops_per_sec";
-    "kernel_l0_ops_per_sec";
-    "kernel_agm_ops_per_sec";
-  ]
+(* The parallel_agm array as (domains, speedup over the fresh kernel). *)
+let curve (path, doc) =
+  let point p =
+    (int_of_float (num (path, p) [ "domains" ]), num (path, p) [ "speedup_vs_kernel" ])
+  in
+  match Option.bind (Json.member "parallel_agm" doc) Json.to_list with
+  | Some points -> List.map point points
+  | None -> fail "%s: no parallel_agm array" path
 
-let max_overhead = 0.03
+type rule = At_least of float | At_most of float | Below of float | Above of float | Equal of float
+
+let holds v = function
+  | At_least l -> v >= l
+  | At_most l -> v <= l
+  | Below l -> v < l
+  | Above l -> v > l
+  | Equal l -> v = l
+
+(* One table row: [value] must satisfy [rule]; [shown] is the measurement
+   column of its verdict line and [failing] the verdict when it does not.
+   A [quiet] row prints only when it fails; [notes] print after it. *)
+type row = {
+  label : string;
+  value : float;
+  rule : rule;
+  shown : string;
+  failing : string;
+  quiet : bool;
+  notes : string list;
+}
+
+let row ?(quiet = false) ?(notes = []) label value rule failing shown =
+  { label; value; rule; shown; failing; quiet; notes }
 
 let () =
-  let argc = Array.length Sys.argv in
-  if argc < 3 then fail "usage: guard BASELINE.json FRESH.json [TOLERANCE]";
-  let baseline_path = Sys.argv.(1) and fresh_path = Sys.argv.(2) in
-  let tolerance = if argc > 3 then float_of_string Sys.argv.(3) else 0.25 in
-  let baseline = read_file baseline_path and fresh = read_file fresh_path in
+  let base, fresh =
+    match Sys.argv with
+    | [| _; base; fresh |] -> (load base, load fresh)
+    | _ -> fail "usage: guard BASE_DIR FRESH_DIR"
+  in
+  let ingest0 = base "BENCH_ingest.json" and sparsify0 = base "BENCH_sparsify.json" in
+  let ingest = fresh "BENCH_ingest.json" and serve = fresh "BENCH_serve.json" in
+  let sparsify = fresh "BENCH_sparsify.json" in
+  (* The fresh value at [keys] against [limit] of the committed one. *)
+  let vs_base ?(change = true) (b, f) keys limit =
+    let base = num b keys and now = num f keys in
+    let pct = 100.0 *. ((now /. base) -. 1.0) in
+    row (List.hd (List.rev keys)) now (limit base) "REGRESSION"
+      (Printf.sprintf "base %12.0f  now %12.0f%s" base now
+         (if change then Printf.sprintf "  (%+6.1f%%)" pct else ""))
+  in
+  let overhead label doc keys =
+    let v = num doc keys in
+    row label v (Below 0.03) "TOO HIGH" (Printf.sprintf "%.2f%% (limit 3%%)" (100.0 *. v))
+  in
+  let ceiling label doc keys limit =
+    let v = num doc keys in
+    row label v (At_most limit) "TOO SLOW"
+      (Printf.sprintf "%10.1f ms (ceiling %.0f ms)" v limit)
+  in
+  let cores = int_of_float (num ingest [ "host_cores" ]) in
+  let points = curve ingest in
+  let speedup label d floor =
+    let advisory (d, s) = Printf.sprintf "guard: advisory parallel_speedup_d%-2d %25.3fx" d s in
+    match List.assoc_opt d points with
+    | Some s ->
+        row label s (At_least floor) "TOO SLOW" ~notes:(List.map advisory points)
+          (Printf.sprintf "%.3fx (floor %.2fx, host cores %d)" s floor cores)
+    | None -> fail "%s: no parallel_agm point at %d domains" (fst ingest) d
+  in
+  let arena_ratio = num ingest [ "gc"; "arena_major_words_ratio" ] in
+  let streams = num serve [ "durability"; "recovery_streams" ] in
+  let pencil_ok = num sparsify [ "sparsify_pencil_ok" ] in
+  let table =
+    List.map
+      (fun k -> vs_base (ingest0, ingest) [ "single_thread"; k ] (fun b -> At_least (0.75 *. b)))
+      [
+        "kernel_one_sparse_ops_per_sec";
+        "kernel_sparse_recovery_ops_per_sec";
+        "kernel_l0_ops_per_sec";
+        "kernel_agm_ops_per_sec";
+      ]
+    @ [
+        overhead "metrics_enabled_overhead" ingest [ "metrics_overhead"; "enabled_overhead_frac" ];
+        overhead "tracing_enabled_overhead" ingest [ "tracing_overhead"; "tracing_overhead_frac" ];
+        row "arena_major_words_ratio" arena_ratio (At_most 0.5) "TOO HIGH"
+          (Printf.sprintf "%.3fx (limit 0.50x)" arena_ratio);
+        vs_base ~change:false (ingest0, ingest) [ "gc"; "parallel_agm_major_words_arena" ]
+          (fun b -> At_most (2.0 *. b));
+        (if cores >= 2 then speedup "parallel_speedup_d2" 2 1.5
+         else speedup "parallel_speedup_d1 (single-core floor)" 1 0.75);
+        ceiling "serve_ingest_p99" serve [ "ingest"; "ingest_p99_ms" ] 250.0;
+        ceiling "serve_recovery" serve [ "durability"; "recovery_ms" ] 2000.0;
+        ceiling "serve_flush" serve [ "durability"; "flush_ms" ] 2000.0;
+        row ~quiet:true "recovery_streams" streams (Above 0.0) "EMPTY STORE"
+          (Printf.sprintf "%.0f (floor > 0)" streams);
+        overhead "serve_obs_overhead_frac" serve [ "observability"; "serve_obs_overhead_frac" ];
+        row "sparsify_pencil_ok" pencil_ok (Equal 1.0) "OUTSIDE (1 +- eps)"
+          (Printf.sprintf "%d" (int_of_float pencil_ok));
+        ceiling "sparsify_decode_ms_max" sparsify [ "sparsify_decode_ms_max" ] 15000.0;
+        vs_base (sparsify0, sparsify) [ "sparsify_space_words_max" ] (fun b -> At_most (1.1 *. b));
+      ]
+  in
   let failures = ref 0 in
   List.iter
-    (fun key ->
-      let base = require baseline baseline_path key in
-      let now = require fresh fresh_path key in
-      let floor = (1.0 -. tolerance) *. base in
-      let verdict = if now >= floor then "ok" else (incr failures; "REGRESSION") in
-      Printf.printf "guard: %-40s base %12.0f  now %12.0f  (%+6.1f%%)  %s\n" key base now
-        (100.0 *. ((now /. base) -. 1.0))
-        verdict)
-    throughput_keys;
-  (* Overheads are checked on the fresh run only: older baselines predate
-     the telemetry subsystem and legitimately lack the keys. *)
-  List.iter
-    (fun (label, key) ->
-      let overhead = require fresh fresh_path key in
-      let verdict =
-        if overhead < max_overhead then "ok" else (incr failures; "TOO HIGH")
-      in
-      Printf.printf "guard: %-40s %.2f%% (limit %.0f%%)  %s\n" label (100.0 *. overhead)
-        (100.0 *. max_overhead) verdict)
-    [
-      ("metrics_enabled_overhead", "enabled_overhead_frac");
-      ("tracing_enabled_overhead", "tracing_overhead_frac");
-    ];
-  (* GC gate (v3 schema). The fresh file must show the arena paying for
-     itself: recycled replicas must at least halve the major-heap garbage
-     of fresh clones on the parallel AGM path. A v2 baseline has no GC
-     keys — the trajectory starts with the first v3 file — and a v2
-     fresh file (older binary) skips the gate entirely. When both files
-     are v3, the fresh run's arena-path allocation must not blow up
-     against the recorded baseline (loose 2x: allocation is near
-     deterministic, GC bookkeeping noise is not). *)
-  (match find_number fresh "arena_major_words_ratio" with
-  | None -> print_endline "guard: no GC section in fresh file (pre-v3), skipping"
-  | Some ratio ->
-      let verdict = if ratio <= 0.5 then "ok" else (incr failures; "TOO HIGH") in
-      Printf.printf "guard: %-40s %.3fx (limit 0.50x)  %s\n" "arena_major_words_ratio" ratio
-        verdict;
-      (match
-         ( find_number baseline "parallel_agm_major_words_arena",
-           find_number fresh "parallel_agm_major_words_arena" )
-       with
-      | Some base, Some now when base > 0.0 ->
-          let verdict =
-            if now <= 2.0 *. base then "ok" else (incr failures; "REGRESSION")
-          in
-          Printf.printf "guard: %-40s base %12.0f  now %12.0f  %s\n"
-            "parallel_agm_major_words_arena" base now verdict
-      | _ -> print_endline "guard: baseline has no GC keys (pre-v3), trajectory starts here"));
-  (* Parallel gate (fresh run only; v1 baselines have no flat curve). *)
-  (match find_number fresh "parallel_speedup_d1" with
-  | None -> print_endline "guard: no parallel curve in fresh file (pre-v2), skipping"
-  | Some d1 ->
-      let host_cores =
-        int_of_float (Option.value ~default:1.0 (find_number fresh "host_cores"))
-      in
-      let check label value floor =
-        let verdict = if value >= floor then "ok" else (incr failures; "TOO SLOW") in
-        Printf.printf "guard: %-40s %.3fx (floor %.2fx, host cores %d)  %s\n" label value
-          floor host_cores verdict
-      in
-      if host_cores >= 2 then
-        check "parallel_speedup_d2" (require fresh fresh_path "parallel_speedup_d2") 1.5
-      else
-        (* One core: parallelism cannot pay, so hold the partition to its
-           overhead — on a one-domain pool the single slice goes straight
-           into the caller's sketch and must stay near the plain kernel. *)
-        check "parallel_speedup_d1 (single-core floor)" d1 0.75;
-      List.iter
-        (fun d ->
-          match find_number fresh (Printf.sprintf "parallel_speedup_d%d" d) with
-          | Some s -> Printf.printf "guard: advisory parallel_speedup_d%-2d %25.3fx\n" d s
-          | None -> ())
-        [ 1; 2; 4; 8 ]);
-  (* Serve gate: absolute latency ceilings on a fresh BENCH_serve.json. *)
-  (if argc > 4 then begin
-     let serve_path = Sys.argv.(4) in
-     let serve = read_file serve_path in
-     let ceiling label key limit =
-       let v = require serve serve_path key in
-       let verdict = if v <= limit then "ok" else (incr failures; "TOO SLOW") in
-       Printf.printf "guard: %-40s %10.1f ms (ceiling %.0f ms)  %s\n" label v limit verdict
-     in
-     ceiling "serve_ingest_p99" "ingest_p99_ms" 250.0;
-     ceiling "serve_recovery" "recovery_ms" 2000.0;
-     ceiling "serve_flush" "flush_ms" 2000.0;
-     (match find_number serve "recovery_streams" with
-     | Some s when s > 0.0 -> ()
-     | _ ->
-         incr failures;
-         print_endline "guard: serve file recovered zero streams            EMPTY STORE");
-     (* Enabled-observability overhead on the serve path (v2 schema): a
-        v1 file predates the quantile/STAT/flight subsystem and
-        legitimately lacks the key. *)
-     match find_number serve "serve_obs_overhead_frac" with
-     | None -> print_endline "guard: no serve observability overhead (pre-v2), skipping"
-     | Some o ->
-         let verdict = if o < max_overhead then "ok" else (incr failures; "TOO HIGH") in
-         Printf.printf "guard: %-40s %.2f%% (limit %.0f%%)  %s\n" "serve_obs_overhead_frac"
-           (100.0 *. o) (100.0 *. max_overhead) verdict
-   end);
-  (* Sparsify gate: committed baseline + fresh BENCH_sparsify.json. *)
-  (if argc > 6 then begin
-     let sp_base_path = Sys.argv.(5) and sp_fresh_path = Sys.argv.(6) in
-     let sp_base = read_file sp_base_path and sp_fresh = read_file sp_fresh_path in
-     let pencil_ok = require sp_fresh sp_fresh_path "sparsify_pencil_ok" in
-     let verdict =
-       if pencil_ok = 1.0 then "ok" else (incr failures; "OUTSIDE (1 +- eps)")
-     in
-     Printf.printf "guard: %-40s %d  %s\n" "sparsify_pencil_ok"
-       (int_of_float pencil_ok) verdict;
-     let decode_ms = require sp_fresh sp_fresh_path "sparsify_decode_ms_max" in
-     let decode_ceiling = 15000.0 in
-     let verdict =
-       if decode_ms <= decode_ceiling then "ok" else (incr failures; "TOO SLOW")
-     in
-     Printf.printf "guard: %-40s %10.1f ms (ceiling %.0f ms)  %s\n"
-       "sparsify_decode_ms_max" decode_ms decode_ceiling verdict;
-     let base_words = require sp_base sp_base_path "sparsify_space_words_max" in
-     let now_words = require sp_fresh sp_fresh_path "sparsify_space_words_max" in
-     let verdict =
-       if now_words <= 1.1 *. base_words then "ok" else (incr failures; "REGRESSION")
-     in
-     Printf.printf "guard: %-40s base %12.0f  now %12.0f  (%+6.1f%%)  %s\n"
-       "sparsify_space_words_max" base_words now_words
-       (100.0 *. ((now_words /. base_words) -. 1.0))
-       verdict
-   end);
+    (fun r ->
+      let ok = holds r.value r.rule in
+      if not ok then incr failures;
+      if not (ok && r.quiet) then
+        Printf.printf "guard: %-40s %s  %s\n" r.label r.shown (if ok then "ok" else r.failing);
+      List.iter (Printf.printf "%s\n") r.notes)
+    table;
   if !failures > 0 then fail "%d check(s) failed" !failures;
   print_endline "guard: all checks passed"

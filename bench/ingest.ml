@@ -9,23 +9,6 @@
    machine-readable JSON (default ./BENCH_ingest.json) so later PRs can
    detect throughput regressions against this PR's trajectory. *)
 
-let git_sha () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown"
-      with _ -> "unknown")
-
-let iso8601_utc () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
 let dim = Ds_graph.Edge_index.dim 256
 let l0_updates = 200_000
 let agm_n = 256
@@ -34,9 +17,6 @@ let domain_counts = [ 1; 2; 4; 8 ]
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_ingest.json" in
-  (* Open the output before measuring: a typo'd path should fail in
-     milliseconds, not after minutes of benchmarking. *)
-  let oc = open_out out in
   let module C = Ingest_common in
   Fmt.pr "ingestion bench: L0 micro (dim=%d, %d updates); AGM end-to-end (n=%d, %d updates)@."
     dim l0_updates agm_n agm_updates;
@@ -115,74 +95,72 @@ let () =
   let arena_ratio = if gc_par_major > 0.0 then gc_arena_major /. gc_par_major else 1.0 in
   Fmt.pr "  gc agm x%d arena  %12.0f major words, %.1f minor collections / run (%.2fx)@."
     gc_domains gc_arena_major gc_arena_minor arena_ratio;
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"bench_ingest/v3\",\n";
-  p "  \"git_sha\": \"%s\",\n" (git_sha ());
-  p "  \"date\": \"%s\",\n" (iso8601_utc ());
-  p "  \"timestamp\": %.0f,\n" (Unix.time ());
-  p "  \"host_cores\": %d,\n" host_cores;
-  p "  \"recommended_domain_count\": %d,\n" recommended;
-  p "  \"workloads\": {\n";
-  p "    \"l0\": { \"dim\": %d, \"updates\": %d },\n" dim l0_updates;
-  p "    \"agm\": { \"n\": %d, \"updates\": %d }\n" agm_n agm_updates;
-  p "  },\n";
-  p "  \"single_thread\": {\n";
-  p "    \"baseline_one_sparse_ops_per_sec\": %.0f,\n" baseline_os;
-  p "    \"kernel_one_sparse_ops_per_sec\": %.0f,\n" kernel_os;
-  p "    \"one_sparse_kernel_speedup\": %.3f,\n" (kernel_os /. baseline_os);
-  p "    \"baseline_sparse_recovery_ops_per_sec\": %.0f,\n" baseline_sr;
-  p "    \"kernel_sparse_recovery_ops_per_sec\": %.0f,\n" kernel_sr;
-  p "    \"sparse_recovery_kernel_speedup\": %.3f,\n" (kernel_sr /. baseline_sr);
-  p "    \"baseline_l0_ops_per_sec\": %.0f,\n" baseline_l0;
-  p "    \"kernel_l0_ops_per_sec\": %.0f,\n" kernel_l0;
-  p "    \"l0_kernel_speedup\": %.3f,\n" (kernel_l0 /. baseline_l0);
-  p "    \"baseline_agm_ops_per_sec\": %.0f,\n" baseline_agm;
-  p "    \"kernel_agm_ops_per_sec\": %.0f,\n" kernel_agm;
-  p "    \"agm_kernel_speedup\": %.3f\n" (kernel_agm /. baseline_agm);
-  p "  },\n";
-  p "  \"metrics_overhead\": {\n";
-  p "    \"agm_ops_per_sec_disabled\": %.0f,\n" obs_off;
-  p "    \"agm_ops_per_sec_enabled\": %.0f,\n" obs_on;
-  p "    \"enabled_overhead_frac\": %.4f\n" obs_overhead;
-  p "  },\n";
-  p "  \"tracing_overhead\": {\n";
-  p "    \"agm_ops_per_sec_disabled\": %.0f,\n" tr_off;
-  p "    \"agm_ops_per_sec_enabled\": %.0f,\n" tr_on;
-  p "    \"tracing_overhead_frac\": %.4f\n" tr_overhead;
-  p "  },\n";
-  p "  \"gc\": {\n";
-  p "    \"gc_domains\": %d,\n" gc_domains;
-  p "    \"kernel_l0_major_words_per_run\": %.0f,\n" gc_l0_major;
-  p "    \"kernel_l0_minor_collections_per_run\": %.1f,\n" gc_l0_minor;
-  p "    \"kernel_agm_major_words_per_run\": %.0f,\n" gc_agm_major;
-  p "    \"kernel_agm_minor_collections_per_run\": %.1f,\n" gc_agm_minor;
-  p "    \"parallel_agm_major_words_noarena\": %.0f,\n" gc_par_major;
-  p "    \"parallel_agm_minor_collections_noarena\": %.1f,\n" gc_par_minor;
-  p "    \"parallel_agm_major_words_arena\": %.0f,\n" gc_arena_major;
-  p "    \"parallel_agm_minor_collections_arena\": %.1f,\n" gc_arena_minor;
-  p "    \"arena_major_words_ratio\": %.4f\n" arena_ratio;
-  p "  },\n";
-  p "  \"parallel_agm\": [\n";
-  List.iteri
-    (fun i (domains, r, eff) ->
-      p
-        "    { \"domains\": %d, \"ops_per_sec\": %.0f, \"speedup_vs_kernel\": %.3f, \
-         \"efficiency\": %.3f }%s\n"
-        domains r (r /. kernel_agm) eff
-        (if i = List.length parallel - 1 then "" else ","))
-    parallel;
-  p "  ],\n";
-  (* Flat copies of the curve for the guard's key scanner (it looks up
-     each key by name exactly once and cannot index into arrays). *)
-  p "  \"parallel_flat\": {\n";
-  List.iteri
-    (fun i (domains, r, eff) ->
-      p "    \"parallel_speedup_d%d\": %.3f,\n" domains (r /. kernel_agm);
-      p "    \"parallel_efficiency_d%d\": %.3f%s\n" domains eff
-        (if i = List.length parallel - 1 then "" else ","))
-    parallel;
-  p "  }\n";
-  p "}\n";
-  close_out oc;
-  Fmt.pr "wrote %s@." out
+  let open Ds_util.Json in
+  let rate v = Bench_kit.fixed 0 v and ratio v = Bench_kit.fixed 3 v in
+  Bench_kit.write ~path:out
+    (Bench_kit.document ~schema:"bench_ingest/v4"
+       [
+         ("recommended_domain_count", int recommended);
+         ( "workloads",
+           Obj
+             [
+               ("l0", Obj [ ("dim", int dim); ("updates", int l0_updates) ]);
+               ("agm", Obj [ ("n", int agm_n); ("updates", int agm_updates) ]);
+             ] );
+         ( "single_thread",
+           Obj
+             [
+               ("baseline_one_sparse_ops_per_sec", rate baseline_os);
+               ("kernel_one_sparse_ops_per_sec", rate kernel_os);
+               ("one_sparse_kernel_speedup", ratio (kernel_os /. baseline_os));
+               ("baseline_sparse_recovery_ops_per_sec", rate baseline_sr);
+               ("kernel_sparse_recovery_ops_per_sec", rate kernel_sr);
+               ("sparse_recovery_kernel_speedup", ratio (kernel_sr /. baseline_sr));
+               ("baseline_l0_ops_per_sec", rate baseline_l0);
+               ("kernel_l0_ops_per_sec", rate kernel_l0);
+               ("l0_kernel_speedup", ratio (kernel_l0 /. baseline_l0));
+               ("baseline_agm_ops_per_sec", rate baseline_agm);
+               ("kernel_agm_ops_per_sec", rate kernel_agm);
+               ("agm_kernel_speedup", ratio (kernel_agm /. baseline_agm));
+             ] );
+         ( "metrics_overhead",
+           Obj
+             [
+               ("agm_ops_per_sec_disabled", rate obs_off);
+               ("agm_ops_per_sec_enabled", rate obs_on);
+               ("enabled_overhead_frac", Bench_kit.fixed 4 obs_overhead);
+             ] );
+         ( "tracing_overhead",
+           Obj
+             [
+               ("agm_ops_per_sec_disabled", rate tr_off);
+               ("agm_ops_per_sec_enabled", rate tr_on);
+               ("tracing_overhead_frac", Bench_kit.fixed 4 tr_overhead);
+             ] );
+         ( "gc",
+           Obj
+             [
+               ("gc_domains", int gc_domains);
+               ("kernel_l0_major_words_per_run", rate gc_l0_major);
+               ("kernel_l0_minor_collections_per_run", Bench_kit.fixed 1 gc_l0_minor);
+               ("kernel_agm_major_words_per_run", rate gc_agm_major);
+               ("kernel_agm_minor_collections_per_run", Bench_kit.fixed 1 gc_agm_minor);
+               ("parallel_agm_major_words_noarena", rate gc_par_major);
+               ("parallel_agm_minor_collections_noarena", Bench_kit.fixed 1 gc_par_minor);
+               ("parallel_agm_major_words_arena", rate gc_arena_major);
+               ("parallel_agm_minor_collections_arena", Bench_kit.fixed 1 gc_arena_minor);
+               ("arena_major_words_ratio", Bench_kit.fixed 4 arena_ratio);
+             ] );
+         ( "parallel_agm",
+           Arr
+             (List.map
+                (fun (domains, r, eff) ->
+                  Obj
+                    [
+                      ("domains", int domains);
+                      ("ops_per_sec", rate r);
+                      ("speedup_vs_kernel", ratio (r /. kernel_agm));
+                      ("efficiency", ratio eff);
+                    ])
+                parallel) );
+       ])

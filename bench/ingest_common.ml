@@ -28,15 +28,15 @@ let agm_workload ~n ~updates =
 (* Timing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock ops/sec of [f ()] applying [ops] updates; best of [reps] so a
-   stray scheduler hiccup cannot deflate a rate. *)
+(* Ops/sec of [f ()] applying [ops] updates; best of [reps] so a stray
+   scheduler hiccup cannot deflate a rate. *)
 let rate ?(reps = 3) ~ops f =
   let best = ref infinity in
   for _ = 1 to reps do
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ds_obs.Clock.now_ns () in
     f ();
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Bench_kit.seconds_since t0 in
     if dt < !best then best := dt
   done;
   float_of_int ops /. !best
@@ -202,9 +202,9 @@ let overhead_agm_rates ~enable ~disable ~n ~updates ~domains =
             Array.sub w lo (min chunk (updates - lo)))
       in
       let time_chunk c =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Ds_obs.Clock.now_ns () in
         Ds_par.Shard_ingest.agm pool proto c;
-        Unix.gettimeofday () -. t0
+        Bench_kit.seconds_since t0
       in
       let passes = 7 in
       let ratios = Array.make passes 0.0 in

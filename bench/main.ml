@@ -732,9 +732,9 @@ let e10 () =
   let g = Gen.connected_gnp (Prng.split rng) ~n ~p:0.05 in
   let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:2000 g in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ds_obs.Clock.now_ns () in
     f ();
-    Unix.gettimeofday () -. t0
+    Bench_kit.seconds_since t0
   in
   let t_spanner =
     time (fun () ->
@@ -818,15 +818,15 @@ let e15 () =
   List.iter
     (fun servers ->
       (* Fault-free wall clock for this server count, the overhead baseline. *)
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ds_obs.Clock.now_ns () in
       ignore (supervised ~plan:FP.none ~servers ());
-      let base = Unix.gettimeofday () -. t0 in
+      let base = Bench_kit.seconds_since t0 in
       List.iter
         (fun rate ->
           let plan = FP.random ~seed:(master_seed + servers) ~rate in
-          let t1 = Unix.gettimeofday () in
+          let t1 = Ds_obs.Clock.now_ns () in
           let r = supervised ~plan ~servers () in
-          let dt = Unix.gettimeofday () -. t1 in
+          let dt = Bench_kit.seconds_since t1 in
           let healed =
             r.CS.sup_merged_hash = clean.CS.sup_merged_hash
             && r.CS.sup_forest_correct
@@ -1126,18 +1126,6 @@ let e19 () =
     "Serving layer: bounded-queue backpressure, torn-generation quarantine, kill -9 recovery";
   let module SS = Ds_sim.Serve_sim in
   let module FP = Ds_fault.Fault_plan in
-  let fresh_dir =
-    let counter = ref 0 in
-    fun () ->
-      incr counter;
-      let d =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "dynospan-e19-%d-%d" (Unix.getpid ()) !counter)
-      in
-      Unix.mkdir d 0o755;
-      d
-  in
   let workload =
     Ds_serve.Loadgen.make ~seed:(master_seed + 19) ~tenants:2 ~streams_per_tenant:3
       ~updates:600 ~n:64 ~batch:4 ()
@@ -1170,8 +1158,9 @@ let e19 () =
           if rate = 0.0 then FP.none else FP.random ~seed:(master_seed + 190) ~rate
         in
         let r =
-          SS.run ~crash_every ~tear_on_crash:tear ~queue_bound:4 ~drain_per_tick:2
-            ~checkpoint_every:32 ~burst:4 ~plan ~dir:(fresh_dir ()) workload
+          Bench_kit.with_temp_dir "dynospan-e19" (fun dir ->
+              SS.run ~crash_every ~tear_on_crash:tear ~queue_bound:4 ~drain_per_tick:2
+                ~checkpoint_every:32 ~burst:4 ~plan ~dir workload)
         in
         Fmt.pr "%-7.2f %-7d %-6b %-7d %-8d %-7d %-9d %-8d %-7d %-6d %-9d %-6b@." rate
           crash_every tear r.SS.sv_sends r.SS.sv_conn_faults r.SS.sv_acked r.SS.sv_overloaded
@@ -1187,8 +1176,9 @@ let e19 () =
      field, which is what makes any CI failure replayable at a laptop. *)
   let rerun (rate, crash_every, tear) =
     let plan = if rate = 0.0 then FP.none else FP.random ~seed:(master_seed + 190) ~rate in
-    SS.run ~crash_every ~tear_on_crash:tear ~queue_bound:4 ~drain_per_tick:2
-      ~checkpoint_every:32 ~burst:4 ~plan ~dir:(fresh_dir ()) workload
+    Bench_kit.with_temp_dir "dynospan-e19" (fun dir ->
+        SS.run ~crash_every ~tear_on_crash:tear ~queue_bound:4 ~drain_per_tick:2
+          ~checkpoint_every:32 ~burst:4 ~plan ~dir workload)
   in
   let nastiest = (0.3, 20, true) in
   let first = List.assoc nastiest reports in
@@ -1260,12 +1250,7 @@ let e21 () =
   let module Client = Ds_serve.Client in
   let module Loadgen = Ds_serve.Loadgen in
   let module Json = Ds_util.Json in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dynospan-e21-%d" (Unix.getpid ()))
-  in
-  Unix.mkdir dir 0o755;
+  Bench_kit.with_temp_dir "dynospan-e21" @@ fun dir ->
   let socket_path = Filename.concat dir "sock" in
   let server_pid =
     match Unix.fork () with
@@ -1299,10 +1284,14 @@ let e21 () =
   let load_pid =
     match Unix.fork () with
     | 0 ->
-        let client = Client.connect ~socket_path ~delay_unit:0.05 () in
-        let o = Loadgen.run client plan ~ledger:None in
-        Client.close client;
-        Unix._exit (if o.Loadgen.o_failed_frames > 0 then 1 else 0)
+        (* Leave only through _exit: unwinding would remove the store. *)
+        Unix._exit
+          (try
+             let client = Client.connect ~socket_path ~delay_unit:0.05 () in
+             let o = Loadgen.run client plan ~ledger:None in
+             Client.close client;
+             if o.Loadgen.o_failed_frames > 0 then 1 else 0
+           with _ -> 1)
     | pid -> pid
   in
   (* The scrape plane is the point: poll the STAT rollup over SRV1 while
@@ -1317,7 +1306,7 @@ let e21 () =
   Fmt.pr "%-8s %-7s %-9s %-9s %-12s %-12s@." "t(s)" "queue" "applied" "words" "p50(ms)"
     "p99(ms)";
   line ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ds_obs.Clock.now_ns () in
   let done_ = ref false in
   let rows = ref 0 in
   while not !done_ do
@@ -1330,7 +1319,7 @@ let e21 () =
         | Ok doc ->
             incr rows;
             Fmt.pr "%-8.2f %-7.0f %-9.0f %-9.0f %-12.2f %-12.2f@."
-              (Unix.gettimeofday () -. t0)
+              (Bench_kit.seconds_since t0)
               (jnum [ "queue"; "depth" ] doc)
               (jnum [ "totals"; "applied_frames" ] doc)
               (jnum [ "totals"; "words" ] doc)

@@ -4,7 +4,7 @@
 
    Measures the two latencies the serving layer promises to keep bounded
    and writes them as machine-readable JSON (default ./BENCH_serve.json,
-   schema bench_serve/v1) so bench/guard.exe can gate later PRs:
+   schema bench_serve/v3) so bench/guard.exe can gate later PRs:
 
    - ingest round-trip latency through the real Unix-socket path (fork a
      server, drive a seeded Loadgen plan frame by frame, feed every
@@ -26,35 +26,6 @@
 module Server = Ds_serve.Server
 module Client = Ds_serve.Client
 module Loadgen = Ds_serve.Loadgen
-
-let git_sha () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown"
-      with _ -> "unknown")
-
-let iso8601_utc () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dynospan-bench-serve-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Unix.mkdir d 0o755;
-    d
 
 let start_server ?(obs = false) config ~socket_path =
   match Unix.fork () with
@@ -90,7 +61,6 @@ let batch = 8
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_serve.json" in
-  let oc = open_out out in
   let plan = Loadgen.make ~seed ~tenants ~streams_per_tenant ~updates ~n ~batch () in
   let frames =
     List.fold_left (fun a s -> a + Loadgen.frame_count s) 0 plan.Loadgen.p_specs
@@ -98,79 +68,98 @@ let () =
   Fmt.pr "serve bench: %d tenants x %d streams, %d frames (n=%d, batch=%d)@." tenants
     streams_per_tenant frames n batch;
 
-  (* --- ingest latency through the socket ---------------------------- *)
-  let dir = fresh_dir () in
-  let socket_path = Filename.concat dir "sock" in
-  let config =
-    { (Server.default_config ~dir) with Server.checkpoint_every = 64; drain_per_tick = 64 }
-  in
-  let pid = start_server config ~socket_path in
-  let client = Client.connect ~socket_path ~delay_unit:0.005 () in
-  List.iter
-    (fun s ->
-      match
-        Client.create_stream client ~tenant:s.Loadgen.l_tenant ~stream:s.Loadgen.l_stream
-          ~family:s.Loadgen.l_family ~n:s.Loadgen.l_n ~seed:s.Loadgen.l_seed
-      with
-      | Ok _ -> ()
-      | Error m -> failwith ("bench serve: create: " ^ m))
-    plan.Loadgen.p_specs;
-  (* Client-side wall clock per acked frame, accumulated in the same
-     fixed-memory quantile sketch the serve path itself uses — so the
-     bench reports the estimator we actually ship, tails included. *)
-  let lat = Ds_obs.Quantile.make () in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun payload ->
-          let t = Ds_obs.Clock.now_ns () in
-          (match
-             Client.ingest client ~tenant:s.Loadgen.l_tenant ~stream:s.Loadgen.l_stream
-               ~payload
-           with
-          | Ok () -> ()
-          | Error m -> failwith ("bench serve: ingest: " ^ m));
-          Ds_obs.Quantile.observe lat (Int64.to_int (Ds_obs.Clock.elapsed_ns t)))
-        (Loadgen.batches s))
-    plan.Loadgen.p_specs;
-  let ingest_wall = Unix.gettimeofday () -. t0 in
-  (* Checkpoint write cost: one Flush over every dirty tenant. *)
-  let flush_ms =
-    let t = Unix.gettimeofday () in
+  (* The socket phase writes the store the recovery phase then walks, so
+     the two share one temp dir. *)
+  let ingest, durability =
+    Bench_kit.with_temp_dir "dynospan-bench-serve" @@ fun dir ->
+    (* --- ingest latency through the socket -------------------------- *)
+    let socket_path = Filename.concat dir "sock" in
+    let config =
+      { (Server.default_config ~dir) with Server.checkpoint_every = 64; drain_per_tick = 64 }
+    in
+    let pid = start_server config ~socket_path in
+    let client = Client.connect ~socket_path ~delay_unit:0.005 () in
     List.iter
-      (fun tenant ->
-        match Client.flush client ~tenant with
+      (fun s ->
+        match
+          Client.create_stream client ~tenant:s.Loadgen.l_tenant ~stream:s.Loadgen.l_stream
+            ~family:s.Loadgen.l_family ~n:s.Loadgen.l_n ~seed:s.Loadgen.l_seed
+        with
         | Ok _ -> ()
-        | Error m -> failwith ("bench serve: flush: " ^ m))
-      (List.sort_uniq compare
-         (List.map (fun s -> s.Loadgen.l_tenant) plan.Loadgen.p_specs));
-    1000.0 *. (Unix.gettimeofday () -. t)
-  in
-  Client.close client;
-  stop_server pid;
-  let s = Ds_obs.Quantile.summarize lat in
-  let ms ns = ns /. 1e6 in
-  let p50 = ms s.Ds_obs.Quantile.s_p50
-  and p90 = ms s.Ds_obs.Quantile.s_p90
-  and p99 = ms s.Ds_obs.Quantile.s_p99
-  and p999 = ms s.Ds_obs.Quantile.s_p999 in
-  let rate = float_of_int frames /. ingest_wall in
-  Fmt.pr "  ingest  %d frames in %.2fs (%.0f frames/s)@." frames ingest_wall rate;
-  Fmt.pr "  latency p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, p999 %.3f ms@." p50 p90 p99 p999;
-  Fmt.pr "  flush   %.1f ms (%d tenants, fsync-bounded)@." flush_ms tenants;
+        | Error m -> failwith ("bench serve: create: " ^ m))
+      plan.Loadgen.p_specs;
+    (* Client-side wall clock per acked frame, accumulated in the same
+       fixed-memory quantile sketch the serve path itself uses — so the
+       bench reports the estimator we actually ship, tails included. *)
+    let lat = Ds_obs.Quantile.make () in
+    let t0 = Ds_obs.Clock.now_ns () in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun payload ->
+            let t = Ds_obs.Clock.now_ns () in
+            (match
+               Client.ingest client ~tenant:s.Loadgen.l_tenant ~stream:s.Loadgen.l_stream
+                 ~payload
+             with
+            | Ok () -> ()
+            | Error m -> failwith ("bench serve: ingest: " ^ m));
+            Ds_obs.Quantile.observe lat (Int64.to_int (Ds_obs.Clock.elapsed_ns t)))
+          (Loadgen.batches s))
+      plan.Loadgen.p_specs;
+    let ingest_wall = Bench_kit.seconds_since t0 in
+    (* Checkpoint write cost: one Flush over every dirty tenant. *)
+    let flush_ms =
+      let t = Ds_obs.Clock.now_ns () in
+      List.iter
+        (fun tenant ->
+          match Client.flush client ~tenant with
+          | Ok _ -> ()
+          | Error m -> failwith ("bench serve: flush: " ^ m))
+        (List.sort_uniq compare
+           (List.map (fun s -> s.Loadgen.l_tenant) plan.Loadgen.p_specs));
+      1000.0 *. Bench_kit.seconds_since t
+    in
+    Client.close client;
+    stop_server pid;
+    let s = Ds_obs.Quantile.summarize lat in
+    let ms ns = ns /. 1e6 in
+    let p50 = ms s.Ds_obs.Quantile.s_p50
+    and p90 = ms s.Ds_obs.Quantile.s_p90
+    and p99 = ms s.Ds_obs.Quantile.s_p99
+    and p999 = ms s.Ds_obs.Quantile.s_p999 in
+    let rate = float_of_int frames /. ingest_wall in
+    Fmt.pr "  ingest  %d frames in %.2fs (%.0f frames/s)@." frames ingest_wall rate;
+    Fmt.pr "  latency p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, p999 %.3f ms@." p50 p90 p99 p999;
+    Fmt.pr "  flush   %.1f ms (%d tenants, fsync-bounded)@." flush_ms tenants;
 
-  (* --- recovery time ------------------------------------------------ *)
-  (* The store just written by the socket phase is the recovery corpus:
-     every stream checkpointed at full depth.  Time the walk. *)
-  let t = Unix.gettimeofday () in
-  let recovered = Server.create config in
-  let recovery_ms = 1000.0 *. (Unix.gettimeofday () -. t) in
-  let rr = Server.recovery_report recovered in
-  Fmt.pr "  recovery %.1f ms (%d tenants, %d streams, %d quarantined)@." recovery_ms
-    rr.Server.r_tenants rr.Server.r_streams rr.Server.r_quarantined;
-  if rr.Server.r_streams <> tenants * streams_per_tenant then
-    failwith "bench serve: recovery lost streams";
+    (* --- recovery time ---------------------------------------------- *)
+    (* The store just written by the socket phase is the recovery corpus:
+       every stream checkpointed at full depth.  Time the walk. *)
+    let t = Ds_obs.Clock.now_ns () in
+    let recovered = Server.create config in
+    let recovery_ms = 1000.0 *. Bench_kit.seconds_since t in
+    let rr = Server.recovery_report recovered in
+    Fmt.pr "  recovery %.1f ms (%d tenants, %d streams, %d quarantined)@." recovery_ms
+      rr.Server.r_tenants rr.Server.r_streams rr.Server.r_quarantined;
+    if rr.Server.r_streams <> tenants * streams_per_tenant then
+      failwith "bench serve: recovery lost streams";
+    let open Ds_util.Json in
+    ( Obj
+        [
+          ("frames_per_sec", Bench_kit.fixed 0 rate);
+          ("ingest_p50_ms", Bench_kit.fixed 3 p50);
+          ("ingest_p90_ms", Bench_kit.fixed 3 p90);
+          ("ingest_p99_ms", Bench_kit.fixed 3 p99);
+          ("ingest_p999_ms", Bench_kit.fixed 3 p999);
+        ],
+      Obj
+        [
+          ("flush_ms", Bench_kit.fixed 1 flush_ms);
+          ("recovery_ms", Bench_kit.fixed 1 recovery_ms);
+          ("recovery_streams", int rr.Server.r_streams);
+        ] )
+  in
 
   (* --- enabled-observability overhead ------------------------------- *)
   (* Same seeded workload against a telemetry-off and a telemetry-on
@@ -183,16 +172,16 @@ let () =
       ~batch:8 ()
   in
   let run_once ~obs =
-    let dir = fresh_dir () in
+    Bench_kit.with_temp_dir "dynospan-bench-serve" @@ fun dir ->
     let socket_path = Filename.concat dir "sock" in
     let config =
       { (Server.default_config ~dir) with Server.checkpoint_every = 64; drain_per_tick = 64 }
     in
     let pid = start_server ~obs config ~socket_path in
     let client = Client.connect ~socket_path ~delay_unit:0.005 () in
-    let t = Unix.gettimeofday () in
+    let t = Ds_obs.Clock.now_ns () in
     let o = Loadgen.run client obs_plan ~ledger:None in
-    let wall = Unix.gettimeofday () -. t in
+    let wall = Bench_kit.seconds_since t in
     Client.close client;
     stop_server pid;
     if o.Loadgen.o_failed_frames > 0 then failwith "bench serve: obs phase dropped frames";
@@ -208,34 +197,20 @@ let () =
   Fmt.pr "  obs overhead %.2f%% (median of 3 off/on pairs: %s)@." (100.0 *. obs_overhead)
     (String.concat " " (List.map (fun r -> Printf.sprintf "%+.1f%%" (100.0 *. r)) ratios));
 
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"bench_serve/v2\",\n";
-  p "  \"git_sha\": \"%s\",\n" (git_sha ());
-  p "  \"date\": \"%s\",\n" (iso8601_utc ());
-  p "  \"timestamp\": %.0f,\n" (Unix.time ());
-  p "  \"workload\": {\n";
-  p "    \"tenants\": %d,\n" tenants;
-  p "    \"streams_per_tenant\": %d,\n" streams_per_tenant;
-  p "    \"frames\": %d,\n" frames;
-  p "    \"n\": %d,\n" n;
-  p "    \"batch\": %d\n" batch;
-  p "  },\n";
-  p "  \"ingest\": {\n";
-  p "    \"frames_per_sec\": %.0f,\n" rate;
-  p "    \"ingest_p50_ms\": %.3f,\n" p50;
-  p "    \"ingest_p90_ms\": %.3f,\n" p90;
-  p "    \"ingest_p99_ms\": %.3f,\n" p99;
-  p "    \"ingest_p999_ms\": %.3f\n" p999;
-  p "  },\n";
-  p "  \"durability\": {\n";
-  p "    \"flush_ms\": %.1f,\n" flush_ms;
-  p "    \"recovery_ms\": %.1f,\n" recovery_ms;
-  p "    \"recovery_streams\": %d\n" rr.Server.r_streams;
-  p "  },\n";
-  p "  \"observability\": {\n";
-  p "    \"serve_obs_overhead_frac\": %.4f\n" obs_overhead;
-  p "  }\n";
-  p "}\n";
-  close_out oc;
-  Fmt.pr "wrote %s@." out
+  let open Ds_util.Json in
+  Bench_kit.write ~path:out
+    (Bench_kit.document ~schema:"bench_serve/v3"
+       [
+         ( "workload",
+           Obj
+             [
+               ("tenants", int tenants);
+               ("streams_per_tenant", int streams_per_tenant);
+               ("frames", int frames);
+               ("n", int n);
+               ("batch", int batch);
+             ] );
+         ("ingest", ingest);
+         ("durability", durability);
+         ("observability", Obj [ ("serve_obs_overhead_frac", Bench_kit.fixed 4 obs_overhead) ]);
+       ])

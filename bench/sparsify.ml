@@ -5,7 +5,7 @@
    Runs the KLMMS single-pass sparsifier over a fixed seeded suite (two
    graph families x eps in {0.5, 0.25}), verifies every run against the
    exact pencil bounds, and writes the measurements as machine-readable
-   JSON (default ./BENCH_sparsify.json, schema bench_sparsify/v1) so
+   JSON (default ./BENCH_sparsify.json, schema bench_sparsify/v2) so
    bench/guard.exe can gate later PRs:
 
    - decode wall time (the chain: JL resistance solves + candidate sweep)
@@ -22,23 +22,6 @@ open Ds_util
 open Ds_graph
 open Ds_stream
 module S1 = Ds_sparsify.Sparsify1p
-
-let git_sha () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown"
-      with _ -> "unknown")
-
-let iso8601_utc () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
 let master_seed = 20140721
 
@@ -61,13 +44,14 @@ let run_case ~label ~eps g =
   let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:500 g in
   let prm = S1.default_params ~n ~eps in
   let t = S1.create (Prng.split rng) ~n ~params:prm in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ds_obs.Clock.now_ns () in
   Array.iter
     (fun (u : Update.t) -> S1.update t ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
     stream;
-  let t1 = Unix.gettimeofday () in
+  let ingest_s = Bench_kit.seconds_since t0 in
+  let t1 = Ds_obs.Clock.now_ns () in
   let r = S1.decode (Prng.split rng) t ~eps in
-  let t2 = Unix.gettimeofday () in
+  let decode_s = Bench_kit.seconds_since t1 in
   let b =
     Ds_linalg.Spectral.pencil_bounds ~base:(Weighted_graph.of_graph g)
       ~candidate:r.S1.sparsifier
@@ -78,8 +62,8 @@ let run_case ~label ~eps g =
     edges_in = Graph.num_edges g;
     edges_out = Weighted_graph.num_edges r.S1.sparsifier;
     space_words = r.S1.space_words;
-    ingest_ms = 1000.0 *. (t1 -. t0);
-    decode_ms = 1000.0 *. (t2 -. t1);
+    ingest_ms = 1000.0 *. ingest_s;
+    decode_ms = 1000.0 *. decode_s;
     lambda_min = b.Ds_linalg.Spectral.lambda_min;
     lambda_max = b.Ds_linalg.Spectral.lambda_max;
     ok =
@@ -111,30 +95,31 @@ let () =
   let decode_ms_max = List.fold_left (fun a r -> max a r.decode_ms) 0.0 rows in
   let space_words_max = List.fold_left (fun a r -> max a r.space_words) 0 rows in
   let all_ok = List.for_all (fun r -> r.ok) rows in
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"bench_sparsify/v1\",\n";
-  add "  \"timestamp_utc\": \"%s\",\n" (iso8601_utc ());
-  add "  \"git_sha\": \"%s\",\n" (git_sha ());
-  add "  \"sparsify_decode_ms_max\": %.1f,\n" decode_ms_max;
-  add "  \"sparsify_space_words_max\": %d,\n" space_words_max;
-  add "  \"sparsify_pencil_ok\": %d,\n" (if all_ok then 1 else 0);
-  add "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      add
-        "    { \"graph\": \"%s\", \"eps\": %.2f, \"edges_in\": %d, \"edges_out\": %d, \
-         \"space_words\": %d, \"ingest_ms\": %.1f, \"decode_ms\": %.1f, \"lambda_min\": \
-         %.4f, \"lambda_max\": %.4f, \"ok\": %d }%s\n"
-        r.label r.eps r.edges_in r.edges_out r.space_words r.ingest_ms r.decode_ms
-        r.lambda_min r.lambda_max
-        (if r.ok then 1 else 0)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "sparsify bench: wrote %s\n" out;
+  let open Json in
+  let flag b = int (if b then 1 else 0) in
+  Bench_kit.write ~path:out
+    (Bench_kit.document ~schema:"bench_sparsify/v2"
+       [
+         ("sparsify_decode_ms_max", Bench_kit.fixed 1 decode_ms_max);
+         ("sparsify_space_words_max", int space_words_max);
+         ("sparsify_pencil_ok", flag all_ok);
+         ( "runs",
+           Arr
+             (List.map
+                (fun r ->
+                  Obj
+                    [
+                      ("graph", Str r.label);
+                      ("eps", Bench_kit.fixed 2 r.eps);
+                      ("edges_in", int r.edges_in);
+                      ("edges_out", int r.edges_out);
+                      ("space_words", int r.space_words);
+                      ("ingest_ms", Bench_kit.fixed 1 r.ingest_ms);
+                      ("decode_ms", Bench_kit.fixed 1 r.decode_ms);
+                      ("lambda_min", Bench_kit.fixed 4 r.lambda_min);
+                      ("lambda_max", Bench_kit.fixed 4 r.lambda_max);
+                      ("ok", flag r.ok);
+                    ])
+                rows) );
+       ]);
   if not all_ok then exit 1
