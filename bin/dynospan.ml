@@ -119,6 +119,15 @@ let spanner_hash spanner =
     (List.sort compare !edges);
   Wire.fnv1a64 (Buffer.contents buf)
 
+(* The same digest of a weighted sparsifier: FNV-1a-64 over the sorted
+   "u-v:w;" list with each weight in exact hex-float form. *)
+let sparsifier_hash h =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (u, v, w) -> Printf.bprintf buf "%d-%d:%h;" u v w)
+    (List.sort compare (Weighted_graph.edges h));
+  Wire.fnv1a64 (Buffer.contents buf)
+
 let read_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -392,6 +401,7 @@ let sparsify1p_cmd =
     Fmt.pr "space: %a (bound %a)@." Ds_util.Space.pp_words
       r.Ds_sparsify.Sparsify1p.space_words Ds_util.Space.pp_words
       (int_of_float (Ds_sparsify.Sparsify1p.space_bound ~n ~eps));
+    Fmt.pr "sparsifier-hash: %016Lx@." (sparsifier_hash r.Ds_sparsify.Sparsify1p.sparsifier);
     (* The subcommand is its own acceptance gate: outside the (1 +- eps)
        window it fails loudly so the CI smoke test is a real check. *)
     if

@@ -26,8 +26,6 @@ let lambda_max_pencil ~base ~candidate ?(iters = 100) ?(seed = 1) () =
   if Weighted_graph.n candidate <> n then
     invalid_arg "Power_iteration.lambda_max_pencil: size mismatch";
   (* One application of L_base^+ L_candidate = a CG solve per iteration. *)
-  let apply x =
-    let b = Laplacian.apply candidate x in
-    (Cg.solve base ~b ~tol:1e-10 ()).Cg.x
-  in
+  let apply_candidate = Laplacian.apply candidate and base_op = Laplacian.operator base in
+  let apply x = (Cg.solve base_op ~b:(apply_candidate x) ~tol:1e-10 ()).Cg.x in
   iterate ~n ~iters ~seed apply

@@ -29,8 +29,10 @@ val jl_estimator :
     Laplacian [K = L_g + shift * I] (Spielman–Srivastava JL sketching:
     project the factorization [K = M^T M] onto [reps] Gaussian directions,
     one {!Cg.solve_shifted} per direction up front, O(reps) per queried
-    pair). Relative error concentrates like [1/sqrt reps]. Works on
-    disconnected [g] — the shift keeps [K] positive definite — which is what
-    the single-pass sparsifier chain needs when its early sparsifiers are
-    still fragments. @raise Invalid_argument on [reps < 1]; {!Cg.solve_shifted}
+    pair). One {!Laplacian.op} built per call serves all [reps] solves, and
+    each probe draws its edge Gaussians in that operator's edge order, then
+    its [n] vertex Gaussians. Relative error concentrates like
+    [1/sqrt reps]. Works on disconnected [g] — the shift keeps [K] positive
+    definite — which is what the single-pass sparsifier chain needs when its
+    early sparsifiers are still fragments. @raise Invalid_argument on [reps < 1]; {!Cg.solve_shifted}
     raises on [shift <= 0]. *)

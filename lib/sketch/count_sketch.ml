@@ -50,12 +50,13 @@ let update t ~index ~delta =
   done
 
 let estimate t index =
-  let ests =
-    Array.init t.prm.rows (fun r ->
-        let c = Kwise.to_range t.bucket_hash.(r) index ~bound:t.prm.cols in
-        float_of_int (Words.unsafe_get t.table (cell t r c) * sign t r index))
-  in
-  int_of_float (Stats.median ests)
+  if index < 0 || index >= t.dim then invalid_arg "Count_sketch.estimate: index out of range";
+  let ests = Array.make t.prm.rows 0 in
+  for r = 0 to t.prm.rows - 1 do
+    let c = Kwise.to_range t.bucket_hash.(r) index ~bound:t.prm.cols in
+    ests.(r) <- Words.unsafe_get t.table (cell t r c) * sign t r index
+  done;
+  Stats.median_int ests
 
 let heavy_hitters t ~candidates ~threshold =
   List.filter_map

@@ -30,9 +30,13 @@ val rebind : t -> table:Ds_util.Words.t -> t
     fresh buffer. @raise Invalid_argument on a length mismatch. *)
 
 val update : t -> index:int -> delta:int -> unit
+(** @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val estimate : t -> int -> int
-(** [estimate t i] is the median-of-rows estimate of coordinate [i]. *)
+(** [estimate t i] is the median-of-rows estimate of coordinate [i]
+    ({!Ds_util.Stats.median_int} over one int per row, so a query allocates
+    only that [rows]-word array). @raise Invalid_argument unless
+    [0 <= i < dim]. *)
 
 val heavy_hitters : t -> candidates:int list -> threshold:int -> (int * int) list
 (** Candidates whose estimated magnitude is at least [threshold]. *)

@@ -76,8 +76,7 @@ let estimate_rep t rep =
   go 0
 
 let estimate t =
-  let es = Array.map (fun r -> float_of_int (estimate_rep t r)) t.instances in
-  int_of_float (Stats.median es)
+  Stats.median_int (Array.map (estimate_rep t) t.instances)
 
 let check_compatible t s =
   if

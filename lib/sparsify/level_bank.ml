@@ -57,10 +57,17 @@ let create rng ~dim ~params:prm =
 let params t = t.prm
 let dim t = t.dim
 
-let sample_level t ~bank ~index = min (t.prm.levels - 1) (Kwise.level t.level_hash.(bank) index)
+let[@inline] check_index t index what =
+  if index < 0 || index >= t.dim then invalid_arg ("Level_bank." ^ what ^ ": index out of range")
+
+let level_of t ~bank ~index = min (t.prm.levels - 1) (Kwise.level t.level_hash.(bank) index)
+
+let sample_level t ~bank ~index =
+  check_index t index "sample_level";
+  level_of t ~bank ~index
 
 let update t ~index ~delta =
-  if index < 0 || index >= t.dim then invalid_arg "Level_bank.update: index out of range";
+  check_index t index "update";
   (* Each bank routes the update into exactly one level: the edge's
      geometric class [g(e)] (capped into the last level). The paper's nested
      sample [E_l] is the union of classes >= l; decode re-derives [g(e)]
@@ -68,10 +75,12 @@ let update t ~index ~delta =
      nested prefixes keeps the same sampling semantics while halving the
      collision mass at every level. *)
   for b = 0 to t.prm.banks - 1 do
-    Count_sketch.update t.sketches.(b).(sample_level t ~bank:b ~index) ~index ~delta
+    Count_sketch.update t.sketches.(b).(level_of t ~bank:b ~index) ~index ~delta
   done
 
-let query t ~bank ~level ~index = Count_sketch.estimate t.sketches.(bank).(level) index
+let query t ~bank ~level ~index =
+  check_index t index "query";
+  Count_sketch.estimate t.sketches.(bank).(level) index
 
 let check_compatible t s =
   if t.dim <> s.dim || t.prm <> s.prm then invalid_arg "Level_bank: incompatible banks"

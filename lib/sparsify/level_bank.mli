@@ -41,18 +41,20 @@ val dim : t -> int
 
 val update : t -> index:int -> delta:int -> unit
 (** Route one signed edge update into its geometric class in every bank —
-    the single pass. Cost [rows] cell updates per bank. *)
+    the single pass. Cost [rows] cell updates per bank.
+    @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val sample_level : t -> bank:int -> index:int -> int
 (** The edge's geometric sampling level [g(e)] in [bank] (capped at
     [levels - 1]): the largest [l] with [e in E_l]. Pure function of the
     seed and the index, so decode can re-derive membership without storing
-    it. *)
+    it. @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val query : t -> bank:int -> level:int -> index:int -> int
 (** Median-of-rows CountSketch estimate of the edge's multiplicity, read
     from its class slot — callers pass [level = sample_level ... index].
-    Exact (whp) when the class is sparse relative to [cols]. *)
+    Exact (whp) when the class is sparse relative to [cols].
+    @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val add : t -> t -> unit
 val sub : t -> t -> unit

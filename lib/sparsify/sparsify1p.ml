@@ -86,13 +86,38 @@ type result = {
   chain_sizes : int array;
 }
 
+(* A pair the chain may keep: its multiplicity and its geometric level in
+   every bank. *)
+type candidate = { u : int; v : int; est : int; levels : int array }
+
+(* The one read of the sketch. The multiplicity is read from every bank at
+   the pair's own geometric class there — the deepest, hence sparsest, slot
+   that holds it. Taking the min across banks makes a phantom survive only
+   if independent sketches err upward at the same pair, squaring the
+   (already small) false-positive rate; for a present edge every bank reads
+   the exact multiplicity whp, so the min is exact. Pairs whose min is not
+   positive can never be sampled, so only the rest are kept, in
+   [Edge_index] order. *)
+let read_candidates t =
+  let banks = (Level_bank.params t.bank).Level_bank.banks in
+  let acc = ref [] in
+  Edge_index.iter_pairs ~n:t.n (fun u v ->
+      let index = Edge_index.encode ~n:t.n u v in
+      let levels = Array.init banks (fun b -> Level_bank.sample_level t.bank ~bank:b ~index) in
+      let est = ref max_int in
+      for b = 0 to banks - 1 do
+        est := min !est (Level_bank.query t.bank ~bank:b ~level:levels.(b) ~index)
+      done;
+      if !est > 0 then acc := { u; v; est = !est; levels } :: !acc);
+  Array.of_list (List.rev !acc)
+
 (* The KLMMS chain. K(gamma) = L + gamma I interpolates between the
    well-conditioned gamma0 I (gamma0 >= lambda_max, where resistances are
    the analytic 2/gamma0) and the target L (gamma_floor << eps lambda_2).
    Halving gamma keeps K(gamma/2) <= K(gamma) <= 2 K(gamma/2), so a
    sparsifier of step s-1 gives constant-factor resistance estimates for
    step s; each step samples edge e with probability proportional to its
-   estimated leverage and reads its multiplicity out of the sketch at the
+   estimated leverage and keeps its multiplicity, read once up front at the
    matching geometric level. One sketch state serves every step because the
    sampling sets are nested and banks supply fresh randomness. *)
 let decode rng t ~eps =
@@ -110,6 +135,7 @@ let decode rng t ~eps =
   let steps =
     max 1 (int_of_float (ceil (log (gamma0 /. gamma_floor) /. log 2.0)))
   in
+  let candidates = read_candidates t in
   let h = ref (Weighted_graph.create n) in
   let sizes = Array.make steps 0 in
   for s = 1 to steps do
@@ -130,40 +156,25 @@ let decode rng t ~eps =
     in
     let rate = prm.oversample *. logn /. (eps_s *. eps_s) in
     let out = Weighted_graph.create n in
-    Edge_index.iter_pairs ~n (fun u v ->
-        (* The multiplicity is read from every bank at the pair's own
-           geometric class there — the deepest, hence sparsest, slot that
-           holds it. Taking the min across banks makes a phantom survive
-           only if independent sketches err upward at the same pair,
-           squaring the (already small) false-positive rate; for a present
-           edge every bank reads the exact multiplicity whp, so the min is
-           exact. *)
-        let index = Edge_index.encode ~n u v in
-        let est = ref max_int in
-        for b = 0 to banks - 1 do
-          let g = Level_bank.sample_level t.bank ~bank:b ~index in
-          est := min !est (Level_bank.query t.bank ~bank:b ~level:g ~index)
-        done;
-        if !est > 0 then begin
-          (* A multiplicity-m edge is m parallel unit edges, so its
-             leverage — hence its sampling probability — is m times the
-             pair resistance; est is exact whp and independent of the
-             inclusion coin below, so using it here keeps the sample
-             unbiased while stopping heavy edges from being subsampled and
-             weight-amplified. *)
-          let p = min 1.0 (rate *. float_of_int !est *. resist u v) in
-          let lvl =
-            if p >= 1.0 then 0
-            else if p <= 0.0 then levels - 1
-            else min (levels - 1) (int_of_float (floor (-.(log p /. log 2.0))))
-          in
-          (* Inclusion is decided by bank [bank_ix]'s hash at level [lvl]
-             (probability 2^-lvl); the 2^lvl reweighting keeps the
-             expectation exact. *)
-          if Level_bank.sample_level t.bank ~bank:bank_ix ~index >= lvl then
-            Weighted_graph.add_edge out u v
-              (float_of_int !est *. float_of_int (1 lsl lvl))
-        end);
+    Array.iter
+      (fun c ->
+        (* A multiplicity-m edge is m parallel unit edges, so its leverage —
+           hence its sampling probability — is m times the pair resistance;
+           est is exact whp and independent of the inclusion coin below, so
+           using it here keeps the sample unbiased while stopping heavy
+           edges from being subsampled and weight-amplified. *)
+        let p = min 1.0 (rate *. float_of_int c.est *. resist c.u c.v) in
+        let lvl =
+          if p >= 1.0 then 0
+          else if p <= 0.0 then levels - 1
+          else min (levels - 1) (int_of_float (floor (-.(log p /. log 2.0))))
+        in
+        (* Inclusion is decided by bank [bank_ix]'s hash at level [lvl]
+           (probability 2^-lvl); the 2^lvl reweighting keeps the
+           expectation exact. *)
+        if c.levels.(bank_ix) >= lvl then
+          Weighted_graph.add_edge out c.u c.v (float_of_int c.est *. float_of_int (1 lsl lvl)))
+      candidates;
     sizes.(s - 1) <- Weighted_graph.num_edges out;
     h := out
   done;

@@ -15,15 +15,22 @@
       resistance estimates for [K(gamma / 2)] (since
       [K(gamma/2) <= K(gamma) <= 2 K(gamma/2)]), computed by JL-sketched
       shifted-CG solves ({!Ds_linalg.Resistance.jl_estimator});
-    - each step reads the edge's multiplicity [m_e] out of the sketch,
-      samples it with probability
+    - the sketch is read once, before the first step: every pair's
+      multiplicity [m_e] (the min over banks) and its geometric level in
+      each bank; pairs with [m_e <= 0] can never be kept and are dropped;
+    - each step samples every remaining pair with probability
       [p_e = min 1 (oversample * m_e * R~_e * ln n / eps_s^2)] (the
       leverage of a multiplicity-[m_e] edge is [m_e] resistances) by
       testing membership against the edge's seed-derived geometric
       level; the recovered weight [m_e * 2^level] makes the estimator
       unbiased;
     - intermediate steps run at constant accuracy [chain_eps]; only the
-      final step spends the target [eps], on a bank reserved for it. *)
+      final step spends the target [eps], on a bank reserved for it.
+
+    Decode cost: one [O(dim * banks * rows)] read of the bank, then
+    [O(candidates + jl_reps * iterations * m)] per step, where [m] is the
+    previous step's sparsifier size and [iterations] the CG iterations of
+    each shifted solve. *)
 
 type params = {
   bank : Level_bank.params;  (** the sketch state *)
@@ -79,7 +86,9 @@ type result = {
 
 val decode : Ds_util.Prng.t -> t -> eps:float -> result
 (** Run the chain. [eps] may be any accuracy no smaller than the one the
-    params were sized for. @raise Invalid_eps unless [0 < eps < 1]. *)
+    params were sized for. The bank is queried once per pair and bank; the
+    candidates it yields are held in [O(candidates)] memory for the whole
+    chain. @raise Invalid_eps unless [0 < eps < 1]. *)
 
 val run :
   Ds_util.Prng.t ->

@@ -26,6 +26,26 @@ let median a =
     if n land 1 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
   end
 
+let median_int a =
+  let n = Array.length a in
+  if n = 0 then 0
+  else begin
+    (* Callers pass a handful of sketch rows or repetitions: insertion sort
+       there beats the library sort and its per-comparison closure call. *)
+    if n <= 16 then
+      for i = 1 to n - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else Array.sort Int.compare a;
+    if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) + a.(n / 2)) / 2
+  end
+
 let percentile a q =
   let n = Array.length a in
   if n = 0 then 0.0

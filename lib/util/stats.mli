@@ -11,6 +11,14 @@ val stddev : float array -> float
 val median : float array -> float
 (** Median (average of middle pair for even lengths); 0 on empty. *)
 
+val median_int : int array -> int
+(** [int_of_float (median (Array.map float_of_int a))] without the float
+    array, the copy or the polymorphic compare: the median of an odd-length
+    array, and the mean of the middle pair truncated toward zero for an even
+    length; 0 on empty. Equal to the float form for values below [2^52] in
+    magnitude, where every value and middle-pair sum is exact as a float.
+    Sorts [a] in place. *)
+
 val percentile : float array -> float -> float
 (** [percentile a q] with [q] in [0, 100], nearest-rank with linear
     interpolation; 0 on empty. Does not mutate [a]. *)

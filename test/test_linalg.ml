@@ -49,15 +49,34 @@ let test_laplacian_dense () =
   check_float "zero" 0.0 (Matrix.get l 0 2);
   check_bool "symmetric" true (Matrix.is_symmetric l)
 
+(* Connected, disconnected-with-an-isolated-vertex and edgeless graphs: the
+   solver tests below run on the same three. *)
+let solver_graphs () =
+  [
+    ("connected", Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 2) ~n:20 ~p:0.2));
+    ( "disconnected",
+      Weighted_graph.of_edges 7 [ (0, 1, 2.5); (1, 2, 0.5); (2, 0, 1.0); (3, 4, 4.0); (4, 5, 0.25) ]
+    );
+    ("edgeless", Weighted_graph.create 5);
+  ]
+
 let test_laplacian_apply_matches_dense () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 2) ~n:20 ~p:0.2) in
-  let l = Laplacian.dense g in
   let rng = Prng.create 3 in
-  for _ = 1 to 10 do
-    let x = Vec.random_unit rng 20 in
-    let a = Laplacian.apply g x and b = Matrix.mul_vec l x in
-    check_bool "operator matches dense" true (Vec.norm (Vec.sub a b) < 1e-9)
-  done
+  List.iter
+    (fun (name, g) ->
+      let n = Weighted_graph.n g in
+      let l = Laplacian.dense g and op = Laplacian.operator g in
+      for _ = 1 to 10 do
+        let x = Vec.random_unit rng n in
+        let b = Matrix.mul_vec l x in
+        check_bool (name ^ ": apply matches dense") true
+          (Vec.norm (Vec.sub (Laplacian.apply g x) b) < 1e-9);
+        (* apply_into overwrites whatever its output held. *)
+        let y = Array.make n 7.0 in
+        Laplacian.apply_into op x y;
+        check_bool (name ^ ": apply_into matches dense") true (Vec.norm (Vec.sub y b) < 1e-9)
+      done)
+    (solver_graphs ())
 
 let test_quadratic_form () =
   let g = Weighted_graph.of_edges 3 [ (0, 1, 2.0); (1, 2, 3.0) ] in
@@ -73,10 +92,31 @@ let test_cg_solves () =
   let b = Array.make 30 0.0 in
   b.(3) <- 1.0;
   b.(17) <- -1.0;
-  let { Cg.x; residual; _ } = Cg.solve g ~b () in
+  let { Cg.x; residual; _ } = Cg.solve (Laplacian.operator g) ~b () in
   check_bool "small residual" true (residual < 1e-6);
   let lx = Laplacian.apply g x in
   check_bool "Lx = b" true (Vec.norm (Vec.sub lx b) < 1e-6)
+
+let test_cg_solve_shifted_residual () =
+  (* (L + shift I) is positive definite on every graph, so the solve must
+     leave a small residual against the dense matrix whether the graph is
+     connected, split into components or has no edges at all. *)
+  let rng = Prng.create 6 in
+  List.iter
+    (fun (name, g) ->
+      let n = Weighted_graph.n g in
+      let l = Laplacian.dense g and op = Laplacian.operator g in
+      List.iter
+        (fun shift ->
+          let k = Matrix.add l (Matrix.scale shift (Matrix.identity n)) in
+          let b = Array.init n (fun _ -> Prng.gaussian rng) in
+          let { Cg.x; residual; _ } = Cg.solve_shifted op ~shift ~b () in
+          let what = Printf.sprintf "%s, shift %g" name shift in
+          check_bool (what ^ ": reported residual") true (residual < 1e-8);
+          check_bool (what ^ ": dense residual") true
+            (Vec.norm (Vec.sub (Matrix.mul_vec k x) b) /. Vec.norm b < 1e-8))
+        [ 1e-3; 0.5; 16.0 ])
+    (solver_graphs ())
 
 (* -------------------- Jacobi -------------------- *)
 
@@ -295,7 +335,11 @@ let () =
           Alcotest.test_case "operator matches dense" `Quick test_laplacian_apply_matches_dense;
           Alcotest.test_case "quadratic form" `Quick test_quadratic_form;
         ] );
-      ("cg", [ Alcotest.test_case "solves" `Quick test_cg_solves ]);
+      ( "cg",
+        [
+          Alcotest.test_case "solves" `Quick test_cg_solves;
+          Alcotest.test_case "shifted residual" `Quick test_cg_solve_shifted_residual;
+        ] );
       ( "jacobi",
         [
           Alcotest.test_case "known spectrum" `Quick test_jacobi_known;

@@ -356,6 +356,21 @@ let test_count_sketch_heavy_hitters () =
   let keys = List.map fst hh |> List.sort compare in
   Alcotest.(check (list int)) "finds exactly the heavy ones" [ 7; 9 ] keys
 
+let test_count_sketch_rejects_out_of_range () =
+  let prm = { Count_sketch.rows = 3; cols = 16; hash_degree = 4 } in
+  let s = Count_sketch.create (Prng.create 17) ~dim:100 ~params:prm in
+  List.iter
+    (fun index ->
+      Alcotest.check_raises (Printf.sprintf "update %d" index)
+        (Invalid_argument "Count_sketch.update: index out of range") (fun () ->
+          Count_sketch.update s ~index ~delta:1);
+      Alcotest.check_raises (Printf.sprintf "estimate %d" index)
+        (Invalid_argument "Count_sketch.estimate: index out of range") (fun () ->
+          ignore (Count_sketch.estimate s index)))
+    [ -1; 100 ];
+  Count_sketch.update s ~index:99 ~delta:4;
+  Alcotest.(check int) "last index still readable" 4 (Count_sketch.estimate s 99)
+
 (* -------------------- Packed_l0 -------------------- *)
 
 let test_packed_l0_single () =
@@ -767,6 +782,8 @@ let () =
         [
           Alcotest.test_case "pointwise" `Quick test_count_sketch_pointwise;
           Alcotest.test_case "heavy hitters" `Quick test_count_sketch_heavy_hitters;
+          Alcotest.test_case "rejects out-of-range index" `Quick
+            test_count_sketch_rejects_out_of_range;
         ] );
       ( "packed_l0",
         [

@@ -418,6 +418,64 @@ let test_s1_state_roundtrip_decodes_identically () =
   check_bool "identical edge sets" true
     (Weighted_graph.edges r1.S1.sparsifier = Weighted_graph.edges r2.S1.sparsifier)
 
+(* The decode's output, pinned. Weights are exact integers (a multiplicity
+   times a power of two), so only the choice of edges and their
+   multiplicities can move a digest: FNV-1a-64 over the sorted edge list,
+   rendered as [dynospan sparsify1p] prints its [sparsifier-hash]. *)
+let sparsifier_digest h =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (u, v, w) -> Printf.bprintf b "%d-%d:%h;" u v w)
+    (List.sort compare (Weighted_graph.edges h));
+  Printf.sprintf "%016Lx" (Wire.fnv1a64 (Buffer.contents b))
+
+let s1_pinned_decode ~n ~p ~decoys ~seed ~eps =
+  let root = Prng.create 20140721 in
+  let g = Gen.connected_gnp (Prng.split_named root "graph") ~n ~p in
+  let stream = Stream_gen.with_churn (Prng.create seed) ~decoys g in
+  let t = S1.create (Prng.split_named root "sketch") ~n ~params:(S1.default_params ~n ~eps) in
+  Array.iter (fun u -> S1.update t ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u)) stream;
+  S1.decode (Prng.split_named root "decode") t ~eps
+
+let test_s1_decode_pinned () =
+  (* The perfbench sparsify1p instance. *)
+  let r = s1_pinned_decode ~n:96 ~p:0.2 ~decoys:2_000 ~seed:1 ~eps:0.5 in
+  check_int "n=96 edges" 977 (Weighted_graph.num_edges r.S1.sparsifier);
+  Alcotest.(check string) "n=96 digest" "31939d65af1e4c9b" (sparsifier_digest r.S1.sparsifier);
+  let r = s1_pinned_decode ~n:48 ~p:0.3 ~decoys:500 ~seed:3 ~eps:0.3 in
+  check_int "n=48 edges" 367 (Weighted_graph.num_edges r.S1.sparsifier);
+  Alcotest.(check string) "n=48 digest" "d4ad0ef068f09fc3" (sparsifier_digest r.S1.sparsifier);
+  Alcotest.(check (array int))
+    "n=48 chain sizes"
+    [|
+      54; 117; 205; 319; 346; 364; 366; 366; 367; 367; 367; 366; 366; 366; 367; 367; 367; 367;
+      367; 366; 366; 366; 367;
+    |]
+    r.S1.chain_sizes
+
+let test_s1_bank_rejects_out_of_range () =
+  let bank = s1_test_bank 34 in
+  let dim = LB.dim bank in
+  let raises what index f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s %d" what index)
+      (Invalid_argument (Printf.sprintf "Level_bank.%s: index out of range" what))
+      (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun index ->
+      raises "update" index (fun () -> LB.update bank ~index ~delta:1);
+      raises "sample_level" index (fun () -> LB.sample_level bank ~bank:0 ~index);
+      raises "query" index (fun () -> LB.query bank ~bank:1 ~level:0 ~index))
+    [ -1; dim ];
+  (* The ends of the range still work. *)
+  List.iter
+    (fun index ->
+      LB.update bank ~index ~delta:3;
+      let level = LB.sample_level bank ~bank:0 ~index in
+      check_int (Printf.sprintf "query %d" index) 3 (LB.query bank ~bank:0 ~level ~index))
+    [ 0; dim - 1 ]
+
 let () =
   Alcotest.run "sparsifier"
     [
@@ -458,6 +516,9 @@ let () =
           Alcotest.test_case "empty stream" `Quick test_s1_empty_stream;
           Alcotest.test_case "state roundtrip decodes identically" `Slow
             test_s1_state_roundtrip_decodes_identically;
+          Alcotest.test_case "decode output pinned" `Quick test_s1_decode_pinned;
+          Alcotest.test_case "bank rejects out-of-range index" `Quick
+            test_s1_bank_rejects_out_of_range;
           QCheck_alcotest.to_alcotest prop_s1_pencil;
           QCheck_alcotest.to_alcotest prop_s1_serialize_merge_commutes;
           QCheck_alcotest.to_alcotest prop_s1_size_vs_two_pass;

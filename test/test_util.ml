@@ -156,7 +156,17 @@ let test_stats_basics () =
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 0.0);
   Alcotest.(check (float 1e-9)) "p100" 3.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 100.0);
   Alcotest.(check (float 1e-9)) "p50" 2.0 (Stats.percentile [| 3.0; 1.0; 2.0 |] 50.0);
-  Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean [||])
+  Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean [||]);
+  Alcotest.(check int) "median_int empty" 0 (Stats.median_int [||]);
+  (* Past 16 elements median_int hands over to the library sort. *)
+  Alcotest.(check int) "median_int long" (-2) (Stats.median_int (Array.init 20 (fun i -> 7 - i)))
+
+let prop_median_int_matches_float =
+  QCheck.Test.make ~name:"median_int a = int_of_float (median (float a))" ~count:500
+    QCheck.(array_of_size Gen.(1 -- 9) (int_range (-1_000_000) 1_000_000))
+    (fun a ->
+      let expected = int_of_float (Stats.median (Array.map float_of_int a)) in
+      Stats.median_int (Array.copy a) = expected)
 
 let test_stats_tv () =
   Alcotest.(check (float 1e-9)) "identical" 0.0
@@ -402,6 +412,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "total variation" `Quick test_stats_tv;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
+          QCheck_alcotest.to_alcotest prop_median_int_matches_float;
         ] );
       ( "wire",
         [
