@@ -440,7 +440,8 @@ let forest_cmd =
     Fmt.pr "forest: %d edges (expected %d)@." (List.length forest) (n - Components.count g);
     Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.Agm_sketch.space_in_words t);
     let all_real = List.for_all (fun (u, v) -> Graph.mem_edge g u v) forest in
-    Fmt.pr "all forest edges real: %b@." all_real
+    Fmt.pr "all forest edges real: %b@." all_real;
+    Fmt.pr "forest-hash: %016Lx@." (spanner_hash (Graph.of_edges n forest))
   in
   Cmd.v
     (Cmd.info "forest" ~doc:"AGM spanning forest from linear sketches.")

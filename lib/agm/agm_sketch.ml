@@ -8,42 +8,35 @@ type params = { copies : int; sampler : L0_sampler.params }
    copy-major (copy [c] vertex [u] at [((c*n) + u) * sampler_words]):
    merging two whole sketches is one triple-kernel pass, each repetition
    is a contiguous region (so {!Copy} slices merge with one pass too),
-   and a domain replica is a single zeroed allocation. *)
+   and a domain replica is a single zeroed allocation.  Within one copy
+   all vertices share hash functions so that their sketches are
+   compatible (mergeable); copies are independent.  [configs] keeps each
+   copy's sampler structure once. *)
 type t = {
   n : int;
   prm : params;
+  configs : L0_sampler.config array; (* one per copy *)
+  sampler_words : int;
   words : Words.t;
-  (* samplers.(c).(u): copy c of vertex u's incidence sampler — views
-     into [words]. *)
-  samplers : L0_sampler.t array array;
 }
 
 let default_params ~n =
   { copies = F0.levels_for n + 3; sampler = L0_sampler.default_params }
 
-let embed_samplers ~n samplers words =
-  let sw = L0_sampler.state_words samplers.(0).(0) in
-  Array.mapi
-    (fun c row ->
-      Array.mapi (fun u sk -> L0_sampler.clone_into sk ~words ~off:(((c * n) + u) * sw)) row)
-    samplers
-
 let create rng ~n ~params:prm =
   if n < 2 then invalid_arg "Agm_sketch.create: need at least two vertices";
   let dim = Edge_index.dim n in
-  let protos =
+  let configs =
     Array.init prm.copies (fun c ->
-        (* Within one copy all vertices share hash functions so that their
-           sketches are compatible (mergeable); copies are independent.
-           Viewing every vertex off one prototype shares the immutable hash
-           state and fingerprint ladders physically across all n vertices. *)
-        let copy_rng = Prng.split_named rng (Printf.sprintf "copy%d" c) in
-        L0_sampler.create (Prng.copy copy_rng) ~dim ~params:prm.sampler)
+        L0_sampler.make_config
+          (Prng.split_named rng (Printf.sprintf "copy%d" c))
+          ~dim ~params:prm.sampler)
   in
-  let sw = L0_sampler.state_words protos.(0) in
-  let words = Words.create (prm.copies * n * sw) in
-  let samplers = Array.map (fun proto -> Array.make n proto) protos in
-  { n; prm; words; samplers = embed_samplers ~n samplers words }
+  let sampler_words = L0_sampler.state_words configs.(0) in
+  { n; prm; configs; sampler_words; words = Words.create (prm.copies * n * sampler_words) }
+
+(* Vertex [u]'s sampler of copy [c]; callers have checked both. *)
+let[@inline] sampler_off t c u = ((c * t.n) + u) * t.sampler_words
 
 let n t = t.n
 let copies t = t.prm.copies
@@ -59,9 +52,7 @@ let certified_delta ~n ~copies =
   if copies <= 0 then 1.0
   else min 1.0 (2.0 ** float_of_int (F0.levels_for n - copies))
 
-let clone_zero t =
-  let words = Words.create (Words.length t.words) in
-  { t with words; samplers = embed_samplers ~n:t.n t.samplers words }
+let clone_zero t = { t with words = Words.create (Words.length t.words) }
 
 let reset t = Words.fill t.words 0
 
@@ -69,6 +60,7 @@ let signed_delta ~u ~v delta = if u < v then delta else -delta
 
 let update t ~u ~v ~delta =
   if u = v then invalid_arg "Agm_sketch.update: self-loop";
+  (* Rejects a vertex outside [0, n) before any offset is formed. *)
   let idx = Edge_index.encode ~n:t.n u v in
   let x = Kwise.fold_key idx in
   (* The folded key and its powers are shared by every hash evaluation this
@@ -77,12 +69,13 @@ let update t ~u ~v ~delta =
   let x4 = Field.mul x2 x2 in
   let du = signed_delta ~u ~v delta in
   for c = 0 to t.prm.copies - 1 do
-    let su = t.samplers.(c).(u) and sv = t.samplers.(c).(v) in
+    let cfg = Array.unsafe_get t.configs c in
     (* Both endpoints' samplers share this copy's hash functions: one level
        evaluation and one set of bucket evaluations serves both, +du into
        [u]'s sketch and -du into [v]'s. *)
-    let level = L0_sampler.level_of_pows su ~x ~x2 ~x4 in
-    L0_sampler.update_prepared_pair_pows su sv ~index:idx ~x ~x2 ~x4 ~level ~delta:du
+    let level = L0_sampler.level_of_pows cfg ~x ~x2 ~x4 in
+    L0_sampler.update_prepared_pair_pows cfg t.words ~plus:(sampler_off t c u)
+      ~minus:(sampler_off t c v) ~index:idx ~x ~x2 ~x4 ~level ~delta:du
   done
 
 let update_slice t updates ~pos ~len =
@@ -130,12 +123,7 @@ let subtract_graph t g =
   Graph.iter_edges g (fun u v -> update t ~u ~v ~delta:(-1))
 
 let check_compatible t s =
-  if
-    t.n <> s.n || t.prm <> s.prm
-    || not
-         (Array.for_all2
-            (fun a b -> L0_sampler.compatible a.(0) b.(0))
-            t.samplers s.samplers)
+  if t.n <> s.n || t.prm <> s.prm || not (Array.for_all2 L0_sampler.compatible t.configs s.configs)
   then invalid_arg "Agm_sketch: incompatible"
 
 (* All copies x n samplers merge in one pass over the two buffers. *)
@@ -184,7 +172,8 @@ let spanning_forest ?labels ?copies t =
     let members = Union_find.class_members uf in
     (* One fresh sampler copy per Boruvka round — only copies the caller
        certifies as usable (the surviving quorum, in degraded decodes). *)
-    let copy = t.samplers.(usable.(!round)) in
+    let c = usable.(!round) in
+    let cfg = t.configs.(c) and sw = t.sampler_words in
     incr round;
     (* Candidate outgoing edge per component, from the merged sketch. *)
     let candidates = ref [] in
@@ -194,9 +183,15 @@ let spanning_forest ?labels ?copies t =
         match mem with
         | [] -> ()
         | first :: rest -> (
-            let merged = L0_sampler.copy copy.(first) in
-            List.iter (fun v -> L0_sampler.add merged copy.(v)) rest;
-            match L0_sampler.classify merged with
+            let merged = Words.create sw in
+            Words.blit ~src:t.words ~src_pos:(sampler_off t c first) ~dst:merged ~dst_pos:0
+              ~len:sw;
+            List.iter
+              (fun v ->
+                Words.add_tri_range ~src:t.words ~src_pos:(sampler_off t c v) ~dst:merged
+                  ~dst_pos:0 ~len:sw)
+              rest;
+            match L0_sampler.classify_at cfg merged ~off:0 with
             | `Empty -> ()
             | `Fail -> all_empty := false
             | `Sample (idx, _) ->
@@ -216,19 +211,34 @@ let spanning_forest ?labels ?copies t =
   !forest
 
 let space_in_words t =
-  Array.fold_left
-    (fun acc row -> Array.fold_left (fun a sk -> a + L0_sampler.space_in_words sk) acc row)
-    0 t.samplers
+  Array.fold_left (fun a cfg -> a + (t.n * L0_sampler.space_in_words_of cfg)) 0 t.configs
+
+(* Every sampler of [cfg] in the [n]-vertex region of [words] at [base],
+   in vertex order: the body of one repetition. *)
+let write_copy cfg ~n ~sw words ~base sink =
+  for u = 0 to n - 1 do
+    L0_sampler.write_at cfg words ~off:(base + (u * sw)) sink
+  done
+
+let read_copy cfg ~n ~sw words ~base src =
+  for u = 0 to n - 1 do
+    L0_sampler.read_at cfg words ~off:(base + (u * sw)) src
+  done
 
 let write t sink =
   Wire.write_tag sink "agm";
   Wire.write_int sink t.n;
-  Array.iter (Array.iter (fun s -> L0_sampler.write s sink)) t.samplers
+  Array.iteri
+    (fun c cfg ->
+      write_copy cfg ~n:t.n ~sw:t.sampler_words t.words ~base:(sampler_off t c 0) sink)
+    t.configs
 
 let read_into t src =
   Wire.expect_tag src "agm";
   if Wire.read_int src <> t.n then failwith "Agm_sketch.read_into: size mismatch";
-  Array.iter (Array.iter (fun s -> L0_sampler.read_into s src)) t.samplers
+  Array.iteri
+    (fun c cfg -> read_copy cfg ~n:t.n ~sw:t.sampler_words t.words ~base:(sampler_off t c 0) src)
+    t.configs
 
 module Linear = struct
   type nonrec t = t
@@ -270,17 +280,24 @@ module Copy = struct
     sn : int;
     sprm : params;
     c : int;
+    cfg : L0_sampler.config; (* the parent's configs.(c) *)
+    sw : int;
     cwords : Words.t; (* the parent buffer region of this repetition *)
-    row : L0_sampler.t array; (* the parent's samplers.(c), physically shared *)
   }
 
   let slice t c =
     if c < 0 || c >= t.prm.copies then invalid_arg "Agm_sketch.Copy.slice: copy out of range";
     (* Copy-major layout: repetition [c] is the contiguous buffer region
        [c*n*sw .. (c+1)*n*sw), so slice merges are one kernel pass. *)
-    let sw = L0_sampler.state_words t.samplers.(0).(0) in
-    let cwords = Words.view t.words ~pos:(c * t.n * sw) ~len:(t.n * sw) in
-    { sn = t.n; sprm = t.prm; c; cwords; row = t.samplers.(c) }
+    let sw = t.sampler_words in
+    {
+      sn = t.n;
+      sprm = t.prm;
+      c;
+      cfg = t.configs.(c);
+      sw;
+      cwords = Words.view t.words ~pos:(sampler_off t c 0) ~len:(t.n * sw);
+    }
 
   let index t = t.c
 
@@ -305,19 +322,10 @@ module Copy = struct
         p.L0_sampler.hash_degree;
       |]
 
-    let clone_zero s =
-      let sw = L0_sampler.state_words s.row.(0) in
-      let words = Words.create (Array.length s.row * sw) in
-      {
-        s with
-        cwords = words;
-        row = Array.mapi (fun u sk -> L0_sampler.clone_into sk ~words ~off:(u * sw)) s.row;
-      }
+    let clone_zero s = { s with cwords = Words.create (Words.length s.cwords) }
 
     let check_compatible a b =
-      if
-        a.sn <> b.sn || a.c <> b.c || a.sprm <> b.sprm
-        || not (L0_sampler.compatible a.row.(0) b.row.(0))
+      if a.sn <> b.sn || a.c <> b.c || a.sprm <> b.sprm || not (L0_sampler.compatible a.cfg b.cfg)
       then invalid_arg "Agm_sketch.Copy: incompatible slices"
 
     let add a b =
@@ -337,15 +345,13 @@ module Copy = struct
       let x2 = Field.mul x x in
       let x4 = Field.mul x2 x2 in
       let du = signed_delta ~u ~v delta in
-      let su = s.row.(u) and sv = s.row.(v) in
-      let level = L0_sampler.level_of_pows su ~x ~x2 ~x4 in
-      L0_sampler.update_prepared_pair_pows su sv ~index ~x ~x2 ~x4 ~level ~delta:du
+      let level = L0_sampler.level_of_pows s.cfg ~x ~x2 ~x4 in
+      L0_sampler.update_prepared_pair_pows s.cfg s.cwords ~plus:(u * s.sw) ~minus:(v * s.sw) ~index
+        ~x ~x2 ~x4 ~level ~delta:du
 
-    let space_in_words s =
-      Array.fold_left (fun a sk -> a + L0_sampler.space_in_words sk) 0 s.row
-
-    let write_body s sink = Array.iter (fun sk -> L0_sampler.write sk sink) s.row
-    let read_body s src = Array.iter (fun sk -> L0_sampler.read_into sk src) s.row
+    let space_in_words s = s.sn * L0_sampler.space_in_words_of s.cfg
+    let write_body s sink = write_copy s.cfg ~n:s.sn ~sw:s.sw s.cwords ~base:0 sink
+    let read_body s src = read_copy s.cfg ~n:s.sn ~sw:s.sw s.cwords ~base:0 src
   end
 
   let serialize ?trace s = Ds_sketch.Linear_sketch.serialize ?trace (module Linear) s

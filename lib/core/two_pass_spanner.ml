@@ -68,11 +68,17 @@ type pass1 = {
   levels : int; (* number of sampling levels J *)
   level_hash : Kwise.t; (* nested E_j membership: e in E_j iff level(e) >= j *)
   centers : Clustering.centers;
-  (* sketches.(u).(r-1).(j) = S^r_j(u), r in [1, k-1]. *)
-  sketches : Sparse_recovery.t array array array;
+  (* S^r_j(u), r in [1, k-1]: every vertex shares the (r, j) structure
+     configs.(r-1).(j), and u's grid sits at [grid_off p u (r-1) j] in
+     [words], vertex-major. *)
+  configs : Sparse_recovery.config array array;
+  grid_words : int;
+  words : Words.t;
   accessed : (int, unit) Hashtbl.t; (* edge indices revealed by any decode *)
   mutable decode_failures : int;
 }
+
+let[@inline] grid_off p u ri j = ((((u * (p.prm.k - 1)) + ri) * p.levels) + j) * p.grid_words
 
 let make_pass1 rng ~n ~prm =
   let edge_dim = Edge_index.dim n in
@@ -85,18 +91,14 @@ let make_pass1 rng ~n ~prm =
       hash_degree = prm.hash_degree;
     }
   in
-  (* One prototype per (r, j): all vertices share its hashes (mergeable). *)
-  let protos =
+  let configs =
     Array.init (max 0 (prm.k - 1)) (fun ri ->
         Array.init levels (fun j ->
-            Sparse_recovery.create
+            Sparse_recovery.make_config
               (Prng.split_named rng (Printf.sprintf "s.%d.%d" ri j))
               ~dim:edge_dim ~params:sr_params))
   in
-  let sketches =
-    Array.init n (fun _ ->
-        Array.map (Array.map Sparse_recovery.clone_zero) protos)
-  in
+  let grid_words = if prm.k > 1 then Sparse_recovery.grid_words configs.(0).(0) else 0 in
   {
     n;
     prm;
@@ -104,7 +106,9 @@ let make_pass1 rng ~n ~prm =
     levels;
     level_hash = Kwise.create (Prng.split_named rng "elevels") ~k:prm.hash_degree;
     centers;
-    sketches;
+    configs;
+    grid_words;
+    words = Words.create (n * Array.length configs * levels * grid_words);
     accessed = Hashtbl.create 1024;
     decode_failures = 0;
   }
@@ -115,31 +119,24 @@ let pass1_update p (u : Update.t) =
   let folded = Kwise.fold_key idx in
   let lvl = min (Kwise.level_folded p.level_hash folded) (p.levels - 1) in
   for r = 1 to p.prm.k - 1 do
+    let cs = p.configs.(r - 1) in
     if p.centers.(r).(u.Update.v) then
       for j = 0 to lvl do
-        Sparse_recovery.update_folded p.sketches.(u.Update.u).(r - 1).(j) ~index:idx ~folded ~delta
+        Sparse_recovery.update_folded cs.(j) p.words
+          ~off:(grid_off p u.Update.u (r - 1) j)
+          ~index:idx ~folded ~delta
       done;
     if p.centers.(r).(u.Update.u) then
       for j = 0 to lvl do
-        Sparse_recovery.update_folded p.sketches.(u.Update.v).(r - 1).(j) ~index:idx ~folded ~delta
+        Sparse_recovery.update_folded cs.(j) p.words
+          ~off:(grid_off p u.Update.v (r - 1) j)
+          ~index:idx ~folded ~delta
       done
   done
 
-(* Sharded pass-1 fill: the sketch array is a linear function of the stream,
-   so per-domain replicas (sharing the immutable hash state) summed cell-wise
-   equal the sequentially filled array exactly. *)
-let clone_sketches_zero p =
-  Array.map (Array.map (Array.map Sparse_recovery.clone_zero)) p.sketches
-
-let merge_sketches dst src =
-  Array.iteri
-    (fun u per_r ->
-      Array.iteri
-        (fun ri per_j ->
-          Array.iteri (fun j sk -> Sparse_recovery.add dst.(u).(ri).(j) sk) per_j)
-        per_r)
-    src
-
+(* Sharded pass-1 fill: the sketch buffer is a linear function of the
+   stream, so per-domain replicas (sharing the immutable hash state)
+   summed word-wise equal the sequentially filled buffer exactly. *)
 let pass1_fill p ~ingest stream =
   Ds_obs.Metrics.incr m_p1_updates (Array.length stream);
   Ds_obs.Trace.with_span "spanner.pass1" @@ fun () ->
@@ -147,12 +144,12 @@ let pass1_fill p ~ingest stream =
   | `Sequential -> Array.iter (pass1_update p) stream
   | `Parallel pool ->
       Ds_par.Shard_ingest.ingest_into pool
-        ~clone_zero:(fun q -> { q with sketches = clone_sketches_zero q })
+        ~clone_zero:(fun q -> { q with words = Words.create (Words.length q.words) })
         ~update:(fun replica stream ~pos ~len ->
           for i = pos to pos + len - 1 do
             pass1_update replica stream.(i)
           done)
-        ~add:(fun a b -> merge_sketches a.sketches b.sketches)
+        ~add:(fun a b -> Words.add_tri a.words b.words)
         p stream
 
 (* Attach callback: sum member sketches for target level r = level+1, then
@@ -188,14 +185,20 @@ let attach p ~level ~root:_ ~members =
     match members with
     | [] -> invalid_arg "Two_pass_spanner.attach: empty cluster"
     | first :: rest ->
-        let acc = Sparse_recovery.copy p.sketches.(first).(r - 1).(j) in
-        List.iter (fun v -> Sparse_recovery.add acc p.sketches.(v).(r - 1).(j)) rest;
+        let len = p.grid_words in
+        let acc = Words.create len in
+        Words.blit ~src:p.words ~src_pos:(grid_off p first (r - 1) j) ~dst:acc ~dst_pos:0 ~len;
+        List.iter
+          (fun v ->
+            Words.add_tri_range ~src:p.words ~src_pos:(grid_off p v (r - 1) j) ~dst:acc
+              ~dst_pos:0 ~len)
+          rest;
         acc
   in
   let rec scan j =
     if j < 0 then None
     else
-      match Sparse_recovery.decode (merged j) with
+      match Sparse_recovery.decode_at p.configs.(r - 1).(j) (merged j) ~off:0 with
       | Some [] -> scan (j - 1)
       | Some assoc -> (
           record assoc;
@@ -324,12 +327,18 @@ let read_params src =
     hash_degree;
   }
 
+(* Every grid in layout order (vertex, then r, then level). *)
+let iter_grids p1 f =
+  for u = 0 to p1.n - 1 do
+    Array.iteri (fun ri row -> Array.iteri (fun j c -> f c ~off:(grid_off p1 u ri j)) row) p1.configs
+  done
+
 let serialize_pass1 p1 =
   Envelope.seal ~magic:checkpoint_magic (fun sink ->
       Wire.write_int sink p1.n;
       write_params sink p1.prm;
       Wire.write_int sink p1.levels;
-      Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.write sk sink))) p1.sketches)
+      iter_grids p1 (fun c ~off -> Sparse_recovery.write_at c p1.words ~off sink))
 
 type checkpoint_error = Envelope of Envelope.error | Header_mismatch of { field : string }
 
@@ -349,10 +358,7 @@ let load_pass1_result p1 data =
       else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
       else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
       else
-        Ok
-          (Array.iter
-             (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src)))
-             p1.sketches))
+        Ok (iter_grids p1 (fun c ~off -> Sparse_recovery.read_at c p1.words ~off src)))
   |> Result.map fst
 
 
@@ -374,8 +380,7 @@ let derive rng ~n ~prm =
    this quantity against [space_bound]. *)
 let pass1_space_words p1 =
   let per_sketch =
-    if p1.prm.k > 1 then Sparse_recovery.space_in_words p1.sketches.(0).(0).(0)
-    else 0
+    if p1.prm.k > 1 then Sparse_recovery.space_in_words_of p1.configs.(0).(0) else 0
   in
   p1.n * (p1.prm.k - 1) * p1.levels * per_sketch
 

@@ -16,19 +16,6 @@ val default_params : params
 
 val create : Ds_util.Prng.t -> dim:int -> params:params -> t
 
-val create_over : Ds_util.Prng.t -> dim:int -> params:params -> table:Ds_util.Words.t -> t
-(** {!create} over caller-provided storage (typically a {!Ds_util.Words.view}
-    into a container's flat buffer): the sketch aliases [table] instead of
-    allocating. This is how a bank of sketches (e.g. the single-pass
-    sparsifier's level chain) lives in one contiguous allocation whose
-    merge/zero/ship cost is one whole-buffer call.
-    @raise Invalid_argument unless [Words.length table = rows * cols]. *)
-
-val rebind : t -> table:Ds_util.Words.t -> t
-(** The same sketch (shared hash functions, hence wire-compatible) over new
-    storage — how a container's [clone_zero] re-attaches its level views to a
-    fresh buffer. @raise Invalid_argument on a length mismatch. *)
-
 val update : t -> index:int -> delta:int -> unit
 (** @raise Invalid_argument unless [0 <= index < dim]. *)
 
@@ -58,5 +45,29 @@ val write : t -> Ds_util.Wire.sink -> unit
 val read_into : t -> Ds_util.Wire.source -> unit
 (** Overwrite [t]'s counters; [t] must share the writer's seed/shape.
     @raise Failure on mismatch or truncation. *)
+
+(** {2 Offset kernels}
+
+    A bank of CountSketch tables ({!Ds_sparsify.Level_bank}) keeps one
+    {!config} per table and every table's counters in one
+    {!Ds_util.Words} buffer, each at a word offset.  These functions take
+    that buffer and offset and check no bounds. *)
+
+type config
+(** The bucket and sign hashes of one table. *)
+
+val make_config : Ds_util.Prng.t -> dim:int -> params:params -> config
+(** The structure {!create} draws from the same generator state.
+    @raise Invalid_argument on non-positive [rows] or [cols]. *)
+
+val update_at : config -> Ds_util.Words.t -> off:int -> index:int -> delta:int -> unit
+(** {!update} of the table at [off]; requires [0 <= index < dim]. *)
+
+val estimate_at : config -> Ds_util.Words.t -> off:int -> int -> int
+(** {!estimate} from the table at [off]; requires [0 <= index < dim]. *)
+
+val space_in_words_of : config -> int
+(** {!space_in_words} of any table of this structure: [rows * cols]
+    counters plus the hash coefficients. *)
 
 module Linear : Linear_sketch.S with type t = t

@@ -32,39 +32,11 @@ val update_batch : t -> (int * int) array -> unit
 
 val clone_zero : t -> t
 (** A fresh zero sampler compatible with [t], sharing its (immutable) hash
-    functions and fingerprint ladders. O(sketch cells), not O(create). *)
-
-(** {2 Kernel API} — no bounds checks; see {!Sparse_recovery.update_folded}. *)
-
-val level_of : t -> folded:int -> int
-(** The sampling level of a pre-folded key (already capped to the sketch's
-    level count). Vertices sharing hash structure share levels, so container
-    sketches ({!Ds_agm.Agm_sketch}) evaluate this once per update. *)
-
-val update_prepared : t -> index:int -> folded:int -> level:int -> delta:int -> unit
-(** {!update} with fold and level hoisted; [folded = Kwise.fold_key index],
-    [level = level_of t ~folded]. *)
-
-val update_prepared_pair : t -> t -> index:int -> folded:int -> level:int -> delta:int -> unit
-(** [+delta] into the first sampler and [-delta] into the second with one
-    set of hash evaluations; both must be clones sharing hash structure
-    (see {!Sparse_recovery.update_folded_pair}). *)
+    functions and fingerprint ladders: one zeroed buffer allocation. *)
 
 val update_folded : t -> index:int -> folded:int -> delta:int -> unit
-(** {!update_prepared} computing the level itself. *)
-
-val level_of_pows : t -> x:int -> x2:int -> x4:int -> int
-(** {!level_of} with the folded key's square and fourth power supplied
-    (see {!Sparse_recovery.update_pows}); the deepest-shared hoist for
-    containers evaluating many samplers at one key. *)
-
-val update_prepared_pows :
-  t -> index:int -> x:int -> x2:int -> x4:int -> level:int -> delta:int -> unit
-(** {!update_prepared} with precomputed key powers. *)
-
-val update_prepared_pair_pows :
-  t -> t -> index:int -> x:int -> x2:int -> x4:int -> level:int -> delta:int -> unit
-(** {!update_prepared_pair} with precomputed key powers. *)
+(** {!update} with the key fold hoisted out: [folded] must equal
+    [Kwise.fold_key index]. No bounds check. *)
 
 val sample : t -> (int * int) option
 (** [Some (index, value)] for a non-zero coordinate chosen near-uniformly,
@@ -76,9 +48,6 @@ val classify : t -> [ `Empty | `Sample of int * int | `Fail ]
     (the support exists but no level isolated it). Boruvka loops need the
     distinction to tell "done" from "retry with a fresh copy". *)
 
-val support_hint : t -> int
-(** Rough support-size estimate from the level structure (factor O(1)). *)
-
 val add : t -> t -> unit
 val sub : t -> t -> unit
 val copy : t -> t
@@ -86,23 +55,66 @@ val copy : t -> t
 val reset : t -> unit
 (** Zero every counter in place — one fill of the underlying buffer. *)
 
-val state_words : t -> int
-(** Word count of the all-levels counter buffer: the reservation a
-    container makes to {!clone_into} this sampler. *)
-
-val clone_into : t -> words:Ds_util.Words.t -> off:int -> t
-(** {!clone_zero} into a caller-provided (zeroed) buffer window at
-    [off]: the embedded sampler aliases the caller's storage, so e.g.
-    {!Ds_agm.Agm_sketch} holds its whole copies x vertices sampler grid
-    in one allocation and merges it with one kernel call. *)
-
-val compatible : t -> t -> bool
-(** Same shape, hashes drawn from equal seeds — the merge precondition. *)
-
 val space_in_words : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
 val read_into : t -> Ds_util.Wire.source -> unit
 (** Counter (de)serialisation; see {!Ds_sketch.One_sparse.write}. *)
+
+(** {2 Offset kernels}
+
+    {!Ds_agm.Agm_sketch} holds [copies x n] samplers: one {!config} per
+    copy, shared by all [n] vertices, and every sampler's counters in one
+    {!Ds_util.Words} buffer at a word offset.  These functions take that
+    buffer and offset; none checks bounds. *)
+
+type config
+(** The level and tie-break hashes and one {!Sparse_recovery.config} per
+    level. *)
+
+val make_config : Ds_util.Prng.t -> dim:int -> params:params -> config
+(** The structure {!create} draws from the same generator state. *)
+
+val state_words : config -> int
+(** Word count of one sampler's counters (every level's grid): the
+    reservation a container makes per sampler. *)
+
+val compatible : config -> config -> bool
+(** Same shape, hashes drawn from equal seeds — the merge precondition. *)
+
+val level_of_pows : config -> x:int -> x2:int -> x4:int -> int
+(** The sampling level of a folded key [x] (with [x2 = Field.mul x x] and
+    [x4 = Field.mul x2 x2]), capped to the level count.  Samplers sharing
+    a config share levels, so a container evaluates this once per
+    update. *)
+
+val update_prepared_pair_pows :
+  config ->
+  Ds_util.Words.t ->
+  plus:int ->
+  minus:int ->
+  index:int ->
+  x:int ->
+  x2:int ->
+  x4:int ->
+  level:int ->
+  delta:int ->
+  unit
+(** [+delta] into the sampler at [plus] and [-delta] into the one at
+    [minus], with [level = level_of_pows c ~x ~x2 ~x4] and one set of hash
+    evaluations (see {!Sparse_recovery.update_pows_pair}). *)
+
+val classify_at : config -> Ds_util.Words.t -> off:int -> [ `Empty | `Sample of int * int | `Fail ]
+(** {!classify} of the sampler at [off]. *)
+
+val space_in_words_of : config -> int
+(** {!space_in_words} of any sampler of this structure. *)
+
+val write_at : config -> Ds_util.Words.t -> off:int -> Ds_util.Wire.sink -> unit
+(** {!write} of the sampler at [off]. *)
+
+val read_at : config -> Ds_util.Words.t -> off:int -> Ds_util.Wire.source -> unit
+(** {!read_into} the sampler at [off].
+    @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

@@ -14,7 +14,7 @@
     recovery matrix is a hashed array of these). *)
 
 type t
-(** Mutable sketch state (3 words + the shared fingerprint base). *)
+(** Mutable sketch state (3 words + the shared fingerprint ladder). *)
 
 type result =
   | Zero  (** the sketched vector is (whp) identically zero *)
@@ -29,7 +29,8 @@ val create : Ds_util.Prng.t -> dim:int -> t
 val update : t -> index:int -> delta:int -> unit
 (** Add [delta] to coordinate [index]. O(1) field ops: the fingerprint power
     [r^(index+1)] comes from a cached ladder ({!Ds_util.Field.Pow}) built
-    once per base at {!create} time and shared by {!copy}/{!clone_zero}. *)
+    once per base at {!create} time and shared by {!copy}/{!clone_zero}.
+    @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val update_batch : t -> (int * int) array -> unit
 (** [update_batch t pairs] applies [(index, delta)] pairs in order;
@@ -39,34 +40,39 @@ val clone_zero : t -> t
 (** A fresh zero sketch compatible with [t]: shares the fingerprint base and
     the (immutable) power ladder. Allocates a private 3-word buffer. *)
 
-(** {2 Low-level kernel API}
+(** {2 Offset kernels}
 
-    Containers that hash one update into many cells sharing a fingerprint
-    base ({!Sparse_recovery} rows) compute the fingerprint term once and
-    apply it per cell. Misuse voids decoding — these skip every check. *)
+    A container holding a grid of cells that share one fingerprint base
+    ({!Sparse_recovery}) keeps one {!config} — the fingerprint ladder —
+    and the cells' counters in its own buffer, each cell a triple at a
+    word offset.  The triple layout matches {!Ds_util.Words.add_tri}, so
+    the whole grid merges with one buffer-level call.  The kernels skip
+    every check; misuse voids decoding. *)
+
+type config
+(** Dimension, fingerprint base and the cached power ladder. *)
+
+val make_config : Ds_util.Prng.t -> dim:int -> config
+(** The ladder {!create} draws from the same generator state. *)
 
 val state_words : int
 (** 3: the number of buffer words a cell occupies (c0, c1, c2). *)
 
-val compatible : t -> t -> bool
+val compatible : config -> config -> bool
 (** Same dimension and fingerprint base — the merge precondition.
     Containers check this once per merge instead of once per cell. *)
 
-val view : t -> words:Ds_util.Words.t -> off:int -> t
-(** [view t ~words ~off] is a sketch compatible with [t] whose counters
-    live at [words.[off .. off+2]] — an alias, not a copy.  This is how
-    containers embed their cell grid in one contiguous allocation: the
-    triple layout matches {!Ds_util.Words.add_tri}, so the whole grid
-    merges with one buffer-level call. *)
-
-val fingerprint_pow : t -> int -> int
-(** [fingerprint_pow t index] is [r^(index+1)] from the cached ladder.
+val fingerprint_pow : config -> int -> int
+(** [fingerprint_pow c index] is [r^(index+1)] from the cached ladder.
     Requires [0 <= index < dim] (unchecked). *)
 
-val update_prepared : t -> index:int -> delta:int -> term:int -> unit
-(** [update_prepared t ~index ~delta ~term] adds [delta] at [index] where
-    [term] must equal [Field.scale_int delta (fingerprint_pow t index)].
-    No bounds check. *)
+val update_at : Ds_util.Words.t -> off:int -> index:int -> delta:int -> term:int -> unit
+(** [update_at words ~off ~index ~delta ~term] adds [delta] at [index] to
+    the cell at [words.[off .. off+2]], where [term] must equal
+    [Field.scale_int delta (fingerprint_pow c index)]. No bounds check. *)
+
+val decode_at : config -> Ds_util.Words.t -> off:int -> result
+(** {!decode} of the cell at [words.[off .. off+2]]. *)
 
 val decode : t -> result
 (** Classify the current vector. *)

@@ -124,17 +124,6 @@ let decode t =
   done;
   if !cleared then Some !results else None
 
-let keys_hint t =
-  let occupied = ref 0 in
-  for c = 0 to t.cap - 1 do
-    if
-      Words.unsafe_get t.words (kc_off t 0 c) <> 0
-      || Words.unsafe_get t.words (ks_off t 0 c) <> 0
-      || Field.of_int (Words.unsafe_get t.words (kf_off t 0 c)) <> 0
-    then incr occupied
-  done;
-  !occupied
-
 let check_compatible t s =
   if
     t.key_dim <> s.key_dim || t.cap <> s.cap || t.rows <> s.rows
@@ -153,7 +142,6 @@ let space_in_words t =
   (t.rows * t.cap * (3 + t.payload_len))
   + Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 t.hashes
 
-let capacity t = t.cap
 let clone_zero t = { t with words = Words.create (Words.length t.words) }
 let copy t = { t with words = Words.copy t.words }
 let reset t = Words.fill t.words 0

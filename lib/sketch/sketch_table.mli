@@ -38,13 +38,9 @@ val decode : t -> (int * int * Ds_util.Words.t) list option
     table is over capacity or peeling stalls (detected, never silently
     wrong). Non-destructive. *)
 
-val keys_hint : t -> int
-(** Upper estimate of the number of live keys (non-empty cells in one row). *)
-
 val add : t -> t -> unit
 val sub : t -> t -> unit
 val space_in_words : t -> int
-val capacity : t -> int
 
 val clone_zero : t -> t
 (** A fresh all-zero table sharing [t]'s (immutable) hash functions and

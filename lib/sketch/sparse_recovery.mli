@@ -37,29 +37,6 @@ val update : t -> index:int -> delta:int -> unit
 val update_batch : t -> (int * int) array -> unit
 (** [(index, delta)] pairs, applied in order; equals the fold of {!update}. *)
 
-val update_folded : t -> index:int -> folded:int -> delta:int -> unit
-(** {!update} with the key fold hoisted out: [folded] must equal
-    [Kwise.fold_key index]. No bounds check — kernel API for containers
-    ({!L0_sampler}, {!F0}) that feed one key to many sketches. *)
-
-val update_folded_pair : t -> t -> index:int -> folded:int -> delta:int -> unit
-(** [update_folded_pair t s ~index ~folded ~delta] applies [+delta] to [t]
-    and [-delta] to [s] with one set of bucket evaluations and one
-    fingerprint term. Precondition: [t] and [s] are clones sharing hash
-    functions and fingerprint base (e.g. built with {!clone_zero} from one
-    prototype) — unchecked; the edge-update kernel of
-    {!Ds_agm.Agm_sketch}. *)
-
-val update_pows : t -> index:int -> x:int -> x2:int -> x4:int -> delta:int -> unit
-(** {!update_folded} with the folded key's square and fourth power also
-    hoisted ([x = Kwise.fold_key index], [x2 = Field.mul x x],
-    [x4 = Field.mul x2 x2]); containers evaluating many rows/levels at one
-    key compute the powers once (see {!Ds_util.Kwise.to_range_pows}). *)
-
-val update_pows_pair : t -> t -> index:int -> x:int -> x2:int -> x4:int -> delta:int -> unit
-(** {!update_folded_pair} with precomputed key powers, as {!update_pows}. *)
-
-
 val decode : t -> (int * int) list option
 (** Full recovery attempt. [Some assoc] lists every non-zero coordinate with
     its value (unordered); [None] means the vector was (detectably) not
@@ -85,33 +62,83 @@ val clone_zero : t -> t
 val reset : t -> unit
 (** Zero every counter in place — one fill of the underlying buffer. *)
 
-val state_words : t -> int
-(** Exact word count of the cell-grid buffer ([rows * cols * 3]): what a
-    container must reserve to {!clone_into} this sketch. *)
-
-val compatible : t -> t -> bool
-(** Same shape and fingerprint base — the merge precondition, checked
-    once per container merge instead of once per cell. *)
-
-val clone_into : t -> words:Ds_util.Words.t -> off:int -> t
-(** [clone_into t ~words ~off] is {!clone_zero} whose counters live at
-    [words.[off .. off + state_words t - 1]] (an alias of the caller's
-    buffer, zeroed by the caller).  Containers ({!L0_sampler}, {!F0})
-    use this to keep a whole tower of sketches in one allocation. *)
-
 val merge_many : t list -> t
 (** Sum of compatible sketches as a fresh sketch.
     @raise Invalid_argument on the empty list. *)
 
 val space_in_words : t -> int
 val dim : t -> int
-val params : t -> params
 
 val write : t -> Ds_util.Wire.sink -> unit
 (** Serialise all cell counters (hashes are seed-derived, not shipped). *)
 
 val read_into : t -> Ds_util.Wire.source -> unit
 (** Overwrite [t]'s counters; [t] must share the writer's seed/shape.
+    @raise Failure on mismatch or truncation. *)
+
+(** {2 Offset kernels}
+
+    A container of many grids — one per level of {!L0_sampler} and {!F0},
+    one per vertex and level in [Ds_core.Two_pass_spanner] — keeps one
+    {!config} per distinct hash structure and every grid's counters in
+    its own {!Ds_util.Words} buffer, each grid at a word offset.  These
+    functions take that buffer and offset; none checks bounds. *)
+
+type config
+(** A grid's bucket hashes and its one fingerprint ladder. *)
+
+val make_config : Ds_util.Prng.t -> dim:int -> params:params -> config
+(** The structure {!create} draws from the same generator state.
+    @raise Invalid_argument if [sparsity < 1] or [rows < 1]. *)
+
+val grid_words : config -> int
+(** Exact word count of one grid ([rows * cols * 3]): what a container
+    reserves per grid. *)
+
+val compatible : config -> config -> bool
+(** Same shape and fingerprint base — the merge precondition, checked
+    once per container merge instead of once per cell. *)
+
+val update_folded :
+  config -> Ds_util.Words.t -> off:int -> index:int -> folded:int -> delta:int -> unit
+(** {!update} of the grid at [off] with the key fold hoisted out: [folded]
+    must equal [Kwise.fold_key index] — for containers that feed one key
+    to many grids. *)
+
+val update_pows :
+  config -> Ds_util.Words.t -> off:int -> index:int -> x:int -> x2:int -> x4:int -> delta:int -> unit
+(** {!update_folded} with the folded key's square and fourth power also
+    hoisted ([x = Kwise.fold_key index], [x2 = Field.mul x x],
+    [x4 = Field.mul x2 x2]); containers evaluating many rows/levels at one
+    key compute the powers once (see {!Ds_util.Kwise.to_range_pows}). *)
+
+val update_pows_pair :
+  config ->
+  Ds_util.Words.t ->
+  plus:int ->
+  minus:int ->
+  index:int ->
+  x:int ->
+  x2:int ->
+  x4:int ->
+  delta:int ->
+  unit
+(** [+delta] into the grid at [plus] and [-delta] into the grid at
+    [minus], both of structure [config], with one set of bucket
+    evaluations and one fingerprint term — the edge-update kernel of
+    {!Ds_agm.Agm_sketch}. *)
+
+val decode_at : config -> Ds_util.Words.t -> off:int -> (int * int) list option
+(** {!decode} of the grid at [off]; peels a private copy. *)
+
+val space_in_words_of : config -> int
+(** {!space_in_words} of any grid of this structure. *)
+
+val write_at : config -> Ds_util.Words.t -> off:int -> Ds_util.Wire.sink -> unit
+(** {!write} of the grid at [off]. *)
+
+val read_at : config -> Ds_util.Words.t -> off:int -> Ds_util.Wire.source -> unit
+(** {!read_into} the grid at [off].
     @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

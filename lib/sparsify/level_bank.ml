@@ -10,38 +10,28 @@ let default_params = { banks = 2; levels = 12; rows = 5; cols = 1024; hash_degre
 
      slot(b, l) = ((b * levels) + l) * rows * cols
 
-   Each slot is a CountSketch table over the same edge-index space; the
-   per-level Count_sketch values alias the buffer through O(1) views, so
-   merge/subtract/zero/ship are single whole-buffer calls and the LSK1 body
-   is one window pass. *)
+   Each slot is a CountSketch table over the same edge-index space;
+   [slots] keeps each slot's hash structure once, in slot order, and the
+   tables are word ranges of the buffer, so merge/subtract/zero/ship are
+   single whole-buffer calls and the LSK1 body is one window pass. *)
 type t = {
   dim : int;
   prm : params;
   level_hash : Kwise.t array; (* one nested-sampling hash per bank *)
-  sketches : Count_sketch.t array array; (* [bank].[level], views into words *)
+  slots : Count_sketch.config array; (* slot (b * levels) + l *)
   words : Words.t;
 }
 
 let[@inline] slot_words prm = prm.rows * prm.cols
-
-let attach rng ~dim ~prm words =
-  let cs_params =
-    { Count_sketch.rows = prm.rows; cols = prm.cols; hash_degree = prm.hash_degree }
-  in
-  Array.init prm.banks (fun b ->
-      let brng = Prng.split_named rng (Printf.sprintf "bank%d" b) in
-      Array.init prm.levels (fun l ->
-          let pos = ((b * prm.levels) + l) * slot_words prm in
-          Count_sketch.create_over
-            (Prng.split_named brng (Printf.sprintf "level%d" l))
-            ~dim ~params:cs_params
-            ~table:(Words.view words ~pos ~len:(slot_words prm))))
+let[@inline] slot prm ~bank ~level = (bank * prm.levels) + level
 
 let create rng ~dim ~params:prm =
   if prm.banks < 1 || prm.levels < 1 || prm.rows < 1 || prm.cols < 1 then
     invalid_arg "Level_bank.create: bad params";
   if dim < 1 then invalid_arg "Level_bank.create: bad dimension";
-  let words = Words.create (prm.banks * prm.levels * slot_words prm) in
+  let cs_params =
+    { Count_sketch.rows = prm.rows; cols = prm.cols; hash_degree = prm.hash_degree }
+  in
   {
     dim;
     prm;
@@ -50,8 +40,13 @@ let create rng ~dim ~params:prm =
           Kwise.create
             (Prng.split_named rng (Printf.sprintf "sample%d" b))
             ~k:prm.hash_degree);
-    sketches = attach rng ~dim ~prm words;
-    words;
+    slots =
+      Array.init (prm.banks * prm.levels) (fun s ->
+          let brng = Prng.split_named rng (Printf.sprintf "bank%d" (s / prm.levels)) in
+          Count_sketch.make_config
+            (Prng.split_named brng (Printf.sprintf "level%d" (s mod prm.levels)))
+            ~dim ~params:cs_params);
+    words = Words.create (prm.banks * prm.levels * slot_words prm);
   }
 
 let params t = t.prm
@@ -75,12 +70,19 @@ let update t ~index ~delta =
      nested prefixes keeps the same sampling semantics while halving the
      collision mass at every level. *)
   for b = 0 to t.prm.banks - 1 do
-    Count_sketch.update t.sketches.(b).(level_of t ~bank:b ~index) ~index ~delta
+    let s = slot t.prm ~bank:b ~level:(level_of t ~bank:b ~index) in
+    Count_sketch.update_at t.slots.(s) t.words ~off:(s * slot_words t.prm) ~index ~delta
   done
 
+(* The slot offset is arithmetic over unchecked buffer reads, so a bad
+   bank or level must be refused here rather than read from a
+   neighbouring slot. *)
 let query t ~bank ~level ~index =
   check_index t index "query";
-  Count_sketch.estimate t.sketches.(bank).(level) index
+  if bank < 0 || bank >= t.prm.banks then invalid_arg "Level_bank.query: bank out of range";
+  if level < 0 || level >= t.prm.levels then invalid_arg "Level_bank.query: level out of range";
+  let s = slot t.prm ~bank ~level in
+  Count_sketch.estimate_at t.slots.(s) t.words ~off:(s * slot_words t.prm) index
 
 let check_compatible t s =
   if t.dim <> s.dim || t.prm <> s.prm then invalid_arg "Level_bank: incompatible banks"
@@ -95,34 +97,17 @@ let sub t s =
 
 let reset t = Words.fill t.words 0
 
-let clone_zero t =
-  let words = Words.create (Words.length t.words) in
-  {
-    t with
-    words;
-    sketches =
-      Array.mapi
-        (fun b row ->
-          Array.mapi
-            (fun l cs ->
-              let pos = ((b * t.prm.levels) + l) * slot_words t.prm in
-              Count_sketch.rebind cs ~table:(Words.view words ~pos ~len:(slot_words t.prm)))
-            row)
-        t.sketches;
-  }
+let clone_zero t = { t with words = Words.create (Words.length t.words) }
 
 let space_in_words t =
-  (* Count_sketch.space_in_words includes each table, but every table is a
-     view into the shared buffer — count the buffer once and keep only the
-     per-sketch hash-coefficient words. *)
+  (* Count_sketch.space_in_words_of includes each table, but every table is
+     a range of the shared buffer — count the buffer once and keep only the
+     per-slot hash-coefficient words. *)
   Words.length t.words
   + Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 t.level_hash
   + Array.fold_left
-      (fun a row ->
-        Array.fold_left
-          (fun a cs -> a + (Count_sketch.space_in_words cs - slot_words t.prm))
-          a row)
-      0 t.sketches
+      (fun a c -> a + (Count_sketch.space_in_words_of c - slot_words t.prm))
+      0 t.slots
 
 let write_body t sink =
   Wire.write_tag sink "sp1b";
@@ -130,23 +115,16 @@ let write_body t sink =
   (* One window per (bank, level) slot: the body is a concatenation of
      CountSketch tables in layout order, so a reader can locate any level
      without decoding the rest. *)
-  for b = 0 to t.prm.banks - 1 do
-    for l = 0 to t.prm.levels - 1 do
-      Words.write_wire_array sink t.words
-        ~pos:(((b * t.prm.levels) + l) * slot_words t.prm)
-        ~len:(slot_words t.prm)
-    done
+  for s = 0 to Array.length t.slots - 1 do
+    Words.write_wire_array sink t.words ~pos:(s * slot_words t.prm) ~len:(slot_words t.prm)
   done
 
 let read_body t src =
   Wire.expect_tag src "sp1b";
   if Wire.read_int src <> t.dim then failwith "Level_bank.read_body: dimension mismatch";
-  for b = 0 to t.prm.banks - 1 do
-    for l = 0 to t.prm.levels - 1 do
-      Words.read_wire_array ~what:"Level_bank.read_body" src t.words
-        ~pos:(((b * t.prm.levels) + l) * slot_words t.prm)
-        ~len:(slot_words t.prm)
-    done
+  for s = 0 to Array.length t.slots - 1 do
+    Words.read_wire_array ~what:"Level_bank.read_body" src t.words ~pos:(s * slot_words t.prm)
+      ~len:(slot_words t.prm)
   done
 
 module Linear = struct

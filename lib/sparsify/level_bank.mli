@@ -15,7 +15,7 @@
     randomness.
 
     Everything is linear: the whole bank is a single {!Ds_util.Words} buffer
-    (per-level tables are O(1) views), so merge, subtract, zeroing, LSK1
+    (each per-level table a word range of it), so merge, subtract, zeroing, LSK1
     shipping, parallel ingestion and checkpointing all compose through
     {!Linear} with no new plumbing. *)
 
@@ -54,7 +54,8 @@ val query : t -> bank:int -> level:int -> index:int -> int
 (** Median-of-rows CountSketch estimate of the edge's multiplicity, read
     from its class slot — callers pass [level = sample_level ... index].
     Exact (whp) when the class is sparse relative to [cols].
-    @raise Invalid_argument unless [0 <= index < dim]. *)
+    @raise Invalid_argument unless [0 <= index < dim], [0 <= bank < banks]
+    and [0 <= level < levels]. *)
 
 val add : t -> t -> unit
 val sub : t -> t -> unit

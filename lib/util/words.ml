@@ -20,30 +20,17 @@
      reduced in [0, 2^31-1) — the whole Sparse_recovery / L0_sampler /
      AGM tower is a flat array of such triples.
 
-   Both are backed by C stubs (util_words_stubs.c); a pure-OCaml
-   fallback ships for platforms where the stubs cannot build and is
-   selected by setting DS_WORDS_KERNEL=ocaml in the environment before
-   the program starts (the CI runs the whole suite under both, and the
-   golden-fixture test pins that the two produce identical LSK1
-   bytes). *)
+   All four are C stubs (util_words_stubs.c). *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* ------------------------------------------------------------------ *)
-(* Kernel selection                                                    *)
-(* ------------------------------------------------------------------ *)
-
 external c_add : t -> t -> int -> unit = "ds_words_add" [@@noalloc]
 external c_sub : t -> t -> int -> unit = "ds_words_sub" [@@noalloc]
-external c_add_tri : t -> t -> int -> unit = "ds_words_add_tri" [@@noalloc]
+external c_add_tri : t -> int -> t -> int -> int -> unit = "ds_words_add_tri" [@@noalloc]
 external c_sub_tri : t -> t -> int -> unit = "ds_words_sub_tri" [@@noalloc]
+external c_blit : t -> int -> t -> int -> int -> unit = "ds_words_blit" [@@noalloc]
 
-let use_c =
-  match Sys.getenv_opt "DS_WORDS_KERNEL" with
-  | Some s when String.lowercase_ascii s = "ocaml" -> false
-  | _ -> true
-
-let kernel = if use_c then "c" else "ocaml"
+let kernel = "c"
 
 (* ------------------------------------------------------------------ *)
 (* Construction and element access                                     *)
@@ -71,15 +58,15 @@ let fill_range (t : t) ~pos ~len v =
   done
 
 (* A view aliases the underlying storage: writes through the view are
-   writes to the parent. This is how container sketches give each cell
-   an addressable window of one shared allocation. *)
+   writes to the parent (how an AGM repetition slice merges into its
+   sketch). *)
 let view (t : t) ~pos ~len : t = Bigarray.Array1.sub t pos len
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   if len < 0 || src_pos < 0 || dst_pos < 0 || src_pos + len > length src
      || dst_pos + len > length dst
   then invalid_arg "Words.blit: range out of bounds";
-  Bigarray.Array1.blit (view src ~pos:src_pos ~len) (view dst ~pos:dst_pos ~len)
+  c_blit src src_pos dst dst_pos len
 
 let copy (t : t) =
   let w = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (length t) in
@@ -102,65 +89,37 @@ let sub_array (t : t) ~pos ~len =
 (* Merge kernels                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let p = Field.p
-
 let check2 name t s =
   if length t <> length s then
     invalid_arg (Printf.sprintf "Words.%s: length mismatch (%d vs %d)" name (length t) (length s))
 
-let ocaml_add (t : t) (s : t) len =
-  for i = 0 to len - 1 do
-    unsafe_set t i (unsafe_get t i + unsafe_get s i)
-  done
-
-let ocaml_sub (t : t) (s : t) len =
-  for i = 0 to len - 1 do
-    unsafe_set t i (unsafe_get t i - unsafe_get s i)
-  done
-
-(* Triples: words 0 and 1 of each triple are exact integers, word 2 is a
-   Mersenne-field residue kept reduced — exactly One_sparse.add/sub, so
-   a buffer-level merge is bit-identical to the per-cell loops it
-   replaces. *)
-let ocaml_add_tri (t : t) (s : t) len =
-  let i = ref 0 in
-  while !i + 2 < len do
-    let o = !i in
-    unsafe_set t o (unsafe_get t o + unsafe_get s o);
-    unsafe_set t (o + 1) (unsafe_get t (o + 1) + unsafe_get s (o + 1));
-    let v = unsafe_get t (o + 2) + unsafe_get s (o + 2) in
-    unsafe_set t (o + 2) (if v >= p then v - p else v);
-    i := o + 3
-  done
-
-let ocaml_sub_tri (t : t) (s : t) len =
-  let i = ref 0 in
-  while !i + 2 < len do
-    let o = !i in
-    unsafe_set t o (unsafe_get t o - unsafe_get s o);
-    unsafe_set t (o + 1) (unsafe_get t (o + 1) - unsafe_get s (o + 1));
-    let v = unsafe_get t (o + 2) - unsafe_get s (o + 2) in
-    unsafe_set t (o + 2) (if v < 0 then v + p else v);
-    i := o + 3
-  done
+let check_tri name len =
+  if len mod 3 <> 0 then invalid_arg ("Words." ^ name ^ ": length not a multiple of 3")
 
 let add t s =
   check2 "add" t s;
-  if use_c then c_add t s (length t) else ocaml_add t s (length t)
+  c_add t s (length t)
 
 let sub t s =
   check2 "sub" t s;
-  if use_c then c_sub t s (length t) else ocaml_sub t s (length t)
+  c_sub t s (length t)
 
 let add_tri t s =
   check2 "add_tri" t s;
-  if length t mod 3 <> 0 then invalid_arg "Words.add_tri: length not a multiple of 3";
-  if use_c then c_add_tri t s (length t) else ocaml_add_tri t s (length t)
+  check_tri "add_tri" (length t);
+  c_add_tri t 0 s 0 (length t)
 
 let sub_tri t s =
   check2 "sub_tri" t s;
-  if length t mod 3 <> 0 then invalid_arg "Words.sub_tri: length not a multiple of 3";
-  if use_c then c_sub_tri t s (length t) else ocaml_sub_tri t s (length t)
+  check_tri "sub_tri" (length t);
+  c_sub_tri t s (length t)
+
+let add_tri_range ~src ~src_pos ~dst ~dst_pos ~len =
+  if len < 0 || src_pos < 0 || dst_pos < 0 || src_pos + len > length src
+     || dst_pos + len > length dst
+  then invalid_arg "Words.add_tri_range: range out of bounds";
+  check_tri "add_tri_range" len;
+  c_add_tri dst dst_pos src src_pos len
 
 (* ------------------------------------------------------------------ *)
 (* Wire helpers                                                        *)

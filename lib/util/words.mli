@@ -5,21 +5,18 @@
     64-bit slot per OCaml [int]) living outside the OCaml heap: the GC
     never scans or moves it, replicas are produced by one zeroed
     allocation or one blit, and merging two sketches is one tight loop
-    over two buffers (a C stub by default, see {!kernel}).
+    over two buffers (a C stub).
 
-    Containers embed sub-sketches by handing them {!view}s: a view
-    aliases the parent's storage, so a whole tower of nested sketches
+    Containers address nested sketches by word offset: a whole tower
     (AGM -> L0 samplers -> sparse-recovery cells -> one-sparse triples)
     is physically a single allocation that can be shipped, zeroed or
-    merged with one call. *)
+    merged with one call, and each nested sketch is a range of it. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val kernel : string
-(** ["c"] when the foreign stubs drive {!add}/{!sub}/{!add_tri}/{!sub_tri},
-    ["ocaml"] when the pure fallback does.  Selected once at program
-    start: set [DS_WORDS_KERNEL=ocaml] to force the fallback (both paths
-    are CI-gated to produce identical bytes). *)
+(** ["c"]: the foreign stubs drive {!add}/{!sub}/{!add_tri}/{!sub_tri}.
+    Bench files record it in their stamp. *)
 
 val create : int -> t
 (** Zero-filled buffer of the given word count. *)
@@ -41,6 +38,10 @@ val view : t -> pos:int -> len:int -> t
     visible in [t] and vice versa.  O(1), no copy. *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+(** Copy [len] words (a C [memmove]: the ranges may overlap, nothing is
+    allocated).  @raise Invalid_argument if either range is out of
+    bounds. *)
+
 val copy : t -> t
 val of_array : int array -> t
 val to_array : t -> int array
@@ -63,6 +64,12 @@ val add_tri : t -> t -> unit
 
 val sub_tri : t -> t -> unit
 (** Triple-wise subtraction, [c2] in the Mersenne field. *)
+
+val add_tri_range : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+(** {!add_tri} over [len] words: [dst.[dst_pos ..]] gains
+    [src.[src_pos ..]].  How a container sums nested sketches at given
+    offsets into a scratch buffer.  [len] must be a multiple of 3.
+    @raise Invalid_argument if either range is out of bounds. *)
 
 val write_wire_array : Wire.sink -> t -> pos:int -> len:int -> unit
 (** Length-prefixed zig-zag varints, byte-compatible with

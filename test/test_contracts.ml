@@ -128,7 +128,38 @@ let test_agm_contracts () =
            (K_connectivity.create (Prng.create 1) ~n:4 ~k:0
               ~params:(Agm_sketch.default_params ~n:4))));
   check "agm wire garbage"
-    (raises_failure (fun () -> Agm_sketch.deserialize_into s "not a sketch"))
+    (raises_failure (fun () -> Agm_sketch.deserialize_into s "not a sketch"));
+  (* Samplers and repetitions are offsets into one buffer, read without
+     bounds checks: an out-of-range vertex or copy must be refused before
+     any offset is formed. *)
+  let copies = Agm_sketch.copies s in
+  check "agm update vertex -1" (raises_invalid (fun () -> Agm_sketch.update s ~u:(-1) ~v:2 ~delta:1));
+  check "agm update vertex n" (raises_invalid (fun () -> Agm_sketch.update s ~u:1 ~v:4 ~delta:1));
+  List.iter
+    (fun c ->
+      check
+        (Printf.sprintf "agm Copy.slice %d" c)
+        (raises_invalid (fun () -> ignore (Agm_sketch.Copy.slice s c)));
+      check
+        (Printf.sprintf "agm spanning_forest ~copies [%d]" c)
+        (raises_invalid (fun () -> ignore (Agm_sketch.spanning_forest ~copies:[| c |] s))))
+    [ -1; copies ]
+
+let test_sparsify_contracts () =
+  let open Ds_sparsify in
+  let prm = { Level_bank.banks = 2; levels = 3; rows = 3; cols = 8; hash_degree = 4 } in
+  let t = Level_bank.create (Prng.create 1) ~dim:10 ~params:prm in
+  List.iter
+    (fun (what, bank, level) ->
+      check
+        (Printf.sprintf "Level_bank.query %s" what)
+        (raises_invalid (fun () -> ignore (Level_bank.query t ~bank ~level ~index:0))))
+    [
+      ("bank -1", -1, 0);
+      ("bank = banks", prm.banks, 0);
+      ("level -1", 0, -1);
+      ("level = levels", 0, prm.levels);
+    ]
 
 let test_wire_corruption () =
   (* Corrupting serialized sketch bytes must fail loudly, never decode. *)
@@ -153,6 +184,7 @@ let () =
           Alcotest.test_case "stream" `Quick test_stream_contracts;
           Alcotest.test_case "core" `Quick test_core_contracts;
           Alcotest.test_case "agm" `Quick test_agm_contracts;
+          Alcotest.test_case "sparsify" `Quick test_sparsify_contracts;
           Alcotest.test_case "wire corruption" `Quick test_wire_corruption;
         ] );
     ]

@@ -65,6 +65,21 @@ let test_clone_zero_is_zero name () =
   check_string "clone_zero serializes like a fresh sketch" (P.serialize (make ()))
     (P.serialize z)
 
+(* A replica is one buffer allocation whatever the nesting: cloning an
+   AGM sketch (copies x n samplers x levels x cells) must not build a
+   record per child.  256 words covers the few records and Bigarray
+   headers of a family made of several AGM sketches (mst). *)
+let test_clone_zero_allocation name () =
+  let (Linear_families.F f) = Linear_families.find name in
+  let (module L) = f.impl in
+  let t = f.make () in
+  let before = Gc.minor_words () in
+  let z = L.clone_zero t in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity z);
+  if words > 256.0 then
+    Alcotest.failf "%s: clone_zero allocated %.0f minor words (limit 256)" name words
+
 let test_family_stamped name () =
   let a = (maker name) () in
   check_string "family name" name (P.family a);
@@ -271,6 +286,20 @@ let prop_words_sub_tri =
     tri_pairs
     (kernel_agrees ~op:Words.sub_tri ~ref_op:ref_sub_tri)
 
+(* The ranged kernels against the same references: [b] sits 3 words into
+   its buffer and lands 6 words into [a]'s, and the words around both
+   ranges stay untouched. *)
+let prop_words_ranges =
+  QCheck.Test.make ~name:"Words.add_tri_range and blit match reference on sub-ranges" ~count:200
+    tri_pairs (fun (a, b) ->
+      let len = Array.length a in
+      let pad k x = Array.concat [ Array.make k 7; x; Array.make 3 7 ] in
+      let wa = Words.of_array (pad 6 a) and wb = Words.of_array (pad 3 b) in
+      Words.add_tri_range ~src:wb ~src_pos:3 ~dst:wa ~dst_pos:6 ~len;
+      let summed = Words.to_array wa = pad 6 (ref_add_tri a b) in
+      Words.blit ~src:wb ~src_pos:3 ~dst:wa ~dst_pos:6 ~len;
+      summed && Words.to_array wa = pad 6 b)
+
 (* -- Typed family-level kernels (registry gives us the state type) --- *)
 
 let prop_self_merge_doubles =
@@ -412,6 +441,7 @@ let kernel_cases =
       prop_words_sub;
       prop_words_add_tri;
       prop_words_sub_tri;
+      prop_words_ranges;
       prop_self_merge_doubles;
       prop_sub_cancels;
       prop_reset_is_fresh;
@@ -428,6 +458,7 @@ let () =
       ("roundtrip bytes", per_family test_roundtrip_bytes);
       ("absorb = in-process add", per_family test_absorb_equals_inprocess);
       ("clone_zero", per_family test_clone_zero_is_zero);
+      ("clone_zero allocation", per_family test_clone_zero_allocation);
       ("family stamp", per_family test_family_stamped);
       ("truncation", per_family test_truncation_detected);
       ("bit flips", per_family test_bitflip_detected);
