@@ -86,8 +86,9 @@ let run rng ~n ~params:prm stream =
           | Some smp when sampled_cluster.(cluster.(b)) ->
               L0_sampler.update smp ~index:b ~delta
           | Some _ | None -> ());
+          let pl = Packed_l0.prepare s.payload_cfg ~index:b ~delta in
           Sketch_table.update s.table ~key:cluster.(b) ~weight:delta ~write:(fun arr off ->
-              Packed_l0.update s.payload_cfg arr ~off ~index:b ~delta)
+              Packed_l0.update_prepared s.payload_cfg pl arr ~off)
     in
     Array.iter
       (fun (u : Update.t) ->

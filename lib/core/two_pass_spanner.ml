@@ -272,10 +272,14 @@ let pass2_update p2 (u : Update.t) =
     if p2.terminal_id_of.(b) <> tid then begin
       let tt = p2.tables.(tid) in
       let rank = p2.rank_in_terminal.(a) in
+      (* The payload's hashes are evaluated once per route; each table row
+         only adds the prepared contribution. *)
       let write =
         match tt.payload_cfg with
         | None -> fun _arr _off -> ()
-        | Some cfg -> fun arr off -> Packed_l0.update cfg arr ~off ~index:rank ~delta
+        | Some cfg ->
+            let pl = Packed_l0.prepare cfg ~index:rank ~delta in
+            fun arr off -> Packed_l0.update_prepared cfg pl arr ~off
       in
       Sketch_table.update tt.table ~key:b ~weight:delta ~write
     end

@@ -19,47 +19,68 @@ let rows = 2
 let make_config rng ~dim ~params:prm =
   if dim <= 0 then invalid_arg "Packed_l0.make_config: dim must be positive";
   let levels = F0.levels_for dim in
-  {
-    dim;
-    prm;
-    levels;
-    buckets = max 2 (2 * prm.sparsity);
-    base = 2 + Prng.int rng (Field.p - 2);
-    level_hashes =
-      Array.init prm.reps (fun r ->
-          Kwise.create (Prng.split_named rng (Printf.sprintf "lvl%d" r)) ~k:prm.hash_degree);
-    bucket_hashes =
-      Array.init prm.reps (fun r ->
-          Array.init rows (fun q ->
-              Kwise.create
-                (Prng.split_named rng (Printf.sprintf "bkt%d.%d" r q))
-                ~k:prm.hash_degree));
-    tie_break = Kwise.create (Prng.split_named rng "tiebreak") ~k:prm.hash_degree;
-  }
+  (* Bound in order: [split_named] reads [rng] and [Prng.int] advances it. *)
+  let tie_break = Kwise.create (Prng.split_named rng "tiebreak") ~k:prm.hash_degree in
+  let bucket_hashes =
+    Array.init prm.reps (fun r ->
+        Array.init rows (fun q ->
+            Kwise.create (Prng.split_named rng (Printf.sprintf "bkt%d.%d" r q)) ~k:prm.hash_degree))
+  in
+  let level_hashes =
+    Array.init prm.reps (fun r ->
+        Kwise.create (Prng.split_named rng (Printf.sprintf "lvl%d" r)) ~k:prm.hash_degree)
+  in
+  let base = 2 + Prng.int rng (Field.p - 2) in
+  let buckets = max 2 (2 * prm.sparsity) in
+  { dim; prm; levels; buckets; base; level_hashes; bucket_hashes; tie_break }
 
 let triple_words = 3
-let level_words c = rows * c.buckets * triple_words
-let rep_words c = c.levels * level_words c
+let[@inline] level_words c = rows * c.buckets * triple_words
+let[@inline] rep_words c = c.levels * level_words c
 let state_len c = c.prm.reps * rep_words c
 
-let cell_off c ~rep ~level ~row ~bucket =
+let[@inline] cell_off c ~rep ~level ~row ~bucket =
   (rep * rep_words c) + (level * level_words c) + (((row * c.buckets) + bucket) * triple_words)
 
-let update c (state : Words.t) ~off ~index ~delta =
-  if index < 0 || index >= c.dim then invalid_arg "Packed_l0.update: index out of range";
-  let fp = delta * Field.pow c.base (index + 1) in
+(* The per-index half of an update: everything that depends on [index]
+   and [delta] but not on the state window. *)
+type prepared = {
+  delta : int;
+  index_term : int; (* delta * index *)
+  fp : int; (* delta * base^(index+1), a raw integer *)
+  top : int array; (* per rep: the highest level [index] reaches *)
+  cols : int array; (* rep-major, [rows] per rep: the bucket columns *)
+}
+
+let prepare c ~index ~delta =
+  if index < 0 || index >= c.dim then invalid_arg "Packed_l0.prepare: index out of range";
+  let x = Kwise.fold_key index in
+  let x2 = Field.mul x x in
+  let x4 = Field.mul x2 x2 in
+  let top = Array.make c.prm.reps 0 and cols = Array.make (c.prm.reps * rows) 0 in
   for rep = 0 to c.prm.reps - 1 do
-    let lvl = min (Kwise.level c.level_hashes.(rep) index) (c.levels - 1) in
-    for level = 0 to lvl do
+    top.(rep) <- min (Kwise.level_pows c.level_hashes.(rep) ~x ~x2 ~x4) (c.levels - 1);
+    for row = 0 to rows - 1 do
+      cols.((rep * rows) + row) <-
+        Kwise.to_range_pows c.bucket_hashes.(rep).(row) ~x ~x2 ~x4 ~bound:c.buckets
+    done
+  done;
+  { delta; index_term = delta * index; fp = delta * Field.pow c.base (index + 1); top; cols }
+
+let update_prepared c p (state : Words.t) ~off =
+  for rep = 0 to c.prm.reps - 1 do
+    for level = 0 to Array.unsafe_get p.top rep do
       for row = 0 to rows - 1 do
-        let bucket = Kwise.to_range c.bucket_hashes.(rep).(row) index ~bound:c.buckets in
+        let bucket = Array.unsafe_get p.cols ((rep * rows) + row) in
         let o = off + cell_off c ~rep ~level ~row ~bucket in
-        Words.unsafe_set state o (Words.unsafe_get state o + delta);
-        Words.unsafe_set state (o + 1) (Words.unsafe_get state (o + 1) + (delta * index));
-        Words.unsafe_set state (o + 2) (Words.unsafe_get state (o + 2) + fp)
+        Words.unsafe_set state o (Words.unsafe_get state o + p.delta);
+        Words.unsafe_set state (o + 1) (Words.unsafe_get state (o + 1) + p.index_term);
+        Words.unsafe_set state (o + 2) (Words.unsafe_get state (o + 2) + p.fp)
       done
     done
   done
+
+let update c state ~off ~index ~delta = update_prepared c (prepare c ~index ~delta) state ~off
 
 (* Decode one (rep, level) grid by peeling, on a scratch copy (an ordinary
    int array — decode is a cold path and the grid is small). Returns

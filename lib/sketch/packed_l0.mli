@@ -29,9 +29,25 @@ val make_config : Ds_util.Prng.t -> dim:int -> params:params -> config
 val state_len : config -> int
 (** Word length of the state window required. *)
 
+type prepared
+(** One update's per-index work, done once: the folded index and its
+    powers, the fingerprint term, and per rep the top level and both bucket
+    columns. Applying it touches only counters, so a caller that adds the
+    same [(index, delta)] into several state windows (one per
+    {!Sketch_table} row) hashes the index once. *)
+
+val prepare : config -> index:int -> delta:int -> prepared
+(** @raise Invalid_argument unless [0 <= index < dim]. *)
+
+val update_prepared : config -> prepared -> Ds_util.Words.t -> off:int -> unit
+(** Add the prepared contribution into [state.(off .. off + state_len - 1)].
+    [prepared] must come from [prepare] on the same [config]. *)
+
 val update : config -> Ds_util.Words.t -> off:int -> index:int -> delta:int -> unit
 (** Add [delta] to coordinate [index] of the vector sketched in
-    [state.(off .. off + state_len - 1)]. *)
+    [state.(off .. off + state_len - 1)]: [update_prepared] of
+    [prepare ~index ~delta], the one update path.
+    @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val decode : config -> Ds_util.Words.t -> off:int -> (int * int) option
 (** [Some (index, value)] for one non-zero coordinate (near-uniform among

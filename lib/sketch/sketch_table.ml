@@ -32,24 +32,35 @@ let[@inline] payload_off t r c = (r * row_words t) + (3 * t.cap) + (c * t.payloa
 let create rng ~key_dim ~capacity ~rows ~hash_degree ~payload_len =
   if capacity < 1 || rows < 1 || payload_len < 0 then
     invalid_arg "Sketch_table.create: bad dimensions";
+  (* Bound in order: [Prng.int] advances [rng] and [split_named] reads it. *)
+  let base = 2 + Prng.int rng (Field.p - 2) in
+  let hashes =
+    Array.init rows (fun r ->
+        Kwise.create (Prng.split_named rng (Printf.sprintf "row%d" r)) ~k:hash_degree)
+  in
   {
     key_dim;
     cap = capacity;
     rows;
     payload_len;
-    hashes =
-      Array.init rows (fun r ->
-          Kwise.create (Prng.split_named rng (Printf.sprintf "row%d" r)) ~k:hash_degree);
-    base = 2 + Prng.int rng (Field.p - 2);
+    hashes;
+    base;
     words = Words.create (rows * capacity * (3 + payload_len));
   }
+
+(* Row [r]'s cell for the key whose folded value has powers [x], [x2], [x4]. *)
+let[@inline] col t r ~x ~x2 ~x4 =
+  Kwise.to_range_pows (Array.unsafe_get t.hashes r) ~x ~x2 ~x4 ~bound:t.cap
 
 let update t ~key ~weight ~write =
   if key < 0 || key >= t.key_dim then invalid_arg "Sketch_table.update: key out of range";
   let fp = weight * Field.pow t.base (key + 1) in
+  let x = Kwise.fold_key key in
+  let x2 = Field.mul x x in
+  let x4 = Field.mul x2 x2 in
   let w = t.words in
   for r = 0 to t.rows - 1 do
-    let c = Kwise.to_range t.hashes.(r) key ~bound:t.cap in
+    let c = col t r ~x ~x2 ~x4 in
     let okc = kc_off t r c and oks = ks_off t r c and okf = kf_off t r c in
     Words.unsafe_set w okc (Words.unsafe_get w okc + weight);
     Words.unsafe_set w oks (Words.unsafe_get w oks + (weight * key));
@@ -59,20 +70,15 @@ let update t ~key ~weight ~write =
 
 type cell_state = Zero | One of int * int | Many
 
-(* [scratch] shares [t]'s layout (it is a peeling copy of [t.words]). *)
-let decode_cell t (scratch : Words.t) r c =
-  let c0 = Words.unsafe_get scratch (kc_off t r c)
-  and c1 = Words.unsafe_get scratch (ks_off t r c)
-  and c2 = Words.unsafe_get scratch (kf_off t r c) in
-  if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then begin
-    (* Weight cancelled to zero: genuinely empty only if the payload is too. *)
-    let clean = ref true in
-    let base = payload_off t r c in
-    for i = 0 to t.payload_len - 1 do
-      if Words.unsafe_get scratch (base + i) <> 0 then clean := false
-    done;
-    if !clean then Zero else Many
-  end
+(* The key decoder of cell [(r, c)] in [keys]. [Zero] means the key
+   counters cancelled; the cell is empty only if its residual payload is
+   zero too. *)
+let key_cell t (keys : Words.t) r c =
+  let o = (r * 3 * t.cap) + c in
+  let c0 = Words.unsafe_get keys o
+  and c1 = Words.unsafe_get keys (o + t.cap)
+  and c2 = Words.unsafe_get keys (o + (2 * t.cap)) in
+  if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then Zero
   else if c0 = 0 then Many
   else if c1 mod c0 <> 0 then Many
   else begin
@@ -82,44 +88,71 @@ let decode_cell t (scratch : Words.t) r c =
     else Many
   end
 
+(* [dst] := cell [(r, c)]'s payload in [t] minus the payloads in [peeled]. *)
+let residual_into t peeled r c (dst : Words.t) =
+  Words.blit ~src:t.words ~src_pos:(payload_off t r c) ~dst ~dst_pos:0 ~len:t.payload_len;
+  List.iter (Words.sub dst) peeled.((r * t.cap) + c)
+
+let is_zero (w : Words.t) =
+  let rec go i = i >= Words.length w || (Words.unsafe_get w i = 0 && go (i + 1)) in
+  go 0
+
+(* Peeling works on a copy of the key counters only: [keys] holds, per row,
+   the row's contiguous kc/ks/kf runs ([3 * cap] words at [r * 3 * cap]).
+   [peeled.(r * cap + c)] lists the payloads of the keys peeled out of cell
+   [(r, c)] so far, so the cell's residual payload is its words in [t]
+   minus those: payloads are read in place, when a key is recovered and
+   once more in the final all-clear check. *)
 let decode t =
-  let scratch = Words.copy t.words in
+  let kw = 3 * t.cap in
+  let keys = Words.create (t.rows * kw) in
+  for r = 0 to t.rows - 1 do
+    Words.blit ~src:t.words ~src_pos:(kc_off t r 0) ~dst:keys ~dst_pos:(r * kw) ~len:kw
+  done;
+  let peeled = Array.make (t.rows * t.cap) [] in
   let results = ref [] in
   let progress = ref true in
   while !progress do
     progress := false;
     for r = 0 to t.rows - 1 do
       for c = 0 to t.cap - 1 do
-        match decode_cell t scratch r c with
-        | One (k, w) when Kwise.to_range t.hashes.(r) k ~bound:t.cap = c ->
-            let pl = Words.create t.payload_len in
-            Words.blit ~src:scratch ~src_pos:(payload_off t r c) ~dst:pl ~dst_pos:0
-              ~len:t.payload_len;
-            results := (k, w, pl) :: !results;
-            let fp = w * Field.pow t.base (k + 1) in
-            for r' = 0 to t.rows - 1 do
-              let c' = Kwise.to_range t.hashes.(r') k ~bound:t.cap in
-              let okc = kc_off t r' c' and oks = ks_off t r' c' and okf = kf_off t r' c' in
-              Words.unsafe_set scratch okc (Words.unsafe_get scratch okc - w);
-              Words.unsafe_set scratch oks (Words.unsafe_get scratch oks - (w * k));
-              Words.unsafe_set scratch okf (Words.unsafe_get scratch okf - fp);
-              let b' = payload_off t r' c' in
-              for i = 0 to t.payload_len - 1 do
-                Words.unsafe_set scratch (b' + i)
-                  (Words.unsafe_get scratch (b' + i) - Words.unsafe_get pl i)
-              done
-            done;
-            progress := true
-        | Zero | One _ | Many -> ()
+        match key_cell t keys r c with
+        | One (k, w) ->
+            let x = Kwise.fold_key k in
+            let x2 = Field.mul x x in
+            let x4 = Field.mul x2 x2 in
+            if col t r ~x ~x2 ~x4 = c then begin
+              let pl = Words.create t.payload_len in
+              residual_into t peeled r c pl;
+              results := (k, w, pl) :: !results;
+              let fp = w * Field.pow t.base (k + 1) in
+              for r' = 0 to t.rows - 1 do
+                let c' = col t r' ~x ~x2 ~x4 in
+                let o = (r' * kw) + c' in
+                Words.unsafe_set keys o (Words.unsafe_get keys o - w);
+                Words.unsafe_set keys (o + t.cap) (Words.unsafe_get keys (o + t.cap) - (w * k));
+                Words.unsafe_set keys (o + (2 * t.cap))
+                  (Words.unsafe_get keys (o + (2 * t.cap)) - fp);
+                let cell = (r' * t.cap) + c' in
+                peeled.(cell) <- pl :: peeled.(cell)
+              done;
+              progress := true
+            end
+        | Zero | Many -> ()
       done
     done
   done;
+  (* All clear iff every cell's key counters and residual payload are zero. *)
+  let residual = Words.create t.payload_len in
   let cleared = ref true in
   for r = 0 to t.rows - 1 do
     for c = 0 to t.cap - 1 do
-      match decode_cell t scratch r c with
-      | Zero -> ()
-      | One _ | Many -> cleared := false
+      if !cleared then
+        match key_cell t keys r c with
+        | Zero ->
+            residual_into t peeled r c residual;
+            if not (is_zero residual) then cleared := false
+        | One _ | Many -> cleared := false
     done
   done;
   if !cleared then Some !results else None

@@ -31,12 +31,19 @@ val update : t -> key:int -> weight:int -> write:(Ds_util.Words.t -> int -> unit
     into [buf.(off .. off + payload_len - 1)] — once per row, to the cell
     [key] hashes to ([buf] is the table's own buffer, [off] the cell's
     payload window). The same [write] must be used symmetrically for
-    subtraction by negating deltas. *)
+    subtraction by negating deltas. The key is folded once and its powers
+    shared by every row hash; a [write] that hashes should do its hashing
+    before the call (see {!Packed_l0.prepare}), since it runs once per row.
+    @raise Invalid_argument unless [0 <= key < key_dim]. *)
 
 val decode : t -> (int * int * Ds_util.Words.t) list option
 (** Recover all live keys: [(key, weight, payload)] triples. [None] when the
     table is over capacity or peeling stalls (detected, never silently
-    wrong). Non-destructive. *)
+    wrong). Non-destructive: it peels a copy of the key counters only
+    ([rows * 3 * capacity] words), and reads payloads in place — a
+    recovered key's payload is its cell's payload minus the payloads
+    already peeled from that cell, and the final all-clear check reads each
+    cell's payload once. *)
 
 val add : t -> t -> unit
 val sub : t -> t -> unit

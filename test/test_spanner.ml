@@ -266,6 +266,34 @@ let test_multipass_vs_two_pass_tradeoff () =
   check_bool "both respect their bounds" true
     (s_mp.Stretch.max <= float_of_int ((2 * k) - 1) && s_tp.Stretch.max <= float_of_int (1 lsl k))
 
+(* The exact output of two churned instances, pinned as FNV-1a-64 over the
+   sorted "u,v;" edge list (the digest `dynospan` prints as spanner-hash):
+   any change to the table or payload kernels' hashing or peeling order
+   moves it. *)
+let edge_digest g =
+  let edges = ref [] in
+  Graph.iter_edges g (fun u v -> edges := (min u v, max u v) :: !edges);
+  let buf = Buffer.create 1024 in
+  List.iter (fun (u, v) -> Printf.bprintf buf "%d,%d;" u v) (List.sort compare !edges);
+  Printf.sprintf "%016Lx" (Wire.fnv1a64 (Buffer.contents buf))
+
+let test_multipass_pinned () =
+  List.iter
+    (fun (s, n, p, decoys, k, edges, digest) ->
+      let g = Gen.connected_gnp (Prng.create s) ~n ~p in
+      let stream = Stream_gen.with_churn (Prng.create (s + 1)) ~decoys g in
+      let r =
+        Multipass_spanner.run (Prng.create (s + 2)) ~n
+          ~params:(Multipass_spanner.default_params ~k) stream
+      in
+      let name = Printf.sprintf "seed %d" s in
+      check_int (name ^ " edges") edges (Graph.num_edges r.Multipass_spanner.spanner);
+      Alcotest.(check string) (name ^ " digest") digest (edge_digest r.Multipass_spanner.spanner))
+    [
+      (11, 96, 0.1, 2000, 2, 482, "32bc6381156a58ed");
+      (12, 128, 0.08, 4000, 3, 537, "9f77d4003ff79297");
+    ]
+
 (* -------------------- Distance oracle -------------------- *)
 
 let test_oracle_unweighted () =
@@ -374,6 +402,7 @@ let () =
           Alcotest.test_case "k=1 keeps all" `Quick test_multipass_k1_keeps_all;
           Alcotest.test_case "heavy deletion" `Quick test_multipass_deletion_heavy;
           Alcotest.test_case "tradeoff vs two-pass" `Quick test_multipass_vs_two_pass_tradeoff;
+          Alcotest.test_case "pinned output" `Quick test_multipass_pinned;
         ] );
       ( "distance_oracle",
         [
