@@ -2,12 +2,12 @@
 
      dune exec bench/ingest.exe [-- OUTPUT.json]
 
-   Measures, in one run on one machine: (a) the pre-kernel single-thread
-   baseline (bench/baseline.ml, the hot path as it stood before the batched
-   update kernels), (b) the kernelized single-thread rate, and (c) the
-   domain-parallel sharded rate at several pool sizes. Writes the numbers as
-   machine-readable JSON (default ./BENCH_ingest.json) so later PRs can
-   detect throughput regressions against this PR's trajectory. *)
+   Measures, in one run on one machine: (a) the single-thread kernel rate
+   of each sketch family, (b) the domain-parallel sharded rate at several
+   pool sizes (the curve experiment E18 prints), (c) the telemetry overhead
+   and (d) the GC cost of ingest. Writes the numbers as machine-readable
+   JSON (default ./BENCH_ingest.json); bench/guard.exe compares them with
+   the committed baseline. *)
 
 let dim = Ds_graph.Edge_index.dim 256
 let l0_updates = 200_000
@@ -20,22 +20,14 @@ let () =
   let module C = Ingest_common in
   Fmt.pr "ingestion bench: L0 micro (dim=%d, %d updates); AGM end-to-end (n=%d, %d updates)@."
     dim l0_updates agm_n agm_updates;
-  let baseline_os = C.baseline_one_sparse_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  baseline 1sparse %12.0f ops/s@." baseline_os;
   let kernel_os = C.kernel_one_sparse_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  kernel   1sparse %12.0f ops/s  (%.2fx)@." kernel_os (kernel_os /. baseline_os);
-  let baseline_sr = C.baseline_sr_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  baseline srec    %12.0f ops/s@." baseline_sr;
+  Fmt.pr "  kernel   1sparse %12.0f ops/s@." kernel_os;
   let kernel_sr = C.kernel_sr_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  kernel   srec    %12.0f ops/s  (%.2fx)@." kernel_sr (kernel_sr /. baseline_sr);
-  let baseline_l0 = C.baseline_l0_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  baseline l0      %12.0f ops/s@." baseline_l0;
+  Fmt.pr "  kernel   srec    %12.0f ops/s@." kernel_sr;
   let kernel_l0 = C.kernel_l0_rate ~dim ~updates:l0_updates in
-  Fmt.pr "  kernel   l0      %12.0f ops/s  (%.2fx)@." kernel_l0 (kernel_l0 /. baseline_l0);
-  let baseline_agm = C.baseline_agm_rate ~n:agm_n ~updates:agm_updates in
-  Fmt.pr "  baseline agm     %12.0f ops/s@." baseline_agm;
+  Fmt.pr "  kernel   l0      %12.0f ops/s@." kernel_l0;
   let kernel_agm = C.kernel_agm_rate ~n:agm_n ~updates:agm_updates in
-  Fmt.pr "  kernel   agm     %12.0f ops/s  (%.2fx)@." kernel_agm (kernel_agm /. baseline_agm);
+  Fmt.pr "  kernel   agm     %12.0f ops/s@." kernel_agm;
   let host_cores = Domain.recommended_domain_count () in
   let parallel =
     List.map
@@ -98,7 +90,7 @@ let () =
   let open Ds_util.Json in
   let rate v = Bench_kit.fixed 0 v and ratio v = Bench_kit.fixed 3 v in
   Bench_kit.write ~path:out
-    (Bench_kit.document ~schema:"bench_ingest/v4"
+    (Bench_kit.document ~schema:"bench_ingest/v5"
        [
          ("recommended_domain_count", int recommended);
          ( "workloads",
@@ -110,18 +102,10 @@ let () =
          ( "single_thread",
            Obj
              [
-               ("baseline_one_sparse_ops_per_sec", rate baseline_os);
                ("kernel_one_sparse_ops_per_sec", rate kernel_os);
-               ("one_sparse_kernel_speedup", ratio (kernel_os /. baseline_os));
-               ("baseline_sparse_recovery_ops_per_sec", rate baseline_sr);
                ("kernel_sparse_recovery_ops_per_sec", rate kernel_sr);
-               ("sparse_recovery_kernel_speedup", ratio (kernel_sr /. baseline_sr));
-               ("baseline_l0_ops_per_sec", rate baseline_l0);
                ("kernel_l0_ops_per_sec", rate kernel_l0);
-               ("l0_kernel_speedup", ratio (kernel_l0 /. baseline_l0));
-               ("baseline_agm_ops_per_sec", rate baseline_agm);
                ("kernel_agm_ops_per_sec", rate kernel_agm);
-               ("agm_kernel_speedup", ratio (kernel_agm /. baseline_agm));
              ] );
          ( "metrics_overhead",
            Obj

@@ -1,6 +1,6 @@
 (* Shared measurement harness for the ingestion benchmarks (bench/ingest.ml
-   writes BENCH_ingest.json from these numbers; experiment E14 in
-   bench/main.ml prints them as a table). *)
+   writes BENCH_ingest.json from these numbers; experiment E18 in
+   bench/main.ml prints the parallel curve as a table). *)
 
 open Ds_util
 open Ds_stream
@@ -42,34 +42,15 @@ let rate ?(reps = 3) ~ops f =
   float_of_int ops /. !best
 
 (* ------------------------------------------------------------------ *)
-(* Single-thread: baseline (pre-kernel) vs kernelized                  *)
+(* Single-thread kernels                                               *)
 (* ------------------------------------------------------------------ *)
 
 let l0_params = Ds_sketch.L0_sampler.default_params
-
-(* One_sparse micro: the tightest kernel — pre-PR each update paid an
-   O(log dim) modular exponentiation; the ladder makes it one multiply. *)
-let baseline_one_sparse_rate ~dim ~updates =
-  let w = l0_workload ~dim ~updates in
-  let sk = Baseline.One_sparse.create (Prng.create seed) ~dim in
-  rate ~ops:updates (fun () ->
-      Array.iter (fun (index, delta) -> Baseline.One_sparse.update sk ~index ~delta) w)
 
 let kernel_one_sparse_rate ~dim ~updates =
   let w = l0_workload ~dim ~updates in
   let sk = Ds_sketch.One_sparse.create (Prng.create seed) ~dim in
   rate ~ops:updates (fun () -> Ds_sketch.One_sparse.update_batch sk w)
-
-(* Sparse-recovery micro: rows cells per update, each formerly paying the
-   exponentiation plus a full re-fold per row. *)
-let baseline_sr_rate ~dim ~updates =
-  let w = l0_workload ~dim ~updates in
-  let sk =
-    Baseline.Sparse_recovery.create (Prng.create seed) ~dim ~sparsity:l0_params.sparsity
-      ~rows:l0_params.rows ~hash_degree:l0_params.hash_degree
-  in
-  rate ~ops:updates (fun () ->
-      Array.iter (fun (index, delta) -> Baseline.Sparse_recovery.update sk ~index ~delta) w)
 
 let kernel_sr_rate ~dim ~updates =
   let w = l0_workload ~dim ~updates in
@@ -83,15 +64,6 @@ let kernel_sr_rate ~dim ~updates =
         }
   in
   rate ~ops:updates (fun () -> Ds_sketch.Sparse_recovery.update_batch sk w)
-
-let baseline_l0_rate ~dim ~updates =
-  let w = l0_workload ~dim ~updates in
-  let sk =
-    Baseline.L0_sampler.create (Prng.create seed) ~dim ~sparsity:l0_params.sparsity
-      ~rows:l0_params.rows ~hash_degree:l0_params.hash_degree
-  in
-  rate ~ops:updates (fun () ->
-      Array.iter (fun (index, delta) -> Baseline.L0_sampler.update sk ~index ~delta) w)
 
 let kernel_l0_rate ~dim ~updates =
   let w = l0_workload ~dim ~updates in
@@ -140,20 +112,6 @@ let parallel_agm_gc ~n ~updates ~domains ~arena:use_arena =
   Ds_par.Pool.with_pool ~domains (fun pool ->
       let arena = if use_arena then Some (Ds_par.Shard_ingest.agm_arena ()) else None in
       gc_cost (fun () -> Ds_par.Shard_ingest.agm pool ?arena proto w))
-
-let baseline_agm_rate ~n ~updates =
-  let w = agm_workload ~n ~updates in
-  let prm = agm_params ~n in
-  let sk =
-    Baseline.Agm_sketch.create (Prng.create seed) ~n ~copies:prm.copies
-      ~sparsity:prm.sampler.sparsity ~rows:prm.sampler.rows
-      ~hash_degree:prm.sampler.hash_degree
-  in
-  rate ~ops:updates (fun () ->
-      Array.iter
-        (fun (u : Update.t) ->
-          Baseline.Agm_sketch.update sk ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
-        w)
 
 let kernel_agm_rate ~n ~updates =
   let w = agm_workload ~n ~updates in

@@ -757,40 +757,6 @@ let e10 () =
     (1e9 *. t_additive /. float_of_int (Array.length stream))
 
 (* ------------------------------------------------------------------ *)
-(* E14: ingestion throughput — kernels and domain-parallel sharding     *)
-(* ------------------------------------------------------------------ *)
-
-let e14 () =
-  header "E14" "Ingestion engine: batched update kernels + domain-parallel sharding (Sec 1)";
-  let module C = Ingest_common in
-  let dim = Ds_graph.Edge_index.dim 256 in
-  let l0_updates = 100_000 and agm_n = 256 and agm_updates = 20_000 in
-  Fmt.pr "workloads: L0 micro dim=%d (%d updates); AGM end-to-end n=%d (%d updates)@." dim
-    l0_updates agm_n agm_updates;
-  Fmt.pr "recommended_domain_count=%d (speedup is hardware-bound by core count)@."
-    (Domain.recommended_domain_count ());
-  Fmt.pr "%-26s %-14s %-10s@." "configuration" "updates/sec" "speedup";
-  line ();
-  let baseline_l0 = C.baseline_l0_rate ~dim ~updates:l0_updates in
-  Fmt.pr "%-26s %-14.0f %-10s@." "l0 baseline (pre-kernel)" baseline_l0 "1.00";
-  let kernel_l0 = C.kernel_l0_rate ~dim ~updates:l0_updates in
-  Fmt.pr "%-26s %-14.0f %-10.2f@." "l0 kernelized" kernel_l0 (kernel_l0 /. baseline_l0);
-  let baseline_agm = C.baseline_agm_rate ~n:agm_n ~updates:agm_updates in
-  Fmt.pr "%-26s %-14.0f %-10s@." "agm baseline (pre-kernel)" baseline_agm "1.00";
-  let kernel_agm = C.kernel_agm_rate ~n:agm_n ~updates:agm_updates in
-  Fmt.pr "%-26s %-14.0f %-10.2f@." "agm kernelized" kernel_agm (kernel_agm /. baseline_agm);
-  List.iter
-    (fun domains ->
-      let r = C.parallel_agm_rate ~n:agm_n ~updates:agm_updates ~domains in
-      Fmt.pr "%-26s %-14.0f %-10.2f@."
-        (Printf.sprintf "agm sharded, %d domains" domains)
-        r (r /. baseline_agm))
-    [ 1; 2; 4; 8 ];
-  Fmt.pr "expected: kernels >=5x baseline single-thread; sharded scaling tracks physical@.";
-  Fmt.pr "cores (flat on 1-core machines -- merge overhead only). bench/ingest.exe writes@.";
-  Fmt.pr "the same numbers as machine-readable BENCH_ingest.json for regression tracking.@."
-
-(* ------------------------------------------------------------------ *)
 (* E15: chaos — the supervised coordinator under deterministic faults   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1095,26 +1061,18 @@ let e18 () =
     host_cores;
   let kernel_agm = C.kernel_agm_rate ~n:agm_n ~updates:agm_updates in
   Fmt.pr "sequential kernel: %.0f updates/sec (speedup denominator)@." kernel_agm;
-  Fmt.pr "%-10s %-14s %-10s %-12s %-14s@." "domains" "updates/sec" "speedup" "efficiency"
-    "v1 speedup";
+  Fmt.pr "%-10s %-14s %-10s %-12s@." "domains" "updates/sec" "speedup" "efficiency";
   line ();
-  (* The v1 engine's measured curve on this workload (committed with the
-     first BENCH_ingest.json): materialized per-shard copies, eager
-     replicas, serial merge.  Kept inline as the before/after anchor. *)
-  let v1_speedups = [ (1, 0.784); (2, 0.550); (4, 0.342); (8, 0.215) ] in
   List.iter
     (fun domains ->
       let r = C.parallel_agm_rate ~n:agm_n ~updates:agm_updates ~domains in
       let speedup = r /. kernel_agm in
       let eff = speedup /. float_of_int (min domains host_cores) in
-      Fmt.pr "%-10d %-14.0f %-10.2f %-12.2f %-14s@." domains r speedup eff
-        (match List.assoc_opt domains v1_speedups with
-        | Some s -> Printf.sprintf "%.3f" s
-        | None -> "-"))
+      Fmt.pr "%-10d %-14.0f %-10.2f %-12.2f@." domains r speedup eff)
     [ 1; 2; 4; 8 ];
   Fmt.pr "expected: on multi-core hosts speedup grows to ~cores and efficiency stays@.";
   Fmt.pr "above ~0.5; past the host's cores the extra domains timeshare, so the curve@.";
-  Fmt.pr "flattens (the v1 engine fell to 0.2x at 8 domains on a 1-core host).@."
+  Fmt.pr "flattens.@."
 
 (* ------------------------------------------------------------------ *)
 (* E19: the serving layer — admission control, crash-consistent         *)
@@ -1386,7 +1344,6 @@ let experiments =
     ("e11", e11);
     ("e12", e12);
     ("e13", e13);
-    ("e14", e14);
     ("e15", e15);
     ("e16", e16);
     ("e17", e17);
@@ -1410,5 +1367,7 @@ let () =
       | Some f ->
           f ();
           Gc.compact ()
-      | None -> Fmt.epr "unknown experiment %S (known: e1..e21)@." name)
+      | None ->
+          Fmt.epr "unknown experiment %S (known: %s)@." name
+            (String.concat ", " (List.map fst experiments)))
     requested

@@ -4,7 +4,9 @@
 #   - a garbage/truncated/mismatched checkpoint exits with code 2 and a
 #     single diagnostic line on stderr, never an OCaml backtrace;
 #   - --recover heals any of those into a successful run;
-#   - chaos with equal seeds prints byte-identical reports.
+#   - chaos with equal seeds prints byte-identical reports;
+#   - an out-of-range argument is a usage error (exit 124), never an
+#     uncaught exception from the library.
 set -eu
 
 BIN=$1
@@ -79,5 +81,44 @@ CHAOS="chaos -n 40 --seed 5 --decoys 100 --servers 3 --rate 0.10 --fault-seed 7"
 "$BIN" $CHAOS >"$TMP/chaos2" 2>&1 || fail "chaos rerun failed"
 cmp -s "$TMP/chaos1" "$TMP/chaos2" || fail "chaos reports differ across reruns"
 grep -q "correct=true" "$TMP/chaos1" || fail "chaos run did not decode a correct forest"
+
+# Out-of-range arguments: cmdliner's usage error, not an internal error.
+expect_usage_error() {
+  set +e
+  "$BIN" "$@" >/dev/null 2>"$TMP/err"
+  code=$?
+  set -e
+  [ "$code" -eq 124 ] || { cat "$TMP/err" >&2; fail "$*: expected exit 124, got $code"; }
+  if grep -q -e "internal error" -e "uncaught exception" "$TMP/err"; then
+    cat "$TMP/err" >&2
+    fail "$*: reported as an internal error"
+  fi
+}
+
+while read -r args; do
+  # shellcheck disable=SC2086 # each line is an argument list
+  expect_usage_error $args
+done <<EOF
+spanner -n 1
+forest -n 1
+kconn -n 1
+spanner -n 0
+spanner -k 0
+checkpoint -k 0 --file $TMP/k0.ckpt
+trace -k 0
+sparsify -k 0
+offline -k 0
+kconn -k 0
+mst --gamma 0
+additive -d 0
+sparsify --eps 0
+sparsify1p --eps 1.5
+chaos --servers 0
+chaos --rate 2
+chaos-serve --dir $TMP/serve --rate 2
+spanner --graph nosuch
+offline --algo nosuch
+trace --algo nosuch
+EOF
 
 echo "check_corrupt: all checks passed"

@@ -15,29 +15,61 @@ open Cmdliner
 
 let make_graph rng ~family ~n ~p =
   match family with
-  | "gnp" -> Gen.connected_gnp rng ~n ~p
-  | "path" -> Gen.path n
-  | "cycle" -> Gen.cycle n
-  | "grid" ->
+  | `Gnp -> Gen.connected_gnp rng ~n ~p
+  | `Path -> Gen.path n
+  | `Cycle -> Gen.cycle n
+  | `Grid ->
       let side = max 2 (int_of_float (sqrt (float_of_int n))) in
       Gen.grid side side
-  | "clique" -> Gen.complete n
-  | "barbell" -> Gen.barbell (max 2 (n / 2))
-  | "pa" -> Gen.preferential_attachment rng ~n ~m:(max 1 (int_of_float (p *. float_of_int n)))
-  | other -> invalid_arg (Printf.sprintf "unknown graph family %S" other)
+  | `Clique -> Gen.complete n
+  | `Barbell -> Gen.barbell (max 2 (n / 2))
+  | `Pa -> Gen.preferential_attachment rng ~n ~m:(max 1 (int_of_float (p *. float_of_int n)))
 
 let make_stream rng ~decoys g =
   if decoys = 0 then Stream_gen.insert_only rng g
   else Stream_gen.with_churn rng ~decoys g
 
+(* Argument converters that reject out-of-range values while parsing, so a
+   bad argument is a one-line usage error (exit 124) rather than an
+   exception from inside the library. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least lo = checked Arg.int (fun v -> v >= lo) (Printf.sprintf "an integer >= %d" lo)
+let positive_int = int_at_least 1
+let probability = checked Arg.float (fun r -> r >= 0.0 && r <= 1.0) "a number in [0, 1]"
+
+let eps_conv validate_eps =
+  checked Arg.float
+    (fun eps -> match validate_eps eps with () -> true | exception _ -> false)
+    "a number in (0, 1)"
+
+let graph_conv =
+  Arg.enum
+    [
+      ("gnp", `Gnp);
+      ("path", `Path);
+      ("cycle", `Cycle);
+      ("grid", `Grid);
+      ("clique", `Clique);
+      ("barbell", `Barbell);
+      ("pa", `Pa);
+    ]
+
 (* Shared command-line arguments. *)
 let n_arg =
-  Arg.(value & opt int 128 & info [ "n" ] ~docv:"N" ~doc:"Number of vertices.")
+  Arg.(value & opt (int_at_least 2) 128 & info [ "n" ] ~docv:"N" ~doc:"Number of vertices.")
 
 let family_arg =
   Arg.(
     value
-    & opt string "gnp"
+    & opt graph_conv `Gnp
     & info [ "graph" ] ~docv:"FAMILY"
         ~doc:"Graph family: gnp, path, cycle, grid, clique, barbell, pa.")
 
@@ -152,7 +184,7 @@ let report_two_pass ~k ~g (r : Two_pass_spanner.result) =
   Fmt.pr "spanner-hash: %016Lx@." (spanner_hash r.Two_pass_spanner.spanner)
 
 let k_spanner_arg =
-  Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Stretch exponent (2^k).")
+  Arg.(value & opt positive_int 3 & info [ "k" ] ~docv:"K" ~doc:"Stretch exponent (2^k).")
 
 let spanner_cmd =
   let run family n p seed decoys k metrics metrics_out =
@@ -193,8 +225,8 @@ let checkpoint_cmd =
     in
     Durable.write_atomic ~path:file ck;
     Fmt.pr "checkpoint: pass 1 done, %d bytes -> %s@." (String.length ck) file;
-    Fmt.pr "resume with: dynospan resume --graph %s -n %d -p %g --seed %d --decoys %d -k %d --file %s@."
-      family n p seed decoys k file
+    Fmt.pr "resume with: dynospan resume --graph %a -n %d -p %g --seed %d --decoys %d -k %d --file %s@."
+      (Arg.conv_printer graph_conv) family n p seed decoys k file
   in
   Cmd.v
     (Cmd.info "checkpoint"
@@ -287,11 +319,13 @@ let chaos_cmd =
     if not r.Ds_sim.Cluster_sim.sup_forest_correct then exit 1
   in
   let servers_arg =
-    Arg.(value & opt int 4 & info [ "servers" ] ~docv:"S" ~doc:"Number of simulated servers.")
+    Arg.(
+      value & opt positive_int 4
+      & info [ "servers" ] ~docv:"S" ~doc:"Number of simulated servers.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 0.1
+      value & opt probability 0.1
       & info [ "rate" ] ~docv:"R" ~doc:"Per-send-attempt fault probability (0 disables).")
   in
   let fault_seed_arg =
@@ -342,7 +376,9 @@ let additive_cmd =
       dg.Additive_spanner.centers dg.Additive_spanner.low_degree dg.Additive_spanner.high_degree
       dg.Additive_spanner.degree_misclassified dg.Additive_spanner.orphan_high
   in
-  let d_arg = Arg.(value & opt int 4 & info [ "d" ] ~docv:"D" ~doc:"Space/distortion knob.") in
+  let d_arg =
+    Arg.(value & opt positive_int 4 & info [ "d" ] ~docv:"D" ~doc:"Space/distortion knob.")
+  in
   Cmd.v
     (Cmd.info "additive" ~doc:"Single-pass n/d-additive spanner (Theorem 3).")
     Term.(
@@ -368,8 +404,15 @@ let sparsify_cmd =
     Fmt.pr "kernel leak: %.2g@." b.Ds_linalg.Spectral.kernel_leak;
     Fmt.pr "space: %a@." Ds_util.Space.pp_words r.Sparsify.space_words
   in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Oracle stretch exponent.") in
-  let eps_arg = Arg.(value & opt float 0.5 & info [ "eps" ] ~docv:"EPS" ~doc:"Target accuracy.") in
+  let k_arg =
+    Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc:"Oracle stretch exponent.")
+  in
+  let eps_arg =
+    Arg.(
+      value
+      & opt (eps_conv Sparsify.validate_eps) 0.5
+      & info [ "eps" ] ~docv:"EPS" ~doc:"Target accuracy.")
+  in
   let rounds_arg =
     Arg.(value & opt int 0 & info [ "rounds" ] ~docv:"Z" ~doc:"SAMPLE rounds (0 = default).")
   in
@@ -413,7 +456,12 @@ let sparsify1p_cmd =
       exit 1
     end
   in
-  let eps_arg = Arg.(value & opt float 0.5 & info [ "eps" ] ~docv:"EPS" ~doc:"Target accuracy.") in
+  let eps_arg =
+    Arg.(
+      value
+      & opt (eps_conv Ds_sparsify.Sparsify1p.validate_eps) 0.5
+      & info [ "eps" ] ~docv:"EPS" ~doc:"Target accuracy.")
+  in
   Cmd.v
     (Cmd.info "sparsify1p"
        ~doc:
@@ -471,7 +519,9 @@ let kconn_cmd =
     Fmt.pr "k-connected (sketch verdict): %b@." (Min_cut.edge_connectivity cert >= k);
     Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.K_connectivity.space_in_words t)
   in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Connectivity to certify.") in
+  let k_arg =
+    Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc:"Connectivity to certify.")
+  in
   Cmd.v
     (Cmd.info "kconn" ~doc:"k-edge-connectivity certificate from sketches.")
     Term.(
@@ -509,7 +559,10 @@ let mst_cmd =
     Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.Mst.space_in_words t)
   in
   let gamma_arg =
-    Arg.(value & opt float 0.25 & info [ "gamma" ] ~docv:"G" ~doc:"Weight-class rounding.")
+    Arg.(
+      value
+      & opt (checked float (fun g -> g > 0.0) "a positive number") 0.25
+      & info [ "gamma" ] ~docv:"G" ~doc:"Weight-class rounding.")
   in
   Cmd.v
     (Cmd.info "mst" ~doc:"Approximate minimum spanning forest from sketches.")
@@ -549,26 +602,30 @@ let offline_cmd =
     let g = make_graph (Prng.split rng) ~family ~n ~p in
     let spanner, name, bound =
       match algo with
-      | "basic" ->
+      | `Basic ->
           ( (Basic_spanner.run (Prng.split rng) ~k g).Basic_spanner.spanner,
             Printf.sprintf "offline basic 2^%d-spanner (Section 3.1)" k,
             float_of_int (1 lsl k) )
-      | "bs" ->
+      | `Bs ->
           ( Baswana_sen.run (Prng.split rng) ~k g,
             Printf.sprintf "Baswana-Sen (2k-1)-spanner, k=%d" k,
             float_of_int ((2 * k) - 1) )
-      | "greedy" ->
+      | `Greedy ->
           ( Greedy_spanner.run ~k g,
             Printf.sprintf "greedy (2k-1)-spanner, k=%d" k,
             float_of_int ((2 * k) - 1) )
-      | other -> invalid_arg (Printf.sprintf "unknown offline algorithm %S" other)
     in
     report_spanner ~name ~g ~spanner ~space_words:0 ~bound
   in
   let algo_arg =
-    Arg.(value & opt string "basic" & info [ "algo" ] ~docv:"A" ~doc:"basic, bs, or greedy.")
+    Arg.(
+      value
+      & opt (enum [ ("basic", `Basic); ("bs", `Bs); ("greedy", `Greedy) ]) `Basic
+      & info [ "algo" ] ~docv:"A" ~doc:"basic, bs, or greedy.")
   in
-  let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Stretch parameter.") in
+  let k_arg =
+    Arg.(value & opt positive_int 3 & info [ "k" ] ~docv:"K" ~doc:"Stretch parameter.")
+  in
   Cmd.v
     (Cmd.info "offline" ~doc:"Offline reference spanners (baselines).")
     Term.(
@@ -585,25 +642,24 @@ let trace_cmd =
     let rng, g, stream = setup ~family ~n ~p ~seed ~decoys in
     let n = Graph.n g in
     (match algo with
-    | "spanner" ->
+    | `Spanner ->
         ignore
           (Two_pass_spanner.run (Prng.split rng) ~n
              ~params:(Two_pass_spanner.default_params ~k)
              stream)
-    | "additive" ->
+    | `Additive ->
         ignore
           (Additive_spanner.run (Prng.split rng) ~n
              ~params:(Additive_spanner.default_params ~n ~d:k)
              stream)
-    | "cluster" ->
+    | `Cluster ->
         ignore
           (Ds_sim.Cluster_sim.run (Prng.split rng) ~n ~servers:4
              ~partition:Ds_sim.Cluster_sim.Round_robin stream)
-    | "supervised" ->
+    | `Supervised ->
         ignore
           (Ds_sim.Cluster_sim.run_supervised ~plan:Ds_fault.Fault_plan.none (Prng.split rng)
-             ~n ~servers:4 ~partition:Ds_sim.Cluster_sim.Round_robin stream)
-    | other -> invalid_arg (Printf.sprintf "unknown trace workload %S" other));
+             ~n ~servers:4 ~partition:Ds_sim.Cluster_sim.Round_robin stream));
     let jsonl = Ds_obs.Trace.to_jsonl () in
     match out with
     | Some path ->
@@ -613,13 +669,22 @@ let trace_cmd =
   in
   let algo_arg =
     Arg.(
-      value & opt string "spanner"
+      value
+      & opt
+          (enum
+             [
+               ("spanner", `Spanner);
+               ("additive", `Additive);
+               ("cluster", `Cluster);
+               ("supervised", `Supervised);
+             ])
+          `Spanner
       & info [ "algo" ] ~docv:"A"
           ~doc:"Workload to replay: spanner, additive, cluster, or supervised.")
   in
   let k_arg =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "k" ] ~docv:"K" ~doc:"Stretch exponent (spanner) or d (additive).")
   in
   let out_arg =
@@ -1139,7 +1204,7 @@ let chaos_serve_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 0.1
+      value & opt probability 0.1
       & info [ "rate" ] ~docv:"R" ~doc:"Per-send-attempt connection-fault probability.")
   in
   let crash_arg =

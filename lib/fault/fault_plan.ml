@@ -64,14 +64,6 @@ let fault_name = function
 
 let kind_names = [ "crash"; "drop"; "corrupt"; "truncate"; "duplicate"; "delay" ]
 
-let pp_fault ppf = function
-  | Crash -> Format.fprintf ppf "crash"
-  | Drop -> Format.fprintf ppf "drop"
-  | Corrupt n -> Format.fprintf ppf "corrupt(%d flips)" n
-  | Truncate -> Format.fprintf ppf "truncate"
-  | Duplicate -> Format.fprintf ppf "duplicate"
-  | Delay d -> Format.fprintf ppf "delay(%d)" d
-
 (* Connection-level faults live in their own type (and their own salted
    draw stream, below): the serving layer's transport boundary fails in
    ways a message channel cannot — a peer can go quiet mid-frame, hang
@@ -103,8 +95,6 @@ let conn_fault_name = function
   | Conn_reorder_dup -> "reorder_dup"
 
 let conn_kind_names = [ "stall"; "disconnect"; "reorder_dup" ]
-
-let pp_conn_fault ppf f = Format.pp_print_string ppf (conn_fault_name f)
 
 type conn_delivery =
   | Conn_delivered of string

@@ -62,8 +62,6 @@ val fault_name : fault -> string
 val kind_names : string list
 (** Every kind name, in the fixed report order. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 (** What the channel delivers for one send attempt. *)
 type delivery =
   | Delivered of string  (** bytes arrived (possibly corrupted or cut) *)
@@ -119,7 +117,6 @@ val conn_fault_name : conn_fault -> string
 (** Stable lowercase kind name ("stall", "disconnect", "reorder_dup"). *)
 
 val conn_kind_names : string list
-val pp_conn_fault : Format.formatter -> conn_fault -> unit
 
 (** What the transport does with one framed send attempt. *)
 type conn_delivery =

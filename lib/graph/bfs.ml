@@ -17,7 +17,6 @@ let distances_capped g ~source ~cap =
 
 let distances g ~source = distances_capped g ~source ~cap:max_int
 let distance g u v = (distances g ~source:u).(v)
-let all_pairs g = Array.init (Graph.n g) (fun source -> distances g ~source)
 
 let eccentricity g u =
   Array.fold_left

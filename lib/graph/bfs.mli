@@ -13,8 +13,5 @@ val distances_capped : Graph.t -> source:int -> cap:int -> int array
 val distance : Graph.t -> int -> int -> int
 (** Pairwise distance; [max_int] if disconnected. *)
 
-val all_pairs : Graph.t -> int array array
-(** All-pairs unit-length distances, [n] BFS runs. *)
-
 val eccentricity : Graph.t -> int -> int
 (** Largest finite distance from a vertex. *)

@@ -38,11 +38,6 @@ let mem_edge t u v = multiplicity t u v > 0
 let degree t u = Hashtbl.length t.adj.(u)
 let iter_neighbors t u f = Hashtbl.iter (fun v _ -> f v) t.adj.(u)
 
-let neighbors t u =
-  let acc = ref [] in
-  iter_neighbors t u (fun v -> acc := v :: !acc);
-  !acc
-
 let iter_edges t f =
   for u = 0 to t.n - 1 do
     Hashtbl.iter (fun v _ -> if u < v then f u v) t.adj.(u)

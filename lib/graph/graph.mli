@@ -23,7 +23,6 @@ val mem_edge : t -> int -> int -> bool
 val degree : t -> int -> int
 (** Number of distinct neighbours (not counting multiplicity). *)
 
-val neighbors : t -> int -> int list
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 val edges : t -> (int * int) list

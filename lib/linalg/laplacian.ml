@@ -55,8 +55,3 @@ let cut_weight g members =
   let acc = ref 0.0 in
   Weighted_graph.iter_edges g (fun u v w -> if inside.(u) <> inside.(v) then acc := !acc +. w);
   !acc
-
-let degree_weighted g u =
-  let acc = ref 0.0 in
-  Weighted_graph.iter_neighbors g u (fun _ w -> acc := !acc +. w);
-  !acc

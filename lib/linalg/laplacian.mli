@@ -21,8 +21,7 @@ val operator : Ds_graph.Weighted_graph.t -> op
 val apply_into : op -> float array -> float array -> unit
 (** [apply_into op x y] overwrites [y] with [L x] in O(n + m), accumulating
     [y.(src)] then [y.(dst)] edge by edge in the operator's order. This is
-    the one Laplacian product in the library ({!apply}, {!Cg},
-    {!Power_iteration}). [x] and [y] must be distinct arrays.
+    the one Laplacian product in the library ({!apply}, {!Cg}). [x] and [y] must be distinct arrays.
     @raise Invalid_argument unless both have length [n]. *)
 
 val apply : Ds_graph.Weighted_graph.t -> float array -> float array
@@ -37,5 +36,3 @@ val quadratic_form : Ds_graph.Weighted_graph.t -> float array -> float
 val cut_weight : Ds_graph.Weighted_graph.t -> int list -> float
 (** Total weight crossing the cut [(S, V \ S)]; equals the quadratic form of
     the indicator vector of [S]. *)
-
-val degree_weighted : Ds_graph.Weighted_graph.t -> int -> float

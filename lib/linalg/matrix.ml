@@ -87,11 +87,3 @@ let is_symmetric ?(tol = 1e-9) t =
     done
   done;
   !ok
-
-let pp ppf t =
-  for i = 0 to t.n - 1 do
-    for j = 0 to t.n - 1 do
-      Format.fprintf ppf "%8.3f " (get t i j)
-    done;
-    Format.pp_print_newline ppf ()
-  done

@@ -23,4 +23,3 @@ val sub : t -> t -> t
 val frobenius : t -> float
 val max_abs_off_diagonal : t -> float
 val is_symmetric : ?tol:float -> t -> bool
-val pp : Format.formatter -> t -> unit

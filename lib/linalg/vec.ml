@@ -39,8 +39,3 @@ let e n i =
   let v = Array.make n 0.0 in
   v.(i) <- 1.0;
   v
-
-let indicator n members =
-  let v = Array.make n 0.0 in
-  List.iter (fun i -> v.(i) <- 1.0) members;
-  v

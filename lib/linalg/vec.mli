@@ -18,6 +18,3 @@ val random_unit : Ds_util.Prng.t -> int -> float array
 
 val e : int -> int -> float array
 (** [e n i] is the [i]-th standard basis vector of length [n]. *)
-
-val indicator : int -> int list -> float array
-(** 0/1 vector of a vertex subset — a cut vector for Laplacian forms. *)

@@ -6,8 +6,6 @@ let disable () =
   Metrics.set_enabled false;
   Trace.set_enabled false
 
-let active () = Metrics.enabled () || Trace.enabled ()
-
 let reset () =
   Metrics.reset ();
   Quantile.reset_all ();

@@ -5,7 +5,6 @@ val enable : unit -> unit
 (** Turn on metrics, tracing and the ledger. *)
 
 val disable : unit -> unit
-val active : unit -> bool
 
 val reset : unit -> unit
 (** Zero counters, gauges and quantile sketches, clear spans and ledger

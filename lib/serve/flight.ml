@@ -79,5 +79,10 @@ let read ~dir =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | data -> Ds_util.Json.parse data
+  | data -> (
+      let schema doc = Option.bind (Ds_util.Json.member "schema" doc) Ds_util.Json.to_str in
+      match Ds_util.Json.parse data with
+      | Ok doc when schema doc = Some "flight/v1" -> Ok doc
+      | Ok _ -> Error (p ^ ": not a flight/v1 document")
+      | Error _ as e -> e)
   | exception Sys_error m -> Error m

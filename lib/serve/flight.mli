@@ -27,4 +27,5 @@ val path : dir:string -> string
 (** Where the dump lives: [<dir>/flight-latest.json]. *)
 
 val read : dir:string -> (Ds_util.Json.t, string) result
-(** Parse the latest dump — the post-mortem entry point. *)
+(** Parse the latest dump — the post-mortem entry point.  [Error] unless
+    the file holds a JSON object whose ["schema"] is ["flight/v1"]. *)

@@ -145,15 +145,6 @@ let run ?(mode = `Sequential) rng ~n ~servers ~partition stream =
     forest_correct;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf "servers=%d updates=%d (per server: min %d, max %d)@." r.servers
-    r.updates_total
-    (Array.fold_left min max_int r.updates_per_server)
-    (Array.fold_left max 0 r.updates_per_server);
-  Format.fprintf ppf "state per server: %d words; messages: %d bytes total@." r.words_per_server
-    r.bytes_total;
-  Format.fprintf ppf "forest: %d edges, correct=%b@." r.forest_edges r.forest_correct
-
 (* ------------------------------------------------------------------ *)
 (* Generic shipping: the same server/coordinator round-trip for any
    sketch implementing the linear interface.                           *)
@@ -266,12 +257,6 @@ let ship_families ?mode rng ~dim ~servers updates =
                ~payload_len:0))
       ~servers updates;
   ]
-
-let pp_ship_report ppf r =
-  Format.fprintf ppf "%-16s servers=%d updates=%d wire=%d bytes (max/server %d) state=%d words ok=%b@."
-    r.family r.ship_servers r.ship_updates_total r.ship_bytes_total
-    (Array.fold_left max 0 r.ship_bytes_per_server)
-    r.ship_words_per_server r.matches_direct
 
 (* ------------------------------------------------------------------ *)
 (* Supervised runs: the same protocol pushed through a deterministically
@@ -559,110 +544,3 @@ let pp_supervised_report ppf r =
     r.sup_degraded_delta;
   Format.fprintf ppf "forest: %d edges, correct=%b merged-hash=%Lx@." r.sup_forest_edges
     r.sup_forest_correct r.sup_merged_hash
-
-(* Supervised generic shipping: whole-envelope granularity (one message per
-   server), any linear-sketch family. *)
-
-type supervised_ship_report = {
-  ss_family : string;
-  ss_servers : int;
-  ss_updates_total : int;
-  ss_attempts : int;
-  ss_faults : int;
-  ss_faults_by_kind : (string * int) list;
-  ss_retries : int;
-  ss_backoff : float;
-  ss_duplicates_rejected : int;
-  ss_decode_errors : int;
-  ss_bytes_total : int;
-  ss_crashed_servers : int list;
-  ss_reingested_servers : int list;
-  ss_recovery_bytes : int;
-  ss_lost_servers : int list;
-  ss_matches_direct : bool;
-}
-
-let ship_supervised (type s) ?(mode = `Sequential) ?(policy = Supervisor.default)
-    ?(allow_reingest = true) ~plan ((module L) : s Linear_sketch.impl) ~make ~servers
-    (updates : (int * int) array) =
-  if servers < 1 then invalid_arg "Cluster_sim.ship_supervised: need at least one server";
-  Ds_obs.Trace.with_span "cluster.ship_supervised" @@ fun () ->
-  let shards = round_robin ~servers updates in
-  let sketch_shard part =
-    let sk : s = make () in
-    Ds_obs.Trace.with_span "cluster.sketch" (fun () ->
-        Array.iter (fun (index, delta) -> L.update sk ~index ~delta) part);
-    Ds_obs.Trace.with_span "cluster.ship" (fun () ->
-        Linear_sketch.serialize
-          ?trace:(Ds_obs.Trace.current_context ())
-          (module L) sk)
-  in
-  let messages = map_mode mode sketch_shard shards in
-  let coordinator = make () in
-  let stats = fresh_chan_stats () in
-  let crashed = Array.make servers false in
-  let merged = Array.make servers false in
-  Ds_obs.Trace.with_span "cluster.deliver" (fun () ->
-      Array.iteri
-        (fun s msg ->
-          merged.(s) <-
-            deliver ~plan ~policy ~stats ~crashed ~server:s ~message:0 msg
-              ~absorb:(Linear_sketch.absorb_result (module L) coordinator))
-        messages);
-  let reingested = ref [] in
-  let recovery_bytes = ref 0 in
-  let lost = ref [] in
-  for s = servers - 1 downto 0 do
-    if not merged.(s) then
-      if allow_reingest then
-        Ds_obs.Trace.with_span "cluster.recover" (fun () ->
-            let replica = make () in
-            Array.iter (fun (index, delta) -> L.update replica ~index ~delta) shards.(s);
-            L.add coordinator replica;
-            merged.(s) <- true;
-            reingested := s :: !reingested;
-            recovery_bytes := !recovery_bytes + (update_wire_bytes * Array.length shards.(s)))
-      else lost := s :: !lost
-  done;
-  let direct = make () in
-  Array.iter (fun (index, delta) -> L.update direct ~index ~delta) updates;
-  let crashed_servers =
-    List.filter (fun s -> crashed.(s)) (List.init servers (fun s -> s))
-  in
-  if Ds_obs.Metrics.enabled () then begin
-    publish_chan_stats stats;
-    Ds_obs.Metrics.incr m_envelopes servers;
-    Ds_obs.Metrics.incr m_crashed (List.length crashed_servers);
-    Ds_obs.Metrics.incr m_healed (List.length !reingested);
-    Ds_obs.Metrics.incr m_recovery_bytes !recovery_bytes;
-    Ds_obs.Metrics.incr m_lost (List.length !lost)
-  end;
-  {
-    ss_family = L.family;
-    ss_servers = servers;
-    ss_updates_total = Array.length updates;
-    ss_attempts = stats.sent;
-    ss_faults = stats.faults;
-    ss_faults_by_kind = faults_by_kind stats;
-    ss_retries = stats.retries;
-    ss_backoff = stats.backoff;
-    ss_duplicates_rejected = stats.duplicates_rejected;
-    ss_decode_errors = stats.decode_errors;
-    ss_bytes_total = stats.bytes;
-    ss_crashed_servers = crashed_servers;
-    ss_reingested_servers = !reingested;
-    ss_recovery_bytes = !recovery_bytes;
-    ss_lost_servers = !lost;
-    ss_matches_direct =
-      Linear_sketch.serialize (module L) coordinator
-      = Linear_sketch.serialize (module L) direct;
-  }
-
-let pp_supervised_ship_report ppf r =
-  Format.fprintf ppf
-    "%-16s servers=%d updates=%d attempts=%d faults=%d retries=%d dup=%d bad=%d \
-     reingested=%d lost=%d ok=%b@."
-    r.ss_family r.ss_servers r.ss_updates_total r.ss_attempts r.ss_faults r.ss_retries
-    r.ss_duplicates_rejected r.ss_decode_errors
-    (List.length r.ss_reingested_servers)
-    (List.length r.ss_lost_servers) r.ss_matches_direct

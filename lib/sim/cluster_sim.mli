@@ -41,8 +41,6 @@ val run :
     all servers derive their sketch structure from the shared seed, the
     mode changes wall-clock only — every report field is identical. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 (** {2 Generic shipping}
 
     The same server → coordinator round-trip for {e any} sketch implementing
@@ -87,8 +85,6 @@ val ship_families :
     (one-sparse, sparse recovery, count sketch, AMS F2, F0, L0 sampler,
     packed L0, sketch table) with default parameters over a [dim]-length
     vector — experiment E13's full-inventory sweep. *)
-
-val pp_ship_report : Format.formatter -> ship_report -> unit
 
 (** {2 Supervised (self-healing) runs}
 
@@ -155,40 +151,3 @@ val run_supervised :
     reruns with an equal-seed plan. *)
 
 val pp_supervised_report : Format.formatter -> supervised_report -> unit
-
-type supervised_ship_report = {
-  ss_family : string;
-  ss_servers : int;
-  ss_updates_total : int;
-  ss_attempts : int;
-  ss_faults : int;
-  ss_faults_by_kind : (string * int) list;
-  ss_retries : int;
-  ss_backoff : float;
-  ss_duplicates_rejected : int;
-  ss_decode_errors : int;
-  ss_bytes_total : int;
-  ss_crashed_servers : int list;
-  ss_reingested_servers : int list;
-  ss_recovery_bytes : int;
-  ss_lost_servers : int list;
-  ss_matches_direct : bool;
-      (** the healed coordinator serializes identically to a direct
-          single-process sketch — [false] only if a server was lost *)
-}
-
-val ship_supervised :
-  ?mode:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
-  ?policy:Ds_fault.Supervisor.policy ->
-  ?allow_reingest:bool ->
-  plan:Ds_fault.Fault_plan.t ->
-  's Ds_sketch.Linear_sketch.impl ->
-  make:(unit -> 's) ->
-  servers:int ->
-  (int * int) array ->
-  supervised_ship_report
-(** {!ship} through the faulted channel, at whole-envelope granularity (one
-    message per server, message index 0). Same retry, dedup, re-ingest and
-    loss accounting as {!run_supervised}. *)
-
-val pp_supervised_ship_report : Format.formatter -> supervised_ship_report -> unit

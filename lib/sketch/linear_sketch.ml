@@ -100,12 +100,6 @@ let absorb impl t data =
   | Ok () -> ()
   | Error e -> failwith ("Linear_sketch: " ^ error_to_string e)
 
-let not_linear ~family ~reason () =
-  invalid_arg
-    (Printf.sprintf
-       "Linear_sketch: %s is not a linear sketch (%s); it cannot honour the merge contract"
-       family reason)
-
 module Packed = struct
   type t = T : 'a impl * 'a -> t
 

@@ -130,11 +130,6 @@ val absorb : 'a impl -> 'a -> string -> unit
 (** Raising wrapper for {!absorb_result}. @raise Failure as
     {!deserialize_into}. *)
 
-val not_linear : family:string -> reason:string -> unit -> 'a
-(** Registration guard for summaries that are {e not} linear (they lack
-    [add]/[sub]/[clone_zero] and cannot honour the merge contract).
-    @raise Invalid_argument always, naming the family and the reason. *)
-
 (** A sketch packed with its implementation — the dynamic counterpart of
     {!impl}, for registries that hold many sketch families at once (e.g. the
     cluster simulator's family table). *)

@@ -18,21 +18,8 @@ let final_graph ~n updates =
   apply_all g updates;
   g
 
-let final_weighted ~n updates =
-  let g = Weighted_graph.create n in
-  Array.iter
-    (fun { wu; wv; weight; wsign } ->
-      match wsign with
-      | Insert -> Weighted_graph.add_edge g wu wv weight
-      | Delete -> Weighted_graph.remove_edge g wu wv)
-    updates;
-  g
-
 let is_valid ~n updates =
   try
     ignore (final_graph ~n updates);
     true
   with Invalid_argument _ -> false
-
-let pp ppf t =
-  Format.fprintf ppf "%c(%d,%d)" (match t.sign with Insert -> '+' | Delete -> '-') t.u t.v

@@ -26,9 +26,5 @@ val apply_all : Ds_graph.Graph.t -> t array -> unit
 val final_graph : n:int -> t array -> Ds_graph.Graph.t
 (** The multigraph at the end of the stream. *)
 
-val final_weighted : n:int -> weighted array -> Ds_graph.Weighted_graph.t
-
 val is_valid : n:int -> t array -> bool
 (** Multiplicities stay non-negative throughout and indices are in range. *)
-
-val pp : Format.formatter -> t -> unit

@@ -38,7 +38,6 @@ let pow b e =
   go 1 (of_int b) e
 
 let inv a = if a = 0 then raise Division_by_zero else pow a (p - 2)
-let div a b = mul a (inv b)
 let[@inline] scale_int c x = mul (of_int c) x
 
 module Pow = struct

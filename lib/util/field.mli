@@ -30,9 +30,6 @@ val inv : int -> int
 (** Multiplicative inverse by Fermat's little theorem.
     @raise Division_by_zero on [inv 0]. *)
 
-val div : int -> int -> int
-(** [div a b = mul a (inv b)]. *)
-
 val scale_int : int -> int -> int
 (** [scale_int c x] multiplies a field element [x] by an arbitrary (possibly
     negative, possibly large) integer coefficient [c], reducing [c] first.

@@ -85,8 +85,6 @@ let[@inline] to_range_pows t ~x ~x2 ~x4 ~bound =
 let to_range t x ~bound = to_range_folded t (fold_key x) ~bound
 let to_unit t x = float_of_int (eval t x) /. float_of_int Field.p
 
-let bernoulli t x q = to_unit t x < q
-
 let[@inline] level_of_value v =
   if v = 0 then 31
   else begin

@@ -47,10 +47,6 @@ val to_unit : t -> int -> float
 (** [to_unit h x] maps [x] to a quasi-uniform float in [0, 1). This is the
     discretised uniform [h^j_uv] used in Section 6.3. *)
 
-val bernoulli : t -> int -> float -> bool
-(** [bernoulli h x q] is true iff [to_unit h x < q]; a pairwise-consistent
-    coin for key [x]. *)
-
 val level : t -> int -> int
 (** [level h x] is a geometric level: the largest [j >= 0] such that
     [to_unit h x < 2^-j], capped at 62. [level h x >= j] has probability

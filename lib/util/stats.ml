@@ -59,7 +59,6 @@ let percentile a q =
   end
 
 let max_arr a = Array.fold_left max neg_infinity a
-let min_arr a = Array.fold_left min infinity a
 
 let histogram a ~bins ~lo ~hi =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";

@@ -24,7 +24,6 @@ val percentile : float array -> float -> float
     interpolation; 0 on empty. Does not mutate [a]. *)
 
 val max_arr : float array -> float
-val min_arr : float array -> float
 
 val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
 (** Fixed-width histogram; values outside [lo, hi) clamp to end bins. *)

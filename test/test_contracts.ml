@@ -52,12 +52,7 @@ let test_sketch_contracts () =
     (raises_invalid (fun () ->
          ignore
            (Ams_f2.create (Prng.create 1) ~dim:10
-              ~params:{ Ams_f2.rows = 4; reps = 1; hash_degree = 2 })));
-  check "Misra_gries k=0" (raises_invalid (fun () -> ignore (Misra_gries.create ~k:0)));
-  check "Misra_gries is not linear" (raises_invalid (fun () -> Misra_gries.linear ()));
-  let mg = Misra_gries.create ~k:3 in
-  Misra_gries.update mg 7;
-  check "Misra_gries space accounted" (Misra_gries.space_in_words mg = 8)
+              ~params:{ Ams_f2.rows = 4; reps = 1; hash_degree = 2 })))
 
 let test_graph_contracts () =
   let g = Graph.create 4 in

@@ -321,44 +321,6 @@ let test_late_crash_partial_quorum () =
   check_bool "server 0 lost" true (r.Cluster_sim.sup_lost_servers = [ 0 ]);
   check_bool "crash recorded" true (r.Cluster_sim.sup_crashed_servers = [ 0 ])
 
-(* ------------------------------------------------------------------ *)
-(* Supervised generic shipping                                         *)
-(* ------------------------------------------------------------------ *)
-
-let ship_updates seed ~dim ~count =
-  let rng = Prng.create seed in
-  Array.init count (fun _ -> (Prng.int rng dim, Prng.int rng 9 - 4))
-
-let count_sketch_make seed =
-  let shared = Prng.create seed in
-  fun () ->
-    Count_sketch.create (Prng.copy shared) ~dim:100
-      ~params:{ Count_sketch.rows = 3; cols = 32; hash_degree = 4 }
-
-let test_ship_supervised_heals () =
-  let updates = ship_updates 91 ~dim:100 ~count:400 in
-  let plan = FP.of_list ~seed:92 [ ((0, 0, 0), FP.Crash); ((2, 0, 0), FP.Corrupt 3) ] in
-  let r =
-    Cluster_sim.ship_supervised ~plan
-      (module Count_sketch.Linear)
-      ~make:(count_sketch_make 93) ~servers:4 updates
-  in
-  check_bool "healed matches direct" true r.Cluster_sim.ss_matches_direct;
-  check_bool "crash healed" true (List.mem 0 r.Cluster_sim.ss_reingested_servers);
-  check_bool "corruption detected" true (r.Cluster_sim.ss_decode_errors >= 1);
-  check_bool "nothing lost" true (r.Cluster_sim.ss_lost_servers = [])
-
-let test_ship_supervised_loss_detected () =
-  let updates = ship_updates 94 ~dim:100 ~count:400 in
-  let plan = FP.of_list ~seed:95 [ ((1, 0, 0), FP.Crash) ] in
-  let r =
-    Cluster_sim.ship_supervised ~allow_reingest:false ~plan
-      (module Count_sketch.Linear)
-      ~make:(count_sketch_make 96) ~servers:4 updates
-  in
-  check_bool "loss breaks equality" true (not r.Cluster_sim.ss_matches_direct);
-  check_bool "server 1 lost" true (r.Cluster_sim.ss_lost_servers = [ 1 ])
-
 let prop_supervised_any_rate =
   QCheck.Test.make ~name:"supervised run heals at any fault rate" ~count:8
     QCheck.(pair (1 -- 5) (0 -- 30))
@@ -404,10 +366,5 @@ let () =
           Alcotest.test_case "degraded quorum decode" `Quick test_degraded_quorum_decode;
           Alcotest.test_case "late crash" `Quick test_late_crash_partial_quorum;
           QCheck_alcotest.to_alcotest prop_supervised_any_rate;
-        ] );
-      ( "ship",
-        [
-          Alcotest.test_case "heals to direct equality" `Quick test_ship_supervised_heals;
-          Alcotest.test_case "loss detected" `Quick test_ship_supervised_loss_detected;
         ] );
     ]

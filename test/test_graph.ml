@@ -247,43 +247,6 @@ let prop_dijkstra_triangle =
       done;
       !ok)
 
-(* -------------------- Diameter -------------------- *)
-
-let test_diameter_known () =
-  check_int "path" 9 (Diameter.exact (Gen.path 10));
-  check_int "cycle" 5 (Diameter.exact (Gen.cycle 10));
-  check_int "clique" 1 (Diameter.exact (Gen.complete 8));
-  check_int "star" 2 (Diameter.exact (Gen.star 9));
-  check_int "grid" 8 (Diameter.exact (Gen.grid 5 5))
-
-let test_double_sweep () =
-  (* Lower bound everywhere, exact on trees/paths. *)
-  check_int "path exact" 9 (Diameter.double_sweep (Gen.path 10));
-  for seed = 0 to 4 do
-    let g = Gen.connected_gnp (Prng.create (70 + seed)) ~n:40 ~p:0.08 in
-    check_bool "lower bound" true (Diameter.double_sweep g <= Diameter.exact g)
-  done
-
-let test_radius () =
-  check_int "path radius" 4 (Diameter.radius (Gen.path 9));
-  check_int "star radius" 1 (Diameter.radius (Gen.star 9))
-
-(* -------------------- Graphviz -------------------- *)
-
-let test_graphviz () =
-  let g = Gen.path 4 in
-  let dot = Graphviz.to_dot ~highlight:(Gen.path 2) g in
-  check_bool "has header" true (String.length dot > 10 && String.sub dot 0 5 = "graph");
-  check_bool "edge present" true
-    (let contains s sub =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     contains dot "0 -- 1" && contains dot "penwidth");
-  let wdot = Graphviz.weighted_to_dot (Weighted_graph.of_graph g) in
-  check_bool "weighted label" true (String.length wdot > 10)
-
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_edge_index; prop_dijkstra_triangle ]
 
 let () =
@@ -328,13 +291,6 @@ let () =
           Alcotest.test_case "watts-strogatz" `Quick test_gen_watts_strogatz;
           Alcotest.test_case "bipartite" `Quick test_gen_bipartite;
         ] );
-      ( "diameter",
-        [
-          Alcotest.test_case "known graphs" `Quick test_diameter_known;
-          Alcotest.test_case "double sweep" `Quick test_double_sweep;
-          Alcotest.test_case "radius" `Quick test_radius;
-        ] );
-      ("graphviz", [ Alcotest.test_case "dot output" `Quick test_graphviz ]);
       ( "weighted",
         [
           Alcotest.test_case "basic" `Quick test_weighted_basic;

@@ -232,78 +232,6 @@ let test_spectral_ratio_samples () =
   let cuts = Spectral.cut_ratio_samples rng ~base:g ~candidate:g ~samples:10 in
   Array.iter (fun r -> check_float "cut ratio 1" ~tol:1e-9 1.0 r) cuts
 
-(* -------------------- CSR -------------------- *)
-
-let test_csr_basics () =
-  let m = Csr.of_triplets ~rows:3 ~cols:3 [ (0, 1, 2.0); (1, 0, 2.0); (2, 2, 5.0); (0, 1, 1.0) ] in
-  check_float "duplicates summed" 3.0 (Csr.get m 0 1);
-  check_float "absent is zero" 0.0 (Csr.get m 0 2);
-  check_bool "nnz" true (Csr.nnz m = 3);
-  let y = Csr.mul_vec m [| 1.0; 1.0; 1.0 |] in
-  check_float "row0" 3.0 y.(0);
-  check_float "row1" 2.0 y.(1);
-  check_float "row2" 5.0 y.(2)
-
-let test_csr_matches_dense_laplacian () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 35) ~n:25 ~p:0.2) in
-  let sp = Csr.of_laplacian g in
-  let dn = Laplacian.dense g in
-  check_bool "csr equals dense" true
-    (Matrix.frobenius (Matrix.sub (Csr.to_dense sp) dn) < 1e-12);
-  let rng = Prng.create 36 in
-  for _ = 1 to 5 do
-    let x = Vec.random_unit rng 25 in
-    let a = Csr.mul_vec sp x and b = Matrix.mul_vec dn x in
-    check_bool "spmv matches" true (Vec.norm (Vec.sub a b) < 1e-10)
-  done
-
-let test_csr_transpose () =
-  let m = Csr.of_triplets ~rows:2 ~cols:3 [ (0, 2, 7.0); (1, 0, -1.0) ] in
-  let mt = Csr.transpose m in
-  check_float "transposed entry" 7.0 (Csr.get mt 2 0);
-  check_float "transposed entry 2" (-1.0) (Csr.get mt 0 1);
-  check_bool "shape" true (Csr.rows mt = 3 && Csr.cols mt = 2)
-
-(* -------------------- Power iteration -------------------- *)
-
-let test_power_matches_jacobi () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 30) ~n:24 ~p:0.2) in
-  let exact =
-    let ev = Jacobi.eigenvalues (Laplacian.dense g) in
-    ev.(Array.length ev - 1)
-  in
-  let pi = Power_iteration.lambda_max g ~iters:500 () in
-  check_bool
-    (Printf.sprintf "power %.4f vs jacobi %.4f" pi exact)
-    true
-    (abs_float (pi -. exact) /. exact < 0.01)
-
-let test_power_pencil_identity () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 31) ~n:20 ~p:0.25) in
-  let v = Power_iteration.lambda_max_pencil ~base:g ~candidate:g () in
-  check_float "identical pencil" ~tol:1e-6 1.0 v
-
-let test_power_pencil_scaled () =
-  let g = Weighted_graph.of_graph (Gen.cycle 12) in
-  let h = Weighted_graph.create 12 in
-  Weighted_graph.iter_edges g (fun u v w -> Weighted_graph.add_edge h u v (2.0 *. w));
-  let v = Power_iteration.lambda_max_pencil ~base:g ~candidate:h () in
-  check_float "scaled pencil" ~tol:1e-4 2.0 v
-
-let test_power_pencil_matches_spectral () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 32) ~n:18 ~p:0.3) in
-  (* candidate: random reweighting *)
-  let rng = Prng.create 33 in
-  let h = Weighted_graph.create 18 in
-  Weighted_graph.iter_edges g (fun u v w ->
-      Weighted_graph.add_edge h u v (w *. (0.5 +. Prng.float rng 1.0)));
-  let { Spectral.lambda_max; _ } = Spectral.pencil_bounds ~base:g ~candidate:h in
-  let pi = Power_iteration.lambda_max_pencil ~base:g ~candidate:h ~iters:300 () in
-  check_bool
-    (Printf.sprintf "pencil power %.4f vs exact %.4f" pi lambda_max)
-    true
-    (abs_float (pi -. lambda_max) /. lambda_max < 0.02)
-
 let prop_resistance_bounded_by_distance =
   QCheck.Test.make ~name:"R_uv <= d(u,v) on unit-weight graphs (Rayleigh)" ~count:25
     QCheck.small_nat
@@ -354,19 +282,6 @@ let () =
           Alcotest.test_case "parallel" `Quick test_resistance_parallel;
           Alcotest.test_case "disconnected" `Quick test_resistance_disconnected;
           Alcotest.test_case "foster" `Quick test_foster;
-        ] );
-      ( "csr",
-        [
-          Alcotest.test_case "basics" `Quick test_csr_basics;
-          Alcotest.test_case "matches dense laplacian" `Quick test_csr_matches_dense_laplacian;
-          Alcotest.test_case "transpose" `Quick test_csr_transpose;
-        ] );
-      ( "power_iteration",
-        [
-          Alcotest.test_case "matches jacobi" `Quick test_power_matches_jacobi;
-          Alcotest.test_case "pencil identity" `Quick test_power_pencil_identity;
-          Alcotest.test_case "pencil scaled" `Quick test_power_pencil_scaled;
-          Alcotest.test_case "pencil matches spectral" `Quick test_power_pencil_matches_spectral;
         ] );
       ( "spectral",
         [

@@ -1071,6 +1071,20 @@ let test_flight_dump_survives_kill9 () =
               (Option.bind (Json.member "stats" doc) (Json.member "schema"))
               Json.to_str))
 
+let test_flight_read_rejects_foreign_json () =
+  (* Parseable JSON that is not a flight dump — an array, or the
+     serve_stats/v1 rollup a dump embeds — must not pass the post-mortem
+     as an all-zero report. *)
+  let dir = fresh_dir "serve-flight-foreign" in
+  List.iter
+    (fun (label, text) ->
+      Ds_util.Durable.write_atomic ~path:(Flight.path ~dir) text;
+      check_bool label true (Result.is_error (Flight.read ~dir)))
+    [
+      ("array rejected", "[1,2]");
+      ("serve_stats/v1 rejected", {|{"schema":"serve_stats/v1","tenants":[]}|});
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1132,5 +1146,7 @@ let () =
             test_resync_keeps_undurable_suffix;
           Alcotest.test_case "flight dump survives kill -9" `Quick
             test_flight_dump_survives_kill9;
+          Alcotest.test_case "flight read rejects foreign JSON" `Quick
+            test_flight_read_rejects_foreign_json;
         ] );
     ]

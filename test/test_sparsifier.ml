@@ -174,34 +174,6 @@ let test_sample_spanner_no_duplicates () =
   let sorted = List.sort_uniq compare keys in
   Alcotest.(check int) "no duplicate edges" (List.length keys) (List.length sorted)
 
-let test_weighted_sparsify () =
-  (* Weights in two well-separated classes; the weighted wrapper must land
-     the pencil bounds inside the (1+gamma)(1+-eps) window. *)
-  let n = 32 in
-  let rng = Prng.create 30 in
-  let g0 = Gen.connected_gnp rng ~n ~p:0.35 in
-  let wg = Weighted_graph.create n in
-  Graph.iter_edges g0 (fun u v ->
-      Weighted_graph.add_edge wg u v (if (u + v) mod 2 = 0 then 1.0 else 8.0));
-  let stream =
-    Array.of_list
-      (List.map
-         (fun (u, v, w) -> { Update.wu = u; wv = v; weight = w; wsign = Update.Insert })
-         (Weighted_graph.edges wg))
-  in
-  let gamma = 0.5 in
-  let prm = { (fast_params ~n) with Sparsify.z_rounds = 12 } in
-  let r = Weighted_sparsify.run (Prng.split rng) ~n ~params:prm ~gamma ~w_min:1.0 ~w_max:8.0 stream in
-  check_bool "at least two classes" true (r.Weighted_sparsify.classes >= 2);
-  let b = Spectral.pencil_bounds ~base:wg ~candidate:r.Weighted_sparsify.sparsifier in
-  let lo, hi = Weighted_sparsify.quality_bound ~eps:0.8 ~gamma in
-  check_bool
-    (Printf.sprintf "weighted pencil [%.2f, %.2f] in [%.2f, %.2f]" b.Spectral.lambda_min
-       b.Spectral.lambda_max lo hi)
-    true
-    (b.Spectral.lambda_min >= lo -. 1e-9 && b.Spectral.lambda_max <= hi +. 1e-9);
-  check_bool "kernel clean" true (b.Spectral.kernel_leak < 1e-6)
-
 (* -------------------- Uniform-sampling baseline -------------------- *)
 
 let test_uniform_loses_bridges () =
@@ -497,7 +469,6 @@ let () =
           Alcotest.test_case "under churn" `Slow test_sparsify_under_churn;
           Alcotest.test_case "exact oracle ablation" `Slow test_sparsify_exact_oracle_ablation;
           Alcotest.test_case "preserves bridge" `Slow test_sparsify_preserves_bridge;
-          Alcotest.test_case "weighted wrapper" `Slow test_weighted_sparsify;
         ] );
       ( "uniform_baseline",
         [
