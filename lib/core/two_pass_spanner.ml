@@ -265,27 +265,75 @@ let make_pass2 rng ~n ~prm (clustering : Clustering.t) =
   in
   { terminal_id_of; rank_in_terminal; tables }
 
-let pass2_update p2 (u : Update.t) =
-  let delta = Update.delta u in
-  let route a b =
-    let tid = p2.terminal_id_of.(a) in
-    if p2.terminal_id_of.(b) <> tid then begin
-      let tt = p2.tables.(tid) in
-      let rank = p2.rank_in_terminal.(a) in
-      (* The payload's hashes are evaluated once per route; each table row
-         only adds the prepared contribution. *)
-      let write =
-        match tt.payload_cfg with
-        | None -> fun _arr _off -> ()
-        | Some cfg ->
-            let pl = Packed_l0.prepare cfg ~index:rank ~delta in
-            fun arr off -> Packed_l0.update_prepared cfg pl arr ~off
-      in
-      Sketch_table.update tt.table ~key:b ~weight:delta ~write
-    end
+(* Pass 2 in table order.  An update whose endpoints lie in different
+   terminal clusters makes two routes, one into each endpoint's table.
+   Taken in stream order they scatter over every table at once (tens of
+   MB on a churned n = 256 stream); grouped by table, one table is hot at
+   a time.  The grouping is a counting sort on the source's terminal id,
+   so each table still sees its routes in stream order, and every table
+   and payload counter is a plain integer add, so the order cannot change
+   a word.
+
+   A route is one word, [key lsl (route_bits + 1) lor rank lsl 1 lor neg]:
+   the outside endpoint (the table key), the inside endpoint's rank in its
+   cluster and 1 for a deletion.  Both vertex fields take [route_bits]
+   bits, which is why [derive] rejects [n > max_n]. *)
+let route_bits = 30
+let max_n = 1 lsl route_bits
+
+let pass2_fill p2 stream =
+  let tid = p2.terminal_id_of and rank = p2.rank_in_terminal in
+  let tables = Array.length p2.tables in
+  (* [starts.(t)] is the first route of table [t]; [starts.(tables)] the
+     route count. *)
+  let starts = Array.make (tables + 1) 0 in
+  Array.iter
+    (fun (e : Update.t) ->
+      let a = tid.(e.Update.u) and b = tid.(e.Update.v) in
+      if a <> b then begin
+        starts.(a + 1) <- starts.(a + 1) + 1;
+        starts.(b + 1) <- starts.(b + 1) + 1
+      end)
+    stream;
+  for t = 1 to tables do
+    starts.(t) <- starts.(t) + starts.(t - 1)
+  done;
+  let routes = Array.make starts.(tables) 0 in
+  let next = Array.sub starts 0 tables in
+  let push t ~key ~src neg =
+    routes.(next.(t)) <- (key lsl (route_bits + 1)) lor (rank.(src) lsl 1) lor neg;
+    next.(t) <- next.(t) + 1
   in
-  route u.Update.u u.Update.v;
-  route u.Update.v u.Update.u
+  Array.iter
+    (fun (e : Update.t) ->
+      let u = e.Update.u and v = e.Update.v in
+      let a = tid.(u) and b = tid.(v) in
+      if a <> b then begin
+        let neg = if Update.delta e < 0 then 1 else 0 in
+        push a ~key:v ~src:u neg;
+        push b ~key:u ~src:v neg
+      end)
+    stream;
+  let no_payload _arr _off = () in
+  Array.iteri
+    (fun t tt ->
+      for i = starts.(t) to starts.(t + 1) - 1 do
+        let r = routes.(i) in
+        let key = r lsr (route_bits + 1) in
+        let delta = 1 - (2 * (r land 1)) in
+        (* The payload's hashes are evaluated once per route; each table
+           row only adds the prepared contribution. *)
+        let write =
+          match tt.payload_cfg with
+          | None -> no_payload
+          | Some cfg ->
+              let index = (r lsr 1) land (max_n - 1) in
+              let pl = Packed_l0.prepare cfg ~index ~delta in
+              fun arr off -> Packed_l0.update_prepared cfg pl arr ~off
+        in
+        Sketch_table.update tt.table ~key ~weight:delta ~write
+      done)
+    p2.tables
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: the pass boundary, serialised.                          *)
@@ -375,6 +423,7 @@ let load_pass1_result p1 data =
    checkpointing one from the same caller seed. *)
 let derive rng ~n ~prm =
   if prm.k < 1 then invalid_arg "Two_pass_spanner: k must be >= 1";
+  if n > max_n then invalid_arg "Two_pass_spanner: n must be <= 2^30";
   Ds_obs.Trace.with_span "spanner.derive" @@ fun () ->
   let rng = Prng.split_named rng "two_pass_spanner" in
   (rng, make_pass1 (Prng.split_named rng "pass1") ~n ~prm)
@@ -399,8 +448,7 @@ let finish rng p1 ~n ~prm stream =
         make_pass2 (Prng.split_named rng "pass2") ~n ~prm clustering)
   in
   Ds_obs.Metrics.incr m_p2_updates (Array.length stream);
-  (Ds_obs.Trace.with_span "spanner.pass2" @@ fun () ->
-   Array.iter (pass2_update p2) stream);
+  Ds_obs.Trace.with_span "spanner.pass2" (fun () -> pass2_fill p2 stream);
   (* Assemble the spanner. *)
   let spanner = Graph.create n in
   let add a b = if a <> b && not (Graph.mem_edge spanner a b) then Graph.add_edge spanner a b in

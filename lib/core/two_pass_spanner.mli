@@ -58,7 +58,9 @@ val run :
     (default [`Sequential]) fills the pass-1 sketches by sharding the stream
     across domains into compatible zero replicas and summing them — by
     linearity the merged state, and therefore the output spanner, is
-    bit-identical to sequential ingestion. *)
+    bit-identical to sequential ingestion.
+    @raise Invalid_argument if [params.k < 1] or [n > 2^30] (pass 2 packs
+    two vertex ids into one word per route). *)
 
 val space_bound : n:int -> k:int -> float
 (** The Theorem 1 bound [~O(n^{1+1/k})] (unit constant, one log factor) in

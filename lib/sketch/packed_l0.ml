@@ -82,15 +82,20 @@ let update_prepared c p (state : Words.t) ~off =
 
 let update c state ~off ~index ~delta = update_prepared c (prepare c ~index ~delta) state ~off
 
-(* Decode one (rep, level) grid by peeling, on a scratch copy (an ordinary
-   int array — decode is a cold path and the grid is small). Returns
-   [Some assoc] iff the grid clears. *)
-let decode_level c (state : Words.t) ~off ~rep ~level =
-  let grid_off = off + cell_off c ~rep ~level ~row:0 ~bucket:0 in
-  let scratch = Words.sub_array state ~pos:grid_off ~len:(level_words c) in
-  let cell row bucket = (((row * c.buckets) + bucket) * triple_words) in
+(* Decode one (rep, level) grid by peeling it in [scratch], which
+   [decode] allocates once and this refills from the state.  A candidate's
+   index is folded once, and its two bucket columns serve both the check
+   that it sits in its own bucket and the peel.  Returns [Some assoc] iff
+   the grid clears. *)
+let decode_level c (state : Words.t) ~off ~rep ~level (scratch : Words.t) =
+  let len = level_words c in
+  Words.blit ~src:state ~src_pos:(off + cell_off c ~rep ~level ~row:0 ~bucket:0) ~dst:scratch
+    ~dst_pos:0 ~len;
+  let cell row bucket = ((row * c.buckets) + bucket) * triple_words in
   let decode_cell o =
-    let c0 = scratch.(o) and c1 = scratch.(o + 1) and c2 = scratch.(o + 2) in
+    let c0 = Words.unsafe_get scratch o
+    and c1 = Words.unsafe_get scratch (o + 1)
+    and c2 = Words.unsafe_get scratch (o + 2) in
     if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then `Zero
     else if c0 = 0 then `Many
     else if c1 mod c0 <> 0 then `Many
@@ -101,6 +106,12 @@ let decode_level c (state : Words.t) ~off ~rep ~level =
       else `Many
     end
   in
+  let peel o ~i ~w ~fp =
+    Words.unsafe_set scratch o (Words.unsafe_get scratch o - w);
+    Words.unsafe_set scratch (o + 1) (Words.unsafe_get scratch (o + 1) - (w * i));
+    Words.unsafe_set scratch (o + 2) (Words.unsafe_get scratch (o + 2) - fp)
+  in
+  let hashes = c.bucket_hashes.(rep) in
   let acc = ref [] in
   let progress = ref true in
   while !progress do
@@ -108,28 +119,29 @@ let decode_level c (state : Words.t) ~off ~rep ~level =
     for row = 0 to rows - 1 do
       for bucket = 0 to c.buckets - 1 do
         match decode_cell (cell row bucket) with
-        | `One (i, w)
-          when Kwise.to_range c.bucket_hashes.(rep).(row) i ~bound:c.buckets = bucket ->
-            acc := (i, w) :: !acc;
-            let fp = w * Field.pow c.base (i + 1) in
-            for row' = 0 to rows - 1 do
-              let b' = Kwise.to_range c.bucket_hashes.(rep).(row') i ~bound:c.buckets in
-              let o = cell row' b' in
-              scratch.(o) <- scratch.(o) - w;
-              scratch.(o + 1) <- scratch.(o + 1) - (w * i);
-              scratch.(o + 2) <- scratch.(o + 2) - fp
-            done;
-            progress := true
-        | `Zero | `One _ | `Many -> ()
+        | `One (i, w) ->
+            let x = Kwise.fold_key i in
+            let x2 = Field.mul x x in
+            let x4 = Field.mul x2 x2 in
+            let b0 = Kwise.to_range_pows hashes.(0) ~x ~x2 ~x4 ~bound:c.buckets
+            and b1 = Kwise.to_range_pows hashes.(1) ~x ~x2 ~x4 ~bound:c.buckets in
+            if (if row = 0 then b0 else b1) = bucket then begin
+              acc := (i, w) :: !acc;
+              let fp = w * Field.pow c.base (i + 1) in
+              peel (cell 0 b0) ~i ~w ~fp;
+              peel (cell 1 b1) ~i ~w ~fp;
+              progress := true
+            end
+        | `Zero | `Many -> ()
       done
     done
   done;
   let cleared = ref true in
-  for o = 0 to level_words c - 1 do
+  for o = 0 to len - 1 do
     if o mod triple_words = 2 then begin
-      if Field.of_int scratch.(o) <> 0 then cleared := false
+      if Field.of_int (Words.unsafe_get scratch o) <> 0 then cleared := false
     end
-    else if scratch.(o) <> 0 then cleared := false
+    else if Words.unsafe_get scratch o <> 0 then cleared := false
   done;
   if !cleared then Some !acc else None
 
@@ -145,13 +157,14 @@ let pick_min_tiebreak c assoc =
   match !best with None -> None | Some (_, i, w) -> Some (i, w)
 
 let decode c state ~off =
+  let scratch = Words.create (level_words c) in
   let rec per_rep rep =
     if rep >= c.prm.reps then None
     else begin
       let rec per_level level =
         if level < 0 then None
         else
-          match decode_level c state ~off ~rep ~level with
+          match decode_level c state ~off ~rep ~level scratch with
           | Some [] -> per_level (level - 1)
           | Some assoc -> pick_min_tiebreak c assoc
           | None -> None

@@ -80,11 +80,6 @@ let of_array a =
 
 let to_array (t : t) = Array.init (length t) (fun i -> unsafe_get t i)
 
-let sub_array (t : t) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > length t then
-    invalid_arg "Words.sub_array: range out of bounds";
-  Array.init len (fun i -> unsafe_get t (pos + i))
-
 (* ------------------------------------------------------------------ *)
 (* Merge kernels                                                       *)
 (* ------------------------------------------------------------------ *)

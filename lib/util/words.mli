@@ -45,7 +45,6 @@ val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 val copy : t -> t
 val of_array : int array -> t
 val to_array : t -> int array
-val sub_array : t -> pos:int -> len:int -> int array
 
 val add : t -> t -> unit
 (** [add t s] sets [t.(i) <- t.(i) + s.(i)] for every word (plain machine

@@ -89,6 +89,13 @@ let test_core_contracts () =
            (Two_pass_spanner.run (Prng.create 1) ~n:4
               ~params:(Two_pass_spanner.default_params ~k:0)
               [||])));
+  (* A pass-2 route packs two vertex ids into one word. *)
+  check "two-pass n > 2^30"
+    (raises_invalid (fun () ->
+         ignore
+           (Two_pass_spanner.run (Prng.create 1) ~n:((1 lsl 30) + 1)
+              ~params:(Two_pass_spanner.default_params ~k:2)
+              [||])));
   check "additive d=0"
     (raises_invalid (fun () ->
          ignore

@@ -745,25 +745,30 @@ let prop_l0_fuzz =
 
 (* -------------------- Reference kernels -------------------- *)
 
-(* Test-local transcriptions of the Packed_l0 update and the Sketch_table
-   decoder as they stood before the prepared update path and key-only
-   peeling: the update re-evaluates every hash per level and row, and the
-   decoder peels a full copy of the table, payloads included. Their hash
-   functions are rebuilt from the seed in the order the library draws them,
-   so the properties below pin that order too. *)
+(* Test-local transcriptions of the Packed_l0 update and decoder and the
+   Sketch_table decoder as they stood before the prepared update path,
+   in-place grid peeling and key-only table peeling: the update
+   re-evaluates every hash per level and row, the Packed_l0 decoder peels
+   an int-array copy of each grid and rehashes a candidate for every check
+   and peel, and the table decoder peels a full copy of the table, payloads
+   included. Their hash functions are rebuilt from the seed in the order
+   the library draws them, so the properties below pin that order too. *)
 module Ref = struct
   type pl0 = {
+    dim : int;
     reps : int;
     levels : int;
     buckets : int;
     base : int;
     level_hashes : Kwise.t array;
     bucket_hashes : Kwise.t array array;
+    tie_break : Kwise.t;
   }
 
   let pl0 seed ~dim ~(params : Packed_l0.params) =
     let rng = Prng.create seed in
     let k = params.hash_degree in
+    let tie_break = Kwise.create (Prng.split_named rng "tiebreak") ~k in
     let bucket_hashes =
       Array.init params.reps (fun r ->
           Array.init 2 (fun q ->
@@ -775,12 +780,14 @@ module Ref = struct
     in
     let base = 2 + Prng.int rng (Field.p - 2) in
     {
+      dim;
       reps = params.reps;
       levels = F0.levels_for dim;
       buckets = max 2 (2 * params.sparsity);
       base;
       level_hashes;
       bucket_hashes;
+      tie_break;
     }
 
   let pl0_update c st ~off ~index ~delta =
@@ -801,6 +808,72 @@ module Ref = struct
         done
       done
     done
+
+  let pl0_decode_level c st ~off ~rep ~level =
+    let level_words = 2 * c.buckets * 3 in
+    let pos = off + (rep * c.levels * level_words) + (level * level_words) in
+    let scratch = Array.init level_words (fun o -> Words.get st (pos + o)) in
+    let cell row bucket = ((row * c.buckets) + bucket) * 3 in
+    let decode_cell o =
+      let c0 = scratch.(o) and c1 = scratch.(o + 1) and c2 = scratch.(o + 2) in
+      if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then `Zero
+      else if c0 = 0 || c1 mod c0 <> 0 then `Many
+      else
+        let i = c1 / c0 in
+        if i < 0 || i >= c.dim then `Many
+        else if Field.of_int (c0 * Field.pow c.base (i + 1)) = Field.of_int c2 then `One (i, c0)
+        else `Many
+    in
+    let acc = ref [] and progress = ref true in
+    while !progress do
+      progress := false;
+      for row = 0 to 1 do
+        for bucket = 0 to c.buckets - 1 do
+          match decode_cell (cell row bucket) with
+          | `One (i, w) when Kwise.to_range c.bucket_hashes.(rep).(row) i ~bound:c.buckets = bucket
+            ->
+              acc := (i, w) :: !acc;
+              let fp = w * Field.pow c.base (i + 1) in
+              for row' = 0 to 1 do
+                let o = cell row' (Kwise.to_range c.bucket_hashes.(rep).(row') i ~bound:c.buckets) in
+                scratch.(o) <- scratch.(o) - w;
+                scratch.(o + 1) <- scratch.(o + 1) - (w * i);
+                scratch.(o + 2) <- scratch.(o + 2) - fp
+              done;
+              progress := true
+          | `Zero | `One _ | `Many -> ()
+        done
+      done
+    done;
+    let cleared = ref true in
+    Array.iteri
+      (fun o v -> if (if o mod 3 = 2 then Field.of_int v else v) <> 0 then cleared := false)
+      scratch;
+    if !cleared then Some !acc else None
+
+  let pl0_decode c st ~off =
+    let pick assoc =
+      List.fold_left
+        (fun best (i, w) ->
+          let h = Kwise.eval c.tie_break i in
+          match best with Some (h0, _, _) when h0 <= h -> best | _ -> Some (h, i, w))
+        None assoc
+      |> Option.map (fun (_, i, w) -> (i, w))
+    in
+    let rec per_rep rep =
+      if rep >= c.reps then None
+      else
+        let rec per_level level =
+          if level < 0 then None
+          else
+            match pl0_decode_level c st ~off ~rep ~level with
+            | Some [] -> per_level (level - 1)
+            | Some assoc -> pick assoc
+            | None -> None
+        in
+        match per_level (c.levels - 1) with Some _ as r -> r | None -> per_rep (rep + 1)
+    in
+    per_rep 0
 
   type table = {
     key_dim : int;
@@ -916,6 +989,39 @@ let prop_packed_l0_matches_reference =
         ops;
       Words.to_array got = Words.to_array want)
 
+(* In-place grid peeling returns the copy-based decoder's exact answer,
+   [None] alike, and leaves the state untouched. Supports run to several
+   times [2 * sparsity] so that grids fail to clear, and a stray word in
+   some cases leaves garbage for the cell checks. *)
+let prop_packed_l0_decode_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* dim = int_range 1 600 in
+      let* reps = int_range 1 3 in
+      let* sparsity = int_range 1 4 in
+      let* hash_degree = oneofl [ 2; 6 ] in
+      let* support = int_range 0 (8 * sparsity) in
+      let* ops = list_repeat support (pair (int_bound (dim - 1)) (int_range (-3) 3)) in
+      let* stray = opt (pair nat (int_range (-3) 3)) in
+      return (seed, dim, { Packed_l0.reps; sparsity; hash_degree }, ops, stray))
+  in
+  QCheck.Test.make ~name:"packed_l0 decode matches the copy-and-peel reference" ~count:1000
+    (QCheck.make gen) (fun (seed, dim, params, ops, stray) ->
+      let cfg = Packed_l0.make_config (Prng.create seed) ~dim ~params in
+      let r = Ref.pl0 seed ~dim ~params in
+      let len = Packed_l0.state_len cfg in
+      let off = 3 in
+      let st = Words.create (off + len) in
+      List.iter (fun (index, delta) -> Packed_l0.update cfg st ~off ~index ~delta) ops;
+      Option.iter
+        (fun (pos, v) ->
+          let o = off + (pos mod len) in
+          Words.set st o (Words.get st o + v))
+        stray;
+      let before = Words.to_array st in
+      Packed_l0.decode cfg st ~off = Ref.pl0_decode r st ~off && Words.to_array st = before)
+
 (* Key-only peeling with in-place payload reads returns the reference's
    exact answer — [None] alike, or the same (key, weight, payload) list in
    the same order — and leaves the table's words untouched. *)
@@ -981,6 +1087,7 @@ let qcheck_cases =
       prop_table_fuzz;
       prop_l0_fuzz;
       prop_packed_l0_matches_reference;
+      prop_packed_l0_decode_matches_reference;
       prop_table_decode_matches_reference;
     ]
 

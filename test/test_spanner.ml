@@ -208,6 +208,28 @@ let prop_two_pass_stretch =
       Graph.is_subgraph ~sub:r.Two_pass_spanner.spanner ~super:g
       && stretch_ok g r.Two_pass_spanner.spanner (1 lsl k))
 
+(* Every counter of both passes is a plain sum over the stream, so a
+   shuffled stream, even one that deletes an edge before inserting it,
+   gives the same run. *)
+let prop_two_pass_order_independent =
+  QCheck.Test.make ~name:"two-pass spanner does not depend on stream order" ~count:30
+    QCheck.(quad small_nat (int_range 24 84) (int_range 2 3) (int_range 0 600))
+    (fun (seed, n, k, decoys) ->
+      let rng = Prng.create (seed + 1300) in
+      let g = Gen.connected_gnp (Prng.split rng) ~n ~p:0.1 in
+      let stream = Stream_gen.with_churn (Prng.split rng) ~decoys g in
+      let shuffled = Array.copy stream in
+      Prng.shuffle (Prng.split rng) shuffled;
+      let run s =
+        Two_pass_spanner.run (Prng.create seed) ~n ~params:(Two_pass_spanner.default_params ~k) s
+      in
+      let a = run stream and b = run shuffled in
+      let open Two_pass_spanner in
+      Graph.edges a.spanner = Graph.edges b.spanner
+      && a.diagnostics = b.diagnostics
+      && a.space_words = b.space_words
+      && List.sort compare a.accessed_edges = List.sort compare b.accessed_edges)
+
 (* -------------------- Multi-pass (2k-1) streaming spanner ------------ *)
 
 let run_multipass ?(decoys = 200) ~k ~seed g =
@@ -415,5 +437,7 @@ let () =
           Alcotest.test_case "violation detected" `Quick test_stretch_violation_detected;
           Alcotest.test_case "additive exact" `Quick test_additive_exact;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_two_pass_stretch ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_two_pass_stretch; prop_two_pass_order_independent ] );
     ]
