@@ -193,9 +193,7 @@ let e5 () =
   List.iter
     (fun budget ->
       let o =
-        Ind_game.play
-          (Prng.create (master_seed + budget))
-          ~n ~d ~algo_budget:budget ~trials:20 ()
+        Ind_game.play (Prng.create (master_seed + budget)) ~n ~d ~algo_budget:budget ~trials:20
       in
       Fmt.pr "%-8d %-14.0f %-12.2f %-12.1f@." budget o.Ind_game.mean_space_words
         (Ind_game.success_rate o) o.Ind_game.mean_distortion;
@@ -621,10 +619,7 @@ let e13 () =
   line ();
   List.iter
     (fun servers ->
-      let r =
-        Ds_sim.Cluster_sim.run (Prng.split rng) ~n ~servers
-          ~partition:Ds_sim.Cluster_sim.Round_robin stream
-      in
+      let r = Ds_sim.Cluster_sim.run (Prng.split rng) ~n ~servers stream in
       Fmt.pr "%-9d %-12d %-16d %-14d %-10b@." servers
         (Array.length stream / servers)
         r.Ds_sim.Cluster_sim.words_per_server r.Ds_sim.Cluster_sim.bytes_total
@@ -769,9 +764,7 @@ let e15 () =
   let module CS = Ds_sim.Cluster_sim in
   let module FP = Ds_fault.Fault_plan in
   let supervised ?allow_reingest ~plan ~servers () =
-    CS.run_supervised ?allow_reingest ~plan
-      (Prng.create (master_seed + 15))
-      ~n ~servers ~partition:CS.Round_robin stream
+    CS.run_supervised ?allow_reingest ~plan (Prng.create (master_seed + 15)) ~n ~servers stream
   in
   Fmt.pr "graph: n=%d |E|=%d, stream %d updates@." n (Graph.num_edges g) (Array.length stream);
   let clean = supervised ~plan:FP.none ~servers:4 () in
@@ -811,7 +804,6 @@ let e15 () =
      one by persistently dropping one server's envelope. *)
   let servers = 4 in
   let copies = clean.CS.sup_copies in
-  let max_attempts = Ds_fault.Supervisor.default.Ds_fault.Supervisor.max_attempts in
   Fmt.pr "@.degraded decoding (re-ingestion off, %d repetitions budgeted):@." copies;
   Fmt.pr "%-14s %-9s %-16s %-9s@." "lost reps" "quorum" "certified delta" "correct";
   line ();
@@ -819,7 +811,7 @@ let e15 () =
     (fun lost ->
       let drops =
         List.concat_map
-          (fun m -> List.init max_attempts (fun a -> ((1, m, a), FP.Drop)))
+          (fun m -> List.init Ds_fault.Supervisor.max_attempts (fun a -> ((1, m, a), FP.Drop)))
           (List.init lost (fun m -> m))
       in
       let plan = FP.of_list ~seed:(master_seed + lost) drops in
@@ -904,7 +896,7 @@ let e16 () =
     CS.run_supervised
       ~plan:(Ds_fault.Fault_plan.random ~seed:(master_seed + 4) ~rate:0.2)
       (Prng.create (master_seed + 15))
-      ~n ~servers:4 ~partition:CS.Round_robin stream
+      ~n ~servers:4 stream
   in
   let snap = Obs.Metrics.snapshot () in
   let c name = Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters) in
@@ -1021,8 +1013,7 @@ let e17 () =
             ignore
               (Ds_sim.Cluster_sim.run_supervised
                  ~plan:(Ds_fault.Fault_plan.random ~seed:(master_seed + 5) ~rate:0.1)
-                 (Prng.split rng) ~n ~servers ~partition:Ds_sim.Cluster_sim.Round_robin
-                 stream))
+                 (Prng.split rng) ~n ~servers stream))
       in
       let c name = Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters) in
       let tbl = phase_table root in

@@ -310,7 +310,7 @@ let chaos_cmd =
     in
     let r =
       Ds_sim.Cluster_sim.run_supervised ~allow_reingest:(not no_heal) ~plan (Prng.split rng)
-        ~n:(Graph.n g) ~servers ~partition:Ds_sim.Cluster_sim.Round_robin stream
+        ~n:(Graph.n g) ~servers stream
     in
     Fmt.pr "== supervised cluster run under deterministic fault injection ==@.";
     Fmt.pr "plan: fault-seed=%d rate=%.2f heal=%b servers=%d@." fault_seed rate (not no_heal)
@@ -654,12 +654,11 @@ let trace_cmd =
              stream)
     | `Cluster ->
         ignore
-          (Ds_sim.Cluster_sim.run (Prng.split rng) ~n ~servers:4
-             ~partition:Ds_sim.Cluster_sim.Round_robin stream)
+          (Ds_sim.Cluster_sim.run (Prng.split rng) ~n ~servers:4 stream)
     | `Supervised ->
         ignore
           (Ds_sim.Cluster_sim.run_supervised ~plan:Ds_fault.Fault_plan.none (Prng.split rng)
-             ~n ~servers:4 ~partition:Ds_sim.Cluster_sim.Round_robin stream));
+             ~n ~servers:4 stream));
     let jsonl = Ds_obs.Trace.to_jsonl () in
     match out with
     | Some path ->

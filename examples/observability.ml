@@ -41,7 +41,7 @@ let () =
   (* A second workload so the export shows more than one subsystem: ship
      the same stream through the 4-server cluster simulator. *)
   let module CS = Ds_sim.Cluster_sim in
-  let shipped = CS.run (Prng.create 2014) ~n ~servers:4 ~partition:CS.Round_robin stream in
+  let shipped = CS.run (Prng.create 2014) ~n ~servers:4 stream in
   Fmt.pr "cluster: merged forest correct=%b over %d servers@." shipped.CS.forest_correct
     shipped.CS.servers;
 

@@ -11,7 +11,11 @@ type outcome = {
 
 let success_rate o = float_of_int o.correct /. float_of_int o.trials
 
-let play rng ~n ~d ?(block_factor = 3.0) ~algo_budget ~trials () =
+(* Blocks per instance = [block_factor * n / d]: the paper's factor is 18,
+   scaled down to keep laptop-size instances meaningful. *)
+let block_factor = 3.0
+
+let play rng ~n ~d ~algo_budget ~trials =
   if d < 2 then invalid_arg "Ind_game.play: d must be >= 2";
   let s = max 2 (int_of_float (ceil (block_factor *. float_of_int n /. float_of_int d))) in
   let total = s * d in

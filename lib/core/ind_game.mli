@@ -1,6 +1,6 @@
 (** Theorem 4 as an executable experiment: the INDEX communication game.
 
-    Alice holds [s = ceil(factor * n / d)] independent [G(d, 1/2)] graphs
+    Alice holds [s = ceil(3 n / d)] independent [G(d, 1/2)] graphs
     (her input bits) and streams their disjoint union through a space-
     bounded one-pass streaming spanner (our Algorithm 3 instance). Bob
     receives the algorithm state (in the simulation, the same in-memory
@@ -22,18 +22,10 @@ type outcome = {
   mean_distortion : float;  (** measured additive distortion of the returned spanners *)
 }
 
-val play :
-  Ds_util.Prng.t ->
-  n:int ->
-  d:int ->
-  ?block_factor:float ->
-  algo_budget:int ->
-  trials:int ->
-  unit ->
-  outcome
-(** [n, d]: instance shape (the hard distribution has [ceil(factor * n/d)]
-    blocks of [d] vertices; [block_factor] defaults to 3.0, scaled down from
-    the paper's 18 to keep laptop-size instances meaningful).
+val play : Ds_util.Prng.t -> n:int -> d:int -> algo_budget:int -> trials:int -> outcome
+(** [n, d]: instance shape (the hard distribution has [ceil(3 n/d)]
+    blocks of [d] vertices; the factor 3 is scaled down from the paper's
+    18 to keep laptop-size instances meaningful).
     [algo_budget]: the [d] parameter handed to the streaming spanner — its
     space is [~O(n * algo_budget)]. *)
 

@@ -5,14 +5,9 @@
     streaming algorithm can, so it bounds what the two-pass pipeline could
     hope for. *)
 
-val run :
-  Ds_util.Prng.t ->
-  eps:float ->
-  ?oversample:float ->
-  Ds_graph.Weighted_graph.t ->
-  Ds_graph.Weighted_graph.t
-(** [oversample] is the constant [C] (default 0.5 — tuned so that sizes at
-    laptop scale are non-trivial; quality/size both appear in the tables). *)
+val run : Ds_util.Prng.t -> eps:float -> Ds_graph.Weighted_graph.t -> Ds_graph.Weighted_graph.t
+(** The constant [C] is 0.5, tuned so that sizes at laptop scale are
+    non-trivial; quality/size both appear in the tables. *)
 
-val expected_size : eps:float -> ?oversample:float -> Ds_graph.Weighted_graph.t -> float
+val expected_size : eps:float -> Ds_graph.Weighted_graph.t -> float
 (** [sum_e p_e], the expected number of sampled edges. *)

@@ -134,23 +134,9 @@ let pass1_update p (u : Update.t) =
       done
   done
 
-(* Sharded pass-1 fill: the sketch buffer is a linear function of the
-   stream, so per-domain replicas (sharing the immutable hash state)
-   summed word-wise equal the sequentially filled buffer exactly. *)
-let pass1_fill p ~ingest stream =
+let pass1_fill p stream =
   Ds_obs.Metrics.incr m_p1_updates (Array.length stream);
-  Ds_obs.Trace.with_span "spanner.pass1" @@ fun () ->
-  match ingest with
-  | `Sequential -> Array.iter (pass1_update p) stream
-  | `Parallel pool ->
-      Ds_par.Shard_ingest.ingest_into pool
-        ~clone_zero:(fun q -> { q with words = Words.create (Words.length q.words) })
-        ~update:(fun replica stream ~pos ~len ->
-          for i = pos to pos + len - 1 do
-            pass1_update replica stream.(i)
-          done)
-        ~add:(fun a b -> Words.add_tri a.words b.words)
-        p stream
+  Ds_obs.Trace.with_span "spanner.pass1" (fun () -> Array.iter (pass1_update p) stream)
 
 (* Attach callback: sum member sketches for target level r = level+1, then
    scan sampling levels from sparsest down; the first non-empty decodable
@@ -523,16 +509,16 @@ let finish rng p1 ~n ~prm stream =
 (* Every entry point runs under one "spanner.run" root span, so a whole
    two-pass run (including a checkpoint/resume pair) reconstructs as a
    single trace tree with pass 1 / clustering / pass 2 as children. *)
-let run ?(ingest = `Sequential) rng ~n ~params:prm stream =
+let run rng ~n ~params:prm stream =
   Ds_obs.Trace.with_span "spanner.run" @@ fun () ->
   let rng, p1 = derive rng ~n ~prm in
-  pass1_fill p1 ~ingest stream;
+  pass1_fill p1 stream;
   finish rng p1 ~n ~prm stream
 
-let checkpoint ?(ingest = `Sequential) rng ~n ~params:prm stream =
+let checkpoint rng ~n ~params:prm stream =
   Ds_obs.Trace.with_span "spanner.run" @@ fun () ->
   let _rng, p1 = derive rng ~n ~prm in
-  pass1_fill p1 ~ingest stream;
+  pass1_fill p1 stream;
   let data = Ds_obs.Trace.with_span "spanner.checkpoint" (fun () -> serialize_pass1 p1) in
   Ds_obs.Metrics.incr m_ckpt_bytes (String.length data);
   data
@@ -553,7 +539,7 @@ let resume rng ~n ~params:prm ~checkpoint stream =
   | Ok r -> r
   | Error e -> failwith ("Two_pass_spanner: " ^ checkpoint_error_to_string e)
 
-let resume_or_restart ?(ingest = `Sequential) rng ~n ~params:prm ~checkpoint stream =
+let resume_or_restart rng ~n ~params:prm ~checkpoint stream =
   match resume_result rng ~n ~params:prm ~checkpoint stream with
   | Ok r -> (r, `Resumed)
   | Error e ->
@@ -562,4 +548,4 @@ let resume_or_restart ?(ingest = `Sequential) rng ~n ~params:prm ~checkpoint str
          [split_named] derives children without consuming the caller PRNG,
          so this replays the exact chain of [run] and the recomputed result
          is bit-identical to an uninterrupted run. *)
-      (run ~ingest rng ~n ~params:prm stream, `Recomputed e)
+      (run rng ~n ~params:prm stream, `Recomputed e)

@@ -47,18 +47,13 @@ type result = {
 }
 
 val run :
-  ?ingest:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
   Ds_util.Prng.t ->
   n:int ->
   params:params ->
   Ds_stream.Update.t array ->
   result
 (** Processes the stream twice (the two passes); the stream array itself is
-    the only re-readable input, exactly as in the model. [`Parallel pool]
-    (default [`Sequential]) fills the pass-1 sketches by sharding the stream
-    across domains into compatible zero replicas and summing them — by
-    linearity the merged state, and therefore the output spanner, is
-    bit-identical to sequential ingestion.
+    the only re-readable input, exactly as in the model.
     @raise Invalid_argument if [params.k < 1] or [n > 2^30] (pass 2 packs
     two vertex ids into one word per route). *)
 
@@ -78,7 +73,6 @@ val space_bound : n:int -> k:int -> float
     uninterrupted {!run} — across process boundaries. *)
 
 val checkpoint :
-  ?ingest:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
   Ds_util.Prng.t ->
   n:int ->
   params:params ->
@@ -127,7 +121,6 @@ val resume_result :
 (** {!resume} with a typed verdict instead of an exception. *)
 
 val resume_or_restart :
-  ?ingest:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
   Ds_util.Prng.t ->
   n:int ->
   params:params ->

@@ -1,15 +1,10 @@
-type policy = {
-  max_attempts : int;
-  base_delay : float;
-  multiplier : float;
-  max_delay : float;
-}
+let max_attempts = 5
 
-let default = { max_attempts = 5; base_delay = 1.0; multiplier = 2.0; max_delay = 8.0 }
+(* The backoff doubles from one time unit and stops growing here. *)
+let max_delay = 8.0
 
-let delay_before p ~attempt =
-  if attempt <= 0 then 0.0
-  else min p.max_delay (p.base_delay *. (p.multiplier ** float_of_int (attempt - 1)))
+let delay_before ~attempt =
+  if attempt <= 0 then 0.0 else min max_delay (2.0 ** float_of_int (attempt - 1))
 
 type stats = { attempts : int; backoff : float }
 
@@ -19,16 +14,15 @@ let m_retries = Ds_obs.Metrics.counter "fault.retries"
 let m_backoff_milli = Ds_obs.Metrics.counter "fault.backoff_milli"
 let m_gave_up = Ds_obs.Metrics.counter "fault.gave_up"
 
-let retry p f =
-  if p.max_attempts < 1 then invalid_arg "Supervisor.retry: max_attempts must be >= 1";
+let retry f =
   let rec go attempt backoff =
-    let backoff = backoff +. delay_before p ~attempt in
+    let backoff = backoff +. delay_before ~attempt in
     (* Each attempt is a child span, so retries show up individually on
        the trace's critical path. *)
     match Ds_obs.Trace.with_span "fault.attempt" (fun () -> f ~attempt) with
     | Ok _ as ok -> (ok, { attempts = attempt + 1; backoff })
     | Error _ as err ->
-        if attempt + 1 >= p.max_attempts then (err, { attempts = attempt + 1; backoff })
+        if attempt + 1 >= max_attempts then (err, { attempts = attempt + 1; backoff })
         else go (attempt + 1) backoff
   in
   let ((result, stats) as r) = go 0 0.0 in

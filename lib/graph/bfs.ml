@@ -17,9 +17,3 @@ let distances_capped g ~source ~cap =
 
 let distances g ~source = distances_capped g ~source ~cap:max_int
 let distance g u v = (distances g ~source:u).(v)
-
-let eccentricity g u =
-  Array.fold_left
-    (fun acc d -> if d <> max_int && d > acc then d else acc)
-    0
-    (distances g ~source:u)

@@ -12,6 +12,3 @@ val distances_capped : Graph.t -> source:int -> cap:int -> int array
 
 val distance : Graph.t -> int -> int -> int
 (** Pairwise distance; [max_int] if disconnected. *)
-
-val eccentricity : Graph.t -> int -> int
-(** Largest finite distance from a vertex. *)

@@ -3,8 +3,8 @@ type result = { x : float array; iterations : int; residual : float }
 (* Textbook CG for [A x = b], [A] symmetric and positive definite on the
    subspace [project] maps onto (the identity for the shifted system). All
    vectors are allocated up front; [apply v q] overwrites [q] with [A v]. *)
-let iterate ~n ~apply ~project ~b ~tol ~max_iter =
-  let max_iter = if max_iter = 0 then 20 * n else max_iter in
+let iterate ~n ~apply ~project ~b ~tol =
+  let max_iter = 20 * n in
   let x = Array.make n 0.0 in
   let r = Array.copy b in
   let p = Array.copy r in
@@ -38,7 +38,7 @@ let iterate ~n ~apply ~project ~b ~tol ~max_iter =
   let residual = Vec.norm (Vec.sub q b) /. bnorm in
   { x; iterations = !iters; residual }
 
-let solve_shifted (op : Laplacian.op) ~shift ~b ?(tol = 1e-9) ?(max_iter = 0) () =
+let solve_shifted (op : Laplacian.op) ~shift ~b ?(tol = 1e-9) () =
   let n = op.Laplacian.n in
   if Array.length b <> n then invalid_arg "Cg.solve_shifted: size mismatch";
   if shift <= 0.0 then invalid_arg "Cg.solve_shifted: shift must be positive";
@@ -50,11 +50,11 @@ let solve_shifted (op : Laplacian.op) ~shift ~b ?(tol = 1e-9) ?(max_iter = 0) ()
       q.(i) <- q.(i) +. (shift *. v.(i))
     done
   in
-  iterate ~n ~apply ~project:ignore ~b ~tol ~max_iter
+  iterate ~n ~apply ~project:ignore ~b ~tol
 
-let solve (op : Laplacian.op) ~b ?(tol = 1e-9) ?(max_iter = 0) () =
+let solve (op : Laplacian.op) ~b ?(tol = 1e-9) () =
   let n = op.Laplacian.n in
   if Array.length b <> n then invalid_arg "Cg.solve: size mismatch";
   let b = Array.copy b in
   Vec.project_off_ones b;
-  iterate ~n ~apply:(Laplacian.apply_into op) ~project:Vec.project_off_ones ~b ~tol ~max_iter
+  iterate ~n ~apply:(Laplacian.apply_into op) ~project:Vec.project_off_ones ~b ~tol

@@ -1,6 +1,8 @@
 type eig = { values : float array; vectors : Matrix.t }
 
-let decompose ?(tol = 1e-12) ?(max_sweeps = 100) m =
+let max_sweeps = 100
+
+let decompose ?(tol = 1e-12) m =
   if not (Matrix.is_symmetric ~tol:1e-8 m) then
     invalid_arg "Jacobi.decompose: matrix not symmetric";
   let n = Matrix.dim m in

@@ -6,8 +6,10 @@ type eig = { values : float array; vectors : Matrix.t }
 (** [values] ascending; column [j] of [vectors] is the eigenvector of
     [values.(j)]. *)
 
-val decompose : ?tol:float -> ?max_sweeps:int -> Matrix.t -> eig
-(** @raise Invalid_argument if the matrix is not symmetric. *)
+val decompose : ?tol:float -> Matrix.t -> eig
+(** Sweeps until the off-diagonal mass is below [tol] relative to the
+    Frobenius norm, or 100 sweeps.
+    @raise Invalid_argument if the matrix is not symmetric. *)
 
 val eigenvalues : ?tol:float -> Matrix.t -> float array
 (** Just the (ascending) spectrum. *)

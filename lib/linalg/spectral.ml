@@ -1,4 +1,3 @@
-open Ds_util
 open Ds_graph
 
 type bounds = { lambda_min : float; lambda_max : float; kernel_leak : float }
@@ -42,28 +41,3 @@ let pencil_bounds ~base ~candidate =
 let is_sparsifier ~base ~candidate ~eps =
   let { lambda_min; lambda_max; kernel_leak } = pencil_bounds ~base ~candidate in
   kernel_leak < 1e-6 && lambda_min >= 1.0 -. eps -. 1e-9 && lambda_max <= 1.0 +. eps +. 1e-9
-
-let ratio_samples draw ~base ~candidate ~samples =
-  let acc = ref [] in
-  let attempts = ref 0 in
-  while List.length !acc < samples && !attempts < 20 * samples do
-    incr attempts;
-    let x = draw () in
-    let qb = Laplacian.quadratic_form base x in
-    if qb > 1e-12 then acc := (Laplacian.quadratic_form candidate x /. qb) :: !acc
-  done;
-  Array.of_list !acc
-
-let quadratic_ratio_samples rng ~base ~candidate ~samples =
-  let n = Weighted_graph.n base in
-  let draw () =
-    let x = Vec.random_unit rng n in
-    Vec.project_off_ones x;
-    x
-  in
-  ratio_samples draw ~base ~candidate ~samples
-
-let cut_ratio_samples rng ~base ~candidate ~samples =
-  let n = Weighted_graph.n base in
-  let draw () = Array.init n (fun _ -> if Prng.bool rng then 1.0 else 0.0) in
-  ratio_samples draw ~base ~candidate ~samples

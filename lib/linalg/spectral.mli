@@ -15,22 +15,3 @@ val pencil_bounds : base:Ds_graph.Weighted_graph.t -> candidate:Ds_graph.Weighte
 
 val is_sparsifier :
   base:Ds_graph.Weighted_graph.t -> candidate:Ds_graph.Weighted_graph.t -> eps:float -> bool
-
-val quadratic_ratio_samples :
-  Ds_util.Prng.t ->
-  base:Ds_graph.Weighted_graph.t ->
-  candidate:Ds_graph.Weighted_graph.t ->
-  samples:int ->
-  float array
-(** Ratios [x^T L_H x / x^T L_G x] on random unit vectors (projected off the
-    ones vector) — a cheap statistical check that brackets the exact
-    bounds. Skips draws where the base form is ~0. *)
-
-val cut_ratio_samples :
-  Ds_util.Prng.t ->
-  base:Ds_graph.Weighted_graph.t ->
-  candidate:Ds_graph.Weighted_graph.t ->
-  samples:int ->
-  float array
-(** The same ratios on random binary cut vectors: the classical cut-
-    sparsifier guarantee implied by a spectral one. *)

@@ -7,30 +7,21 @@ type entry = {
   constant : float;
 }
 
-(* The asymptotic bounds drop polylog factors and the per-level
-   repetition constants of the l0-sampler stack; measured constants for
-   honest reproductions land well under this. *)
-let default_tolerance = 4096.
 let lock = Mutex.create ()
 let items : entry list ref = ref []
 
-let record ?(wire_bytes = 0) ?off_heap_bytes ~phase ~words bound =
+let record ?(wire_bytes = 0) ~phase ~words bound =
   if Metrics.enabled () then begin
     if bound <= 0. then invalid_arg "Ds_obs.Ledger.record: bound must be > 0";
     if words < 0 then invalid_arg "Ds_obs.Ledger.record: words must be >= 0";
-    (* Sketch counters live in off-heap word buffers (Ds_util.Words, 8
-       bytes per slot), so by default the off-heap cost is exactly the
-       recorded word count; callers tracking heap-resident structures
-       alongside pass [~off_heap_bytes] explicitly. *)
-    let off_heap_bytes =
-      match off_heap_bytes with Some b -> b | None -> 8 * words
-    in
     let e =
       {
         phase;
         words;
         wire_bytes;
-        off_heap_bytes;
+        (* Sketch counters live in off-heap word buffers (Ds_util.Words,
+           8 bytes per slot). *)
+        off_heap_bytes = 8 * words;
         bound_words = bound;
         constant = float_of_int words /. bound;
       }
@@ -46,8 +37,11 @@ let entries () =
   Mutex.unlock lock;
   l
 
-let check ?(tolerance = default_tolerance) e =
-  e.constant >= 0. && e.constant <= tolerance
+(* The asymptotic bounds drop polylog factors and the per-level
+   repetition constants of the l0-sampler stack; measured constants for
+   honest reproductions land well under this. *)
+let tolerance = 4096.
+let check e = e.constant >= 0. && e.constant <= tolerance
 
 let reset () =
   Mutex.lock lock;

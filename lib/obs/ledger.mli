@@ -15,29 +15,24 @@ type entry = {
   wire_bytes : int;  (** serialized bytes at the boundary; 0 if not taken *)
   off_heap_bytes : int;
       (** true off-heap storage cost: sketch counters live in
-          {!Ds_util.Words} buffers at 8 bytes per word slot, so this
-          defaults to [8 * words] unless the recorder overrides it *)
+          {!Ds_util.Words} buffers at 8 bytes per word slot, so this is
+          [8 * words] *)
   bound_words : float;  (** closed-form bound in words *)
   constant : float;  (** [words /. bound_words] *)
 }
 
-val default_tolerance : float
-(** Maximum acceptable measured constant (covers polylog factors and
-    repetition constants the asymptotic bound hides). *)
-
-val record :
-  ?wire_bytes:int -> ?off_heap_bytes:int -> phase:string -> words:int -> float -> unit
+val record : ?wire_bytes:int -> phase:string -> words:int -> float -> unit
 (** [record ~phase ~words bound] appends an entry.  No-op when
-    {!Metrics.enabled} is false.  [off_heap_bytes] defaults to
-    [8 * words] — the exact buffer cost of word-backed sketch state.
+    {!Metrics.enabled} is false.
     @raise Invalid_argument if [bound <= 0] or [words < 0]. *)
 
 val entries : unit -> entry list
 (** Entries in recording order. *)
 
-val check : ?tolerance:float -> entry -> bool
-(** [check e] is true iff [0 <= e.constant <= tolerance] (default
-    {!default_tolerance}). *)
+val check : entry -> bool
+(** [check e] is true iff [0 <= e.constant <= 4096], a tolerance that
+    covers the polylog factors and repetition constants the asymptotic
+    bound hides. *)
 
 val reset : unit -> unit
 
@@ -46,4 +41,4 @@ val pp_entry : Format.formatter -> entry -> unit
 
 val to_json : unit -> Ds_util.Json.t
 (** JSON array of entries, each with a ["within_bound"] field from
-    [check] at the default tolerance. *)
+    [check]. *)

@@ -120,11 +120,6 @@ let run pool thunks =
       (match !first_error with Some e -> raise e | None -> ());
       Array.to_list (Array.map Option.get results)
 
-let map_array pool f items =
-  if Array.length items = 0 then [||]
-  else
-    run pool (List.init (Array.length items) (fun i () -> f items.(i))) |> Array.of_list
-
 let shutdown pool =
   Mutex.lock pool.lock;
   if not pool.closed then begin

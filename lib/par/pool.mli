@@ -33,9 +33,6 @@ val run : t -> (unit -> 'a) list -> 'a list
     completion and the first exception (in completion order) is re-raised.
     Thunks must not touch mutable state shared with other thunks. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool f items] is {!run} over [fun () -> f items.(i)]. *)
-
 val submit : t -> (unit -> unit) -> unit
 (** Fire-and-forget enqueue. {!run} is the right call for almost everything;
     [submit] exists for callers managing their own completion signalling.

@@ -22,11 +22,6 @@ type 's arena = {
   mutable bytes : int;
 }
 
-let arena ?(bytes_of = fun _ -> 0) ~reset () = { reset; bytes_of; slots = [||]; bytes = 0 }
-
-let arena_of (type s) ((module L) : s Ds_sketch.Linear_sketch.impl) =
-  arena ~reset:L.reset ~bytes_of:(fun s -> 8 * L.space_in_words s) ()
-
 let arena_bytes a = a.bytes
 
 (* Called before the parallel region: growing [slots] must not race the
@@ -93,22 +88,14 @@ let ingest_into pool ?arena ~clone_zero ~update ~add sketch items =
     Ds_obs.Metrics.incr m_updates n
   end
 
-(* One entry point for anything implementing the linear-sketch interface. *)
-let linear (type s) pool ?arena ((module L) : s Ds_sketch.Linear_sketch.impl) (sketch : s)
-    (pairs : (int * int) array) =
-  ingest_into pool ?arena ~clone_zero:L.clone_zero
-    ~update:(fun s arr ~pos ~len ->
-      for i = pos to pos + len - 1 do
-        let index, delta = arr.(i) in
-        L.update s ~index ~delta
-      done)
-    ~add:L.add sketch pairs
-
 let agm pool ?arena sketch updates =
   ingest_into pool ?arena ~clone_zero:Ds_agm.Agm_sketch.clone_zero
     ~update:Ds_agm.Agm_sketch.update_slice ~add:Ds_agm.Agm_sketch.add sketch updates
 
 let agm_arena () =
-  arena ~reset:Ds_agm.Agm_sketch.reset
-    ~bytes_of:(fun s -> 8 * Ds_agm.Agm_sketch.space_in_words s)
-    ()
+  {
+    reset = Ds_agm.Agm_sketch.reset;
+    bytes_of = (fun s -> 8 * Ds_agm.Agm_sketch.space_in_words s);
+    slots = [||];
+    bytes = 0;
+  }

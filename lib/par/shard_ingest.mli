@@ -33,15 +33,10 @@ type 's arena
     merge). It may be shared by pools of different sizes. Not
     concurrency-safe across overlapping ingests. *)
 
-val arena : ?bytes_of:('s -> int) -> reset:('s -> unit) -> unit -> 's arena
-(** [reset] must return a replica to the zero sketch in place
-    (e.g. {!Ds_agm.Agm_sketch.reset}); [bytes_of] (default [fun _ -> 0])
-    prices a replica for the [par.ingest.arena_bytes] gauge. *)
-
-val arena_of : 's Ds_sketch.Linear_sketch.impl -> 's arena
-(** An arena for any linear family, priced at [8 * space_in_words]. *)
-
 val agm_arena : unit -> Ds_agm.Agm_sketch.t arena
+(** An arena for {!agm}: a recycled replica is returned to the zero
+    sketch by {!Ds_agm.Agm_sketch.reset} and priced at
+    [8 * space_in_words] bytes for the [par.ingest.arena_bytes] gauge. *)
 
 val arena_bytes : 's arena -> int
 (** Off-heap bytes currently held by the arena's replicas (also exported
@@ -69,17 +64,6 @@ val ingest_into :
     return a physically fresh sketch. If [update] raises, the sketch may be
     left with a partially applied stream (the exception still
     propagates). *)
-
-val linear :
-  Pool.t ->
-  ?arena:'s arena ->
-  's Ds_sketch.Linear_sketch.impl ->
-  's ->
-  (int * int) array ->
-  unit
-(** [linear pool impl sketch pairs] ingests an [(index, delta)] array into
-    {e any} sketch implementing {!Ds_sketch.Linear_sketch.S} — the one
-    generic entry point; bit-identical to applying [pairs] sequentially. *)
 
 val agm :
   Pool.t ->

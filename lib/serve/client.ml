@@ -17,7 +17,6 @@ type entry = {
 
 type t = {
   socket_path : string;
-  policy : Supervisor.policy;
   delay_unit : float;
   rng : Prng.t;
   mutable fd : Unix.file_descr option;
@@ -28,14 +27,12 @@ type t = {
   mutable backoff_total : float;
 }
 
-let connect ?(policy = Supervisor.default) ?(delay_unit = 0.02) ?(seed = 0xC11E57) ~socket_path
-    () =
+let connect ?(delay_unit = 0.02) ?(seed = 0xC11E57) ~socket_path () =
   (* A write to a socket whose server died must surface as EPIPE (a
      transport error we reconnect from), not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   {
     socket_path;
-    policy;
     delay_unit;
     rng = Prng.create seed;
     fd = None;
@@ -57,11 +54,11 @@ let close t =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ()
 
-(* Capped exponential backoff from the supervisor's policy, with
+(* Capped exponential backoff on the supervisor's schedule, with
    multiplicative jitter in [0.5, 1.0) so a herd of clients NACKed in
    the same tick does not retry in the same tick. *)
 let backoff t ~attempt =
-  let units = Supervisor.delay_before t.policy ~attempt in
+  let units = Supervisor.delay_before ~attempt in
   let d = units *. t.delay_unit *. (0.5 +. Prng.float t.rng 0.5) in
   if d > 0.0 then begin
     t.backoff_total <- t.backoff_total +. d;
@@ -208,7 +205,7 @@ let with_retries t f =
     | Ok v -> Ok v
     | Error (`Permanent m) -> Error m
     | Error (`Transient m) ->
-        if attempt + 1 >= t.policy.Supervisor.max_attempts then Error m
+        if attempt + 1 >= Supervisor.max_attempts then Error m
         else begin
           t.retries <- t.retries + 1;
           backoff t ~attempt:(attempt + 1);

@@ -20,7 +20,6 @@
 type t
 
 val connect :
-  ?policy:Ds_fault.Supervisor.policy ->
   ?delay_unit:float ->
   ?seed:int ->
   socket_path:string ->
@@ -40,7 +39,7 @@ val create_stream :
 
 val ingest : t -> tenant:string -> stream:string -> payload:string -> (unit, string) result
 (** Assigns the next sequence number, retains the payload until a
-    durable ack covers it, sends, and retries per the policy. *)
+    durable ack covers it, sends, and retries on the supervisor's schedule. *)
 
 type state = {
   payload : string;  (** full LSK1 envelope of the merged sketch *)

@@ -18,18 +18,15 @@
    {!Checkpoint.tenants} treats every directory under [dir] as a
    tenant store. *)
 
-type t = {
-  f_dir : string;
-  f_max_spans : int;
-  f_max_events : int;
-  mutable f_seq : int;
-}
+type t = { f_dir : string; mutable f_seq : int }
 
 let filename = "flight-latest.json"
 let path ~dir = Filename.concat dir filename
 
-let create ?(max_spans = 256) ?(max_events = 64) ~dir () =
-  { f_dir = dir; f_max_spans = max_spans; f_max_events = max_events; f_seq = 0 }
+(* A dump keeps the newest [max_spans] spans and [max_events] events. *)
+let max_spans = 256
+let max_events = 64
+let create ~dir = { f_dir = dir; f_seq = 0 }
 
 let dumps t = t.f_seq
 
@@ -59,14 +56,14 @@ let dump t ~reason ~stats ~events =
           ("mono_ns", Int (Ds_obs.Clock.now_ns ()));
           (* Tail of the span ring: the most recent serve.apply/client spans. *)
           ( "spans",
-            Arr (List.map Ds_obs.Trace.span_to_json (tail t.f_max_spans (Ds_obs.Trace.spans ()))) );
+            Arr (List.map Ds_obs.Trace.span_to_json (tail max_spans (Ds_obs.Trace.spans ()))) );
           ("spans_recorded", int (Ds_obs.Trace.recorded ()));
           ("spans_dropped", int (Ds_obs.Trace.dropped ()));
           ("metrics", Ds_obs.Metrics.to_json (Ds_obs.Metrics.snapshot ()));
           ("quantiles", Ds_obs.Quantile.to_json (Ds_obs.Quantile.snapshot ()));
           ("stats", stats);
           (* Newest-first event tail, as kept by the server. *)
-          ("events", Arr (List.map (fun e -> Str e) (take t.f_max_events events)));
+          ("events", Arr (List.map (fun e -> Str e) (take max_events events)));
         ])
   in
   Ds_util.Durable.write_atomic ~path:(path ~dir:t.f_dir) (Ds_util.Json.to_string doc)

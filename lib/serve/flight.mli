@@ -11,9 +11,9 @@
 
 type t
 
-val create : ?max_spans:int -> ?max_events:int -> dir:string -> unit -> t
-(** [max_spans] (default 256) bounds the span tail kept per dump;
-    [max_events] (default 64) bounds the event-log tail. *)
+val create : dir:string -> t
+(** A recorder writing under [dir]. Each dump keeps the newest 256 spans
+    and the newest 64 events. *)
 
 val dump : t -> reason:string -> stats:Ds_util.Json.t -> events:string list -> unit
 (** Write one dump (atomically replacing the previous one).  [stats] is

@@ -1,16 +1,15 @@
 open Ds_util
 
+let max_frame = 16 * 1024 * 1024
+
 type t = {
-  max_frame : int;
   mutable data : Bytes.t;
   mutable len : int;  (* bytes buffered *)
   mutable pos : int;  (* bytes consumed *)
   mutable failed : Wire.frame_error option;
 }
 
-let create ?(max_frame = 16 * 1024 * 1024) () =
-  if max_frame < 0 then invalid_arg "Frame_reader.create: negative max_frame";
-  { max_frame; data = Bytes.create 4096; len = 0; pos = 0; failed = None }
+let create () = { data = Bytes.create 4096; len = 0; pos = 0; failed = None }
 
 let buffered t = t.len - t.pos
 let failed t = t.failed
@@ -54,7 +53,7 @@ let next t =
       if buffered t < Wire.frame_header_length then Ok None
       else begin
         let header = Bytes.sub_string t.data t.pos Wire.frame_header_length in
-        match Wire.decode_frame_length ~max:t.max_frame header ~pos:0 with
+        match Wire.decode_frame_length ~max:max_frame header ~pos:0 with
         | Error e ->
             t.failed <- Some e;
             Error e

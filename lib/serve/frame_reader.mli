@@ -13,9 +13,11 @@
 
 type t
 
-val create : ?max_frame:int -> unit -> t
-(** [max_frame] defaults to 16 MiB — far above any SRV1 frame the serving
-    layer emits, far below an OOM. *)
+val max_frame : int
+(** The payload length ceiling, 16 MiB — far above any SRV1 frame the
+    serving layer emits, far below an OOM. *)
+
+val create : unit -> t
 
 val feed : t -> string -> unit
 (** Append bytes from the transport. Ignored after a header failure. *)

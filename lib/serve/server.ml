@@ -6,10 +6,8 @@ type config = {
   queue_bound : int;
   drain_per_tick : int;
   checkpoint_every : int;
-  max_frame : int;
   retention : int;
   tenant_gauges : int;
-  tenant_stats_cap : int;
   flight : bool;
 }
 
@@ -20,10 +18,8 @@ let default_config ~dir =
     queue_bound = 256;
     drain_per_tick = 128;
     checkpoint_every = 256;
-    max_frame = 16 * 1024 * 1024;
     retention = 2;
     tenant_gauges = 8;
-    tenant_stats_cap = 64;
     flight = false;
   }
 
@@ -58,6 +54,7 @@ type tstat = {
   ts_nacks : int array;
 }
 
+let tenant_stats_cap = 64
 let overflow_tenant = "!overflow"
 let n_nack_kinds = Array.length Sframe.nack_kinds
 
@@ -130,7 +127,7 @@ let tstat_for t tenant =
   | Some s -> s
   | None ->
       let key =
-        if Hashtbl.length t.tstats < t.config.tenant_stats_cap then tenant
+        if Hashtbl.length t.tstats < tenant_stats_cap then tenant
         else overflow_tenant
       in
       (match Hashtbl.find_opt t.tstats key with
@@ -189,7 +186,7 @@ let ingest_json q = Ds_obs.Quantile.summary_json (Ds_obs.Quantile.summarize q)
    numbers live now that registry gauges only track the top-K. *)
 let stat_json t =
   let all = tenants_by_words t in
-  let shown = take t.config.tenant_stats_cap all in
+  let shown = take tenant_stats_cap all in
   let omitted = List.length all - List.length shown in
   let omitted_words =
     if omitted = 0 then 0
@@ -415,7 +412,7 @@ let create config =
       nack_totals = Array.make n_nack_kinds 0;
       overloaded = false;
       gauged = [];
-      flight = (if config.flight then Some (Flight.create ~dir:config.dir ()) else None);
+      flight = (if config.flight then Some (Flight.create ~dir:config.dir) else None);
     }
   in
   recover t;
@@ -433,7 +430,7 @@ let connect t =
   t.next_conn_id <- cid + 1;
   {
     cid;
-    reader = Frame_reader.create ~max_frame:t.config.max_frame ();
+    reader = Frame_reader.create ();
     out = Buffer.create 1024;
     sending = "";
     sent = 0;
@@ -621,10 +618,29 @@ let drain t =
    beyond the request head. *)
 type admin_conn = { a_in : Buffer.t; mutable a_out : string; mutable a_pos : int }
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+(* The request head, blank line included, must fit in this many bytes;
+   a longer one is answered 431 and the connection closed, so one
+   admin client cannot grow a buffer without bound. *)
+let admin_head_limit = 8192
+
+(* Whether [b] holds a blank line (CRLF CRLF or LF LF) ending at or
+   after [from].  A head that was incomplete before a read can only
+   complete at a '\n' among the bytes that read added. *)
+let head_ends_after b ~from =
+  let ends_at i =
+    Buffer.nth b i = '\n'
+    && i >= 1
+    && (Buffer.nth b (i - 1) = '\n'
+       || (i >= 3 && Buffer.nth b (i - 1) = '\r' && Buffer.nth b (i - 2) = '\n'
+          && Buffer.nth b (i - 3) = '\r'))
+  in
+  let rec go i = i < Buffer.length b && (ends_at i || go (i + 1)) in
+  go from
+
+let http_reply status ctype body =
+  Printf.sprintf
+    "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+    status ctype (String.length body) body
 
 let admin_respond t a =
   let head = Buffer.contents a.a_in in
@@ -648,11 +664,7 @@ let admin_respond t a =
     | "/healthz" -> ("200 OK", "text/plain", "ok\n")
     | _ -> ("404 Not Found", "text/plain", "not found\n")
   in
-  a.a_out <-
-    Printf.sprintf
-      "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-       close\r\n\r\n%s"
-      status ctype (String.length body) body
+  a.a_out <- http_reply status ctype body
 
 let stop_requested = ref false
 
@@ -664,7 +676,7 @@ let install_signal_handlers () =
      conn), not process death. *)
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
+let run_unix t ~socket_path ?admin_path ?(tick = 0.02) () =
   stop_requested := false;
   install_signal_handlers ();
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
@@ -704,13 +716,8 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
   | None -> ());
   Format.pp_print_flush Format.std_formatter ();
   let buf = Bytes.create 65536 in
-  let ticks = ref 0 in
-  let finished () =
-    match max_ticks with Some m -> !ticks >= m | None -> false
-  in
   (try
-     while (not !stop_requested) && not (finished ()) do
-       incr ticks;
+     while not !stop_requested do
        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
        let fds =
          Hashtbl.fold
@@ -770,14 +777,16 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
                      match Unix.read fd buf 0 (Bytes.length buf) with
                      | 0 -> close_fd fd
                      | n ->
-                         Buffer.add_subbytes a.a_in buf 0 n;
-                         (* Respond once the request head is complete. *)
-                         let head = Buffer.contents a.a_in in
-                         if
-                           a.a_out = ""
-                           && (contains_substring head "\r\n\r\n"
-                              || contains_substring head "\n\n")
-                         then admin_respond t a
+                         (* Respond once the request head is complete;
+                            refuse it once it cannot fit the limit. *)
+                         let seen = Buffer.length a.a_in in
+                         Buffer.add_subbytes a.a_in buf 0
+                           (min n (admin_head_limit - seen));
+                         if head_ends_after a.a_in ~from:seen then admin_respond t a
+                         else if Buffer.length a.a_in >= admin_head_limit then
+                           a.a_out <-
+                             http_reply "431 Request Header Fields Too Large"
+                               "text/plain" "request head too large\n"
                      | exception
                          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
                          ()
@@ -834,7 +843,7 @@ let run_unix t ~socket_path ?admin_path ?(tick = 0.02) ?max_ticks () =
      | Some l -> ( try Unix.close l with Unix.Unix_error _ -> ())
      | None -> ());
      raise e);
-  (* Graceful exit (SIGTERM/SIGINT or max_ticks): drain what is queued
+  (* Graceful exit (SIGTERM/SIGINT): drain what is queued
      and make it durable — only kill -9 loses the undurable suffix, and
      that suffix is exactly what clients replay by linearity. *)
   while not (Queue.is_empty t.queue) do

@@ -25,14 +25,10 @@ type config = {
   queue_bound : int;  (** ingest queue depth before [Overloaded] *)
   drain_per_tick : int;  (** frames applied per {!drain} call *)
   checkpoint_every : int;  (** applied frames between generations *)
-  max_frame : int;  (** LSK1 frame length-prefix ceiling *)
   retention : int;  (** durable generations kept per tenant *)
   tenant_gauges : int;
       (** heaviest tenants kept as [serve.tenant.words.*] registry
           gauges (the rest are evicted — the registry stays bounded) *)
-  tenant_stats_cap : int;
-      (** distinct tenants tracked and reported in the STAT rollup;
-          later arrivals share one overflow slot *)
   flight : bool;  (** arm the crash {!Flight} recorder *)
 }
 
@@ -91,22 +87,17 @@ val stat_json : t -> Ds_util.Json.t
 (** The [serve_stats/v1] rollup answered to [Stat_rollup] requests and
     served at [/stats] on the admin socket: queue/backpressure state,
     totals, NACK taxonomy, ingest latency quantiles (p50/p90/p99/p999)
-    and a per-tenant section bounded at [tenant_stats_cap] heaviest
-    tenants (words vs quota, streams, watermarks, checkpoint lag,
-    per-tenant NACKs and latency). *)
+    and a per-tenant section (words vs quota, streams, watermarks,
+    checkpoint lag, per-tenant NACKs and latency) bounded at the 64
+    heaviest tenants.  64 distinct tenants are tracked; later arrivals
+    share one overflow slot. *)
 
-val run_unix :
-  t ->
-  socket_path:string ->
-  ?admin_path:string ->
-  ?tick:float ->
-  ?max_ticks:int ->
-  unit ->
-  unit
+val run_unix : t -> socket_path:string -> ?admin_path:string -> ?tick:float -> unit -> unit
 (** Accept/ingest loop over a Unix domain socket ([Unix.select],
     non-blocking).  SIGTERM/SIGINT request a graceful exit: queued
     frames are drained and checkpointed; only kill -9 loses state.
-    [max_ticks] bounds the loop for tests.  [admin_path] opens a second
-    listener inside the same select loop speaking minimal HTTP/1.0:
-    [GET /stats] (STAT rollup JSON), [/metrics] (Prometheus),
-    [/json] (full [ds_obs/v1] report), [/healthz]. *)
+    [admin_path] opens a second listener inside the same select loop
+    speaking minimal HTTP/1.0: [GET /stats] (STAT rollup JSON),
+    [/metrics] (Prometheus), [/json] (full [ds_obs/v1] report),
+    [/healthz].  A request head longer than 8 KiB is answered
+    [431 Request Header Fields Too Large] and the connection closed. *)

@@ -3,8 +3,6 @@ open Ds_graph
 open Ds_stream
 open Ds_agm
 
-type partition = Round_robin | By_vertex | Random of int
-
 (* Registry telemetry, published alongside (never instead of) the report
    records below: the pp_* table output is part of the chaos CI contract
    and must stay byte-identical, so the registry is a second export path
@@ -30,31 +28,12 @@ let g_delta_ppm = Ds_obs.Metrics.gauge "cluster.degraded_delta_ppm"
 type report = {
   servers : int;
   updates_total : int;
-  updates_per_server : int array;
   bytes_per_server : int array;
   bytes_total : int;
   words_per_server : int;
   forest_edges : int;
   forest_correct : bool;
 }
-
-(* Every protocol below fans one function over the per-server shards,
-   sequentially or on the pool.  Shards are materialized arrays here by
-   design — the simulation charges each server for its own copy of the
-   stream — so this stays [Pool.map_array] rather than the zero-copy
-   ingest engine. *)
-let map_mode mode f parts =
-  match mode with
-  | `Sequential -> Array.map f parts
-  | `Parallel pool -> Ds_par.Pool.map_array pool f parts
-
-let assign partition ~servers =
-  match partition with
-  | Round_robin -> fun i _u -> i mod servers
-  | By_vertex -> fun _i (u : Update.t) -> min u.Update.u u.Update.v mod servers
-  | Random seed ->
-      let rng = Prng.create seed in
-      fun _i _u -> Prng.int rng servers
 
 (* Verification against the offline ground truth: every forest edge is a
    real final-graph edge, and the forest has exactly the component
@@ -68,24 +47,16 @@ let forest_ok ~n stream forest =
   Components.count fg = Components.count g
   && List.length forest = n - Components.count g
 
-(* Update [i] goes to server [i mod servers], each shard in stream order. *)
+(* Update [i] goes to server [i mod servers], each shard in stream order.
+   Shards are materialized arrays by design: the simulation charges each
+   server for its own copy of the stream.  By linearity the split cannot
+   change the coordinator's sum, so every protocol below uses this one. *)
 let round_robin ~servers updates =
   let n = Array.length updates in
   Array.init servers (fun s ->
       Array.init ((n - s + servers - 1) / servers) (fun i -> updates.(s + (i * servers))))
 
-(* Shard the stream across servers under the chosen partition. *)
-let shard ~route ~servers ~counts stream =
-  let lists = Array.make servers [] in
-  Array.iteri
-    (fun i u ->
-      let s = route i u in
-      counts.(s) <- counts.(s) + 1;
-      lists.(s) <- u :: lists.(s))
-    stream;
-  Array.map (fun l -> Array.of_list (List.rev l)) lists
-
-let run ?(mode = `Sequential) rng ~n ~servers ~partition stream =
+let run rng ~n ~servers stream =
   if servers < 1 then invalid_arg "Cluster_sim.run: need at least one server";
   Ds_obs.Trace.with_span "cluster.run" @@ fun () ->
   let params = Agm_sketch.default_params ~n in
@@ -93,15 +64,9 @@ let run ?(mode = `Sequential) rng ~n ~servers ~partition stream =
      sketch structure from the same seed. *)
   let shared = Prng.split_named rng "shared-sketch-seed" in
   let fresh () = Agm_sketch.create (Prng.copy shared) ~n ~params in
-  let counts = Array.make servers 0 in
-  let route = assign partition ~servers in
-  (* Materialise each server's shard of the stream (the routing itself is
-     not what the experiment measures). *)
-  let shard_updates = shard ~route ~servers ~counts stream in
+  let shard_updates = round_robin ~servers stream in
   (* Sketch each server's shard, then ship: serialize every shard (the
-     communication the paper counts). In [`Parallel] mode the servers run
-     concurrently on real domains; replicas are compatible by shared seed,
-     so the mode cannot change any measured or decoded quantity. *)
+     communication the paper counts). *)
   (* Each serialize runs under its own "cluster.ship" span and embeds
      that span's context in the envelope, so the coordinator's decode
      spans link back to the shipping server.  With tracing disabled
@@ -116,7 +81,7 @@ let run ?(mode = `Sequential) rng ~n ~servers ~partition stream =
     in
     (sk, msg)
   in
-  let server_results = map_mode mode sketch_server shard_updates in
+  let server_results = Array.map sketch_server shard_updates in
   let shards = Array.map fst server_results in
   let messages = Array.map snd server_results in
   let bytes_per_server = Array.map String.length messages in
@@ -137,7 +102,6 @@ let run ?(mode = `Sequential) rng ~n ~servers ~partition stream =
   {
     servers;
     updates_total = Array.length stream;
-    updates_per_server = counts;
     bytes_per_server;
     bytes_total;
     words_per_server = Agm_sketch.space_in_words shards.(0);
@@ -161,12 +125,10 @@ type ship_report = {
   matches_direct : bool;
 }
 
-let ship (type s) ?(mode = `Sequential) ((module L) : s Linear_sketch.impl) ~make
-    ~servers (updates : (int * int) array) =
+let ship (type s) ((module L) : s Linear_sketch.impl) ~make ~servers
+    (updates : (int * int) array) =
   if servers < 1 then invalid_arg "Cluster_sim.ship: need at least one server";
   Ds_obs.Trace.with_span "cluster.ship_run" @@ fun () ->
-  (* Round-robin shards; any partition gives the same coordinator state by
-     linearity, so the routing is not a parameter here. *)
   let shards = round_robin ~servers updates in
   let sketch_server part =
     let sk : s = make () in
@@ -177,7 +139,7 @@ let ship (type s) ?(mode = `Sequential) ((module L) : s Linear_sketch.impl) ~mak
           ?trace:(Ds_obs.Trace.current_context ())
           (module L) sk)
   in
-  let messages = map_mode mode sketch_server shards in
+  let messages = Array.map sketch_server shards in
   let bytes_per_server = Array.map String.length messages in
   (* Coordinator: deserialize each message and sum (the wire round-trip the
      paper's distributed setting counts). *)
@@ -203,7 +165,7 @@ let ship (type s) ?(mode = `Sequential) ((module L) : s Linear_sketch.impl) ~mak
     matches_direct;
   }
 
-let ship_families ?mode rng ~dim ~servers updates =
+let ship_families rng ~dim ~servers updates =
   let module S = Ds_sketch in
   (* Each family gets an independent child seed; [make] copies it so every
      replica (server, coordinator, direct) derives identical structure. *)
@@ -212,44 +174,44 @@ let ship_families ?mode rng ~dim ~servers updates =
     fun () -> create (Prng.copy seed)
   in
   [
-    ship ?mode
+    ship
       (module S.One_sparse.Linear)
       ~make:(seeded "one_sparse" (fun r -> S.One_sparse.create r ~dim))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.Sparse_recovery.Linear)
       ~make:
         (seeded "sparse_recovery" (fun r ->
              S.Sparse_recovery.create r ~dim
                ~params:(S.Sparse_recovery.default_params ~sparsity:8)))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.Count_sketch.Linear)
       ~make:
         (seeded "count_sketch" (fun r ->
              S.Count_sketch.create r ~dim ~params:S.Count_sketch.default_params))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.Ams_f2.Linear)
       ~make:(seeded "ams_f2" (fun r -> S.Ams_f2.create r ~dim ~params:S.Ams_f2.default_params))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.F0.Linear)
       ~make:(seeded "f0" (fun r -> S.F0.create r ~dim ~params:S.F0.default_params))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.L0_sampler.Linear)
       ~make:
         (seeded "l0_sampler" (fun r ->
              S.L0_sampler.create r ~dim ~params:S.L0_sampler.default_params))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.Packed_l0.Linear)
       ~make:
         (seeded "packed_l0" (fun r ->
              S.Packed_l0.Owned.create r ~dim ~params:S.Packed_l0.default_params))
       ~servers updates;
-    ship ?mode
+    ship
       (module S.Sketch_table.Linear)
       ~make:
         (seeded "sketch_table" (fun r ->
@@ -274,7 +236,7 @@ type chan_stats = {
   mutable faults : int;
   by_kind : (string, int) Hashtbl.t;
   mutable retries : int;
-  mutable backoff : float; (* simulated waiting, in policy time units *)
+  mutable backoff : float; (* simulated waiting, in backoff time units *)
   mutable duplicates_rejected : int;
   mutable decode_errors : int;
   mutable bytes : int; (* bytes that actually crossed the channel *)
@@ -325,7 +287,7 @@ let publish_chan_stats stats =
    once [crashed.(server)] is set, every remaining attempt and message from
    that server fails without consulting the plan. Returns whether the
    message was merged. *)
-let deliver ~plan ~policy ~stats ~crashed ~server ~message msg ~absorb =
+let deliver ~plan ~stats ~crashed ~server ~message msg ~absorb =
   let merge bytes ~dup =
     stats.bytes <- stats.bytes + ((if dup then 2 else 1) * String.length bytes);
     match absorb bytes with
@@ -340,7 +302,7 @@ let deliver ~plan ~policy ~stats ~crashed ~server ~message msg ~absorb =
         Error (`Decode e)
   in
   let result, rstats =
-    Supervisor.retry policy (fun ~attempt ->
+    Supervisor.retry (fun ~attempt ->
         if crashed.(server) then Error `Crashed
         else begin
           stats.sent <- stats.sent + 1;
@@ -355,8 +317,7 @@ let deliver ~plan ~policy ~stats ~crashed ~server ~message msg ~absorb =
           | Fault_plan.Delivered bytes -> merge bytes ~dup:false
           | Fault_plan.Duplicated bytes -> merge bytes ~dup:true
           | Fault_plan.Delayed (units, bytes) ->
-              stats.backoff <-
-                stats.backoff +. (float_of_int units *. policy.Supervisor.base_delay);
+              stats.backoff <- stats.backoff +. float_of_int units;
               merge bytes ~dup:false
         end)
   in
@@ -393,8 +354,7 @@ type supervised_report = {
   sup_merged_hash : int64; (* FNV-1a of the coordinator's serialized state *)
 }
 
-let run_supervised ?(mode = `Sequential) ?(policy = Supervisor.default)
-    ?(allow_reingest = true) ~plan rng ~n ~servers ~partition stream =
+let run_supervised ?(allow_reingest = true) ~plan rng ~n ~servers stream =
   if servers < 1 then invalid_arg "Cluster_sim.run_supervised: need at least one server";
   Ds_obs.Trace.with_span "cluster.run_supervised" @@ fun () ->
   let params = Agm_sketch.default_params ~n in
@@ -402,9 +362,7 @@ let run_supervised ?(mode = `Sequential) ?(policy = Supervisor.default)
      state is byte-identical to the fault-free protocol's. *)
   let shared = Prng.split_named rng "shared-sketch-seed" in
   let fresh () = Agm_sketch.create (Prng.copy shared) ~n ~params in
-  let counts = Array.make servers 0 in
-  let route = assign partition ~servers in
-  let shard_updates = shard ~route ~servers ~counts stream in
+  let shard_updates = round_robin ~servers stream in
   (* Servers sketch exactly as in the fault-free protocol but ship each
      repetition as its own checksummed envelope: the unit of shipping is the
      unit of loss, so one fault costs one repetition, not a whole sketch. *)
@@ -421,12 +379,12 @@ let run_supervised ?(mode = `Sequential) ?(policy = Supervisor.default)
     in
     (sk, envs)
   in
-  let server_results = map_mode mode sketch_server shard_updates in
+  let server_results = Array.map sketch_server shard_updates in
   let envelopes = Array.map snd server_results in
   let copies = Agm_sketch.copies (fst server_results.(0)) in
   (* The coordinator ingests envelopes through the faulted channel. Fault
-     draws are stateless per (server, message, attempt), so the report is
-     independent of the server-sketching mode above. *)
+     draws are stateless per (server, message, attempt), so equal-seed
+     plans replay identically. *)
   let coordinator = fresh () in
   let stats = fresh_chan_stats () in
   let crashed = Array.make servers false in
@@ -436,7 +394,7 @@ let run_supervised ?(mode = `Sequential) ?(policy = Supervisor.default)
         for c = 0 to copies - 1 do
           if not crashed.(s) then
             merged.(s).(c) <-
-              deliver ~plan ~policy ~stats ~crashed ~server:s ~message:c
+              deliver ~plan ~stats ~crashed ~server:s ~message:c
                 envelopes.(s).(c)
                 ~absorb:
                   (Agm_sketch.Copy.absorb_result (Agm_sketch.Copy.slice coordinator c))

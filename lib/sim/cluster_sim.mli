@@ -8,17 +8,15 @@
 
     The simulated primitive is the AGM connectivity stack (the one whose
     serialization is wired end-to-end); the measured quantities generalize
-    to every linear sketch in the library. *)
+    to every linear sketch in the library.
 
-type partition =
-  | Round_robin  (** update [i] goes to server [i mod s] *)
-  | By_vertex  (** updates go to the server owning [min u v] (locality) *)
-  | Random of int  (** seeded random assignment *)
+    Every protocol shards round-robin: update [i] goes to server
+    [i mod s]. Linearity makes the split invisible in the coordinator's
+    sum, so no other partition is offered. *)
 
 type report = {
   servers : int;
   updates_total : int;
-  updates_per_server : int array;
   bytes_per_server : int array;  (** serialized sketch sizes *)
   bytes_total : int;
   words_per_server : int;  (** in-memory sketch state per server *)
@@ -26,20 +24,10 @@ type report = {
   forest_correct : bool;  (** verified against the offline ground truth *)
 }
 
-val run :
-  ?mode:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
-  Ds_util.Prng.t ->
-  n:int ->
-  servers:int ->
-  partition:partition ->
-  Ds_stream.Update.t array ->
-  report
+val run : Ds_util.Prng.t -> n:int -> servers:int -> Ds_stream.Update.t array -> report
 (** Shards the stream, sketches per server, serializes, merges at the
     coordinator, extracts the spanning forest and verifies it against the
-    offline final graph of the stream. [`Parallel pool] (default
-    [`Sequential]) runs the servers concurrently on real domains; because
-    all servers derive their sketch structure from the shared seed, the
-    mode changes wall-clock only — every report field is identical. *)
+    offline final graph of the stream. *)
 
 (** {2 Generic shipping}
 
@@ -62,7 +50,6 @@ type ship_report = {
 }
 
 val ship :
-  ?mode:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
   's Ds_sketch.Linear_sketch.impl ->
   make:(unit -> 's) ->
   servers:int ->
@@ -71,11 +58,9 @@ val ship :
 (** [ship impl ~make ~servers updates]: [make] must mint seed-compatible
     replicas (typically from copies of one shared PRNG); it is called once
     per server plus twice at the coordinator (merge target and direct
-    ground truth). Shards are round-robin — by linearity the partition
-    cannot change the merged state. *)
+    ground truth). *)
 
 val ship_families :
-  ?mode:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
   Ds_util.Prng.t ->
   dim:int ->
   servers:int ->
@@ -107,7 +92,7 @@ type supervised_report = {
   sup_faults_by_kind : (string * int) list;
       (** counts in {!Ds_fault.Fault_plan.kind_names} order *)
   sup_retries : int;
-  sup_backoff : float;  (** total simulated waiting, in policy time units *)
+  sup_backoff : float;  (** total simulated waiting, in backoff time units *)
   sup_duplicates_rejected : int;
   sup_decode_errors : int;  (** envelopes rejected by checksum/shape checks *)
   sup_bytes_total : int;  (** bytes that actually crossed the channel *)
@@ -127,27 +112,23 @@ type supervised_report = {
 }
 
 val run_supervised :
-  ?mode:[ `Sequential | `Parallel of Ds_par.Pool.t ] ->
-  ?policy:Ds_fault.Supervisor.policy ->
   ?allow_reingest:bool ->
   plan:Ds_fault.Fault_plan.t ->
   Ds_util.Prng.t ->
   n:int ->
   servers:int ->
-  partition:partition ->
   Ds_stream.Update.t array ->
   supervised_report
 (** Like {!run}, but each server ships every sketch repetition as its own
     checksummed envelope through the faulted channel, so one fault costs one
-    repetition. The coordinator retries per [policy]; crashes are sticky per
-    server. With [allow_reingest] (default) missing repetitions are rebuilt
+    repetition. The coordinator retries per {!Ds_fault.Supervisor}'s
+    schedule; crashes are sticky per server. With [allow_reingest] (default) missing repetitions are rebuilt
     from the server's shard trace and summed in — under any plan the merged
     state then equals the fault-free state bit for bit. With
     [~allow_reingest:false] a permanently failed server is reported lost and
     decoding falls back to the quorum of fully-merged repetitions, with
     [sup_degraded_delta] certifying what the decode is still worth. Fault
     draws are stateless per (server, message, attempt) coordinate, so the
-    report is identical in [`Sequential] and [`Parallel] modes and across
-    reruns with an equal-seed plan. *)
+    report is identical across reruns with an equal-seed plan. *)
 
 val pp_supervised_report : Format.formatter -> supervised_report -> unit

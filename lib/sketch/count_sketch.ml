@@ -53,13 +53,6 @@ let estimate t index =
     invalid_arg "Count_sketch.estimate: index out of range";
   estimate_at t.config t.table ~off:0 index
 
-let heavy_hitters t ~candidates ~threshold =
-  List.filter_map
-    (fun i ->
-      let e = estimate t i in
-      if abs e >= threshold then Some (i, e) else None)
-    candidates
-
 let check_compatible t s =
   if t.config.dim <> s.config.dim || t.config.prm <> s.config.prm then
     invalid_arg "Count_sketch: incompatible sketches"

@@ -25,9 +25,6 @@ val estimate : t -> int -> int
     only that [rows]-word array). @raise Invalid_argument unless
     [0 <= i < dim]. *)
 
-val heavy_hitters : t -> candidates:int list -> threshold:int -> (int * int) list
-(** Candidates whose estimated magnitude is at least [threshold]. *)
-
 val add : t -> t -> unit
 val sub : t -> t -> unit
 val copy : t -> t

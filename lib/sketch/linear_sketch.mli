@@ -7,9 +7,8 @@
     operations — shipping (serialize), summing (merge) and space accounting —
     that previously existed ad hoc on a handful of modules. This module makes
     the property load-bearing: any module implementing {!S} gets a versioned
-    binary wire format, generic sharded ingestion
-    ({!Ds_par.Shard_ingest.linear}, via the parallel library) and
-    cluster-simulation shipping ({!Ds_sim.Cluster_sim}) for free.
+    binary wire format and cluster-simulation shipping
+    ({!Ds_sim.Cluster_sim.ship}) for free.
 
     {2 Wire format (version 1)}
 
@@ -63,9 +62,9 @@ module type S = sig
 
   val reset : t -> unit
   (** Back to the zero vector in place, keeping the structure (and the
-      off-heap buffer) — a zero-fill, not an allocation.  Replica arenas
-      ({!Ds_par.Shard_ingest}) rely on this to recycle sketches across
-      runs. *)
+      off-heap buffer) — a zero-fill, not an allocation.  The load
+      generator and the AGM replica arena ({!Ds_par.Shard_ingest}) rely on
+      this to recycle sketches across runs. *)
 
   val space_in_words : t -> int
 

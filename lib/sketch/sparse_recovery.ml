@@ -99,51 +99,34 @@ let[@inline] zero_cell w o =
 
 let is_zero t = zero_range t.words ~pos:0 ~len:(Words.length t.words)
 
-(* Peel a private copy of the grid at [off]; feed every recovered
-   coordinate to [emit] and return true iff the residual cleared
-   completely. [stop_early] aborts after the first recovery (for
-   decode_any). *)
-let peel c w ~off ~stop_early ~emit =
+(* Peel a private copy of the grid at [off]: every recovered coordinate
+   if the residual cleared completely, [None] otherwise. *)
+let decode_at c w ~off =
   let len = grid_words c in
   let work = Words.create len in
   Words.blit ~src:w ~src_pos:off ~dst:work ~dst_pos:0 ~len;
+  let acc = ref [] in
   let progress = ref true in
-  let finished = ref false in
-  while !progress && not !finished do
+  while !progress do
     progress := false;
     for r = 0 to c.prm.rows - 1 do
-      if not !finished then
-        for col = 0 to c.cols - 1 do
-          if not !finished then
-            match One_sparse.decode_at c.cell work ~off:(cell_off c r col) with
-            | One (i, v) when Kwise.to_range c.hashes.(r) i ~bound:c.cols = col ->
-                emit (i, v);
-                let term = Field.scale_int (-v) (One_sparse.fingerprint_pow c.cell i) in
-                for r' = 0 to c.prm.rows - 1 do
-                  let col' = Kwise.to_range c.hashes.(r') i ~bound:c.cols in
-                  One_sparse.update_at work ~off:(cell_off c r' col') ~index:i ~delta:(-v) ~term
-                done;
-                progress := true;
-                if stop_early then finished := true
-            | Zero | One _ | Many -> ()
-        done
+      for col = 0 to c.cols - 1 do
+        match One_sparse.decode_at c.cell work ~off:(cell_off c r col) with
+        | One (i, v) when Kwise.to_range c.hashes.(r) i ~bound:c.cols = col ->
+            acc := (i, v) :: !acc;
+            let term = Field.scale_int (-v) (One_sparse.fingerprint_pow c.cell i) in
+            for r' = 0 to c.prm.rows - 1 do
+              let col' = Kwise.to_range c.hashes.(r') i ~bound:c.cols in
+              One_sparse.update_at work ~off:(cell_off c r' col') ~index:i ~delta:(-v) ~term
+            done;
+            progress := true
+        | Zero | One _ | Many -> ()
+      done
     done
   done;
-  zero_range work ~pos:0 ~len
-
-let decode_at c w ~off =
-  let acc = ref [] in
-  let cleared = peel c w ~off ~stop_early:false ~emit:(fun kv -> acc := kv :: !acc) in
-  if cleared then Some !acc else None
+  if zero_range work ~pos:0 ~len then Some !acc else None
 
 let decode t = decode_at t.config t.words ~off:0
-
-let decode_any t =
-  let found = ref None in
-  let _cleared =
-    peel t.config t.words ~off:0 ~stop_early:true ~emit:(fun kv -> found := Some kv)
-  in
-  !found
 
 let compatible c d =
   c.dim = d.dim && c.prm = d.prm && c.cols = d.cols && One_sparse.compatible c.cell d.cell

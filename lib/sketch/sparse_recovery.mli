@@ -42,11 +42,6 @@ val decode : t -> (int * int) list option
     its value (unordered); [None] means the vector was (detectably) not
     [s]-sparse or an internal decode failed. Non-destructive. *)
 
-val decode_any : t -> (int * int) option
-(** Cheapest query: some non-zero coordinate of the vector, or [None] if the
-    vector is zero or nothing can be peeled. Matches the paper's "an
-    arbitrary element of the support" in Algorithm 1 line 14. *)
-
 val is_zero : t -> bool
 (** Whether the sketched vector is (whp) identically zero. *)
 

@@ -82,14 +82,14 @@ let prop_additive =
 
 let test_ind_high_budget_wins () =
   let o =
-    Ind_game.play (Prng.create 20) ~n:24 ~d:6 ~algo_budget:8 ~trials:20 ()
+    Ind_game.play (Prng.create 20) ~n:24 ~d:6 ~algo_budget:8 ~trials:20
   in
   check_bool "high budget succeeds mostly" true (Ind_game.success_rate o >= 0.85)
 
 let test_ind_budget_monotone () =
   (* Success with a starved budget must not beat a generous one by much. *)
-  let lo = Ind_game.play (Prng.create 21) ~n:24 ~d:8 ~algo_budget:1 ~trials:25 () in
-  let hi = Ind_game.play (Prng.create 22) ~n:24 ~d:8 ~algo_budget:10 ~trials:25 () in
+  let lo = Ind_game.play (Prng.create 21) ~n:24 ~d:8 ~algo_budget:1 ~trials:25 in
+  let hi = Ind_game.play (Prng.create 22) ~n:24 ~d:8 ~algo_budget:10 ~trials:25 in
   check_bool "space monotone" true (hi.Ind_game.mean_space_words > lo.Ind_game.mean_space_words);
   check_bool "budget helps" true
     (Ind_game.success_rate hi +. 0.15 >= Ind_game.success_rate lo)

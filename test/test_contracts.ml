@@ -110,7 +110,7 @@ let test_core_contracts () =
               [||])));
   check "ind game d=1"
     (raises_invalid (fun () ->
-         ignore (Ind_game.play (Prng.create 1) ~n:4 ~d:1 ~algo_budget:1 ~trials:1 ())));
+         ignore (Ind_game.play (Prng.create 1) ~n:4 ~d:1 ~algo_budget:1 ~trials:1)));
   check "uniform sparsifier p=0"
     (raises_invalid (fun () ->
          ignore

@@ -73,17 +73,16 @@ let test_rate_roughly_respected () =
 (* ------------------------------------------------------------------ *)
 
 let test_delay_schedule () =
-  let p = Supervisor.default in
-  Alcotest.(check (float 1e-9)) "first attempt free" 0.0 (Supervisor.delay_before p ~attempt:0);
-  Alcotest.(check (float 1e-9)) "base" 1.0 (Supervisor.delay_before p ~attempt:1);
-  Alcotest.(check (float 1e-9)) "doubled" 2.0 (Supervisor.delay_before p ~attempt:2);
-  Alcotest.(check (float 1e-9)) "doubled again" 4.0 (Supervisor.delay_before p ~attempt:3);
-  Alcotest.(check (float 1e-9)) "capped" 8.0 (Supervisor.delay_before p ~attempt:4);
-  Alcotest.(check (float 1e-9)) "stays capped" 8.0 (Supervisor.delay_before p ~attempt:9)
+  Alcotest.(check (float 1e-9)) "first attempt free" 0.0 (Supervisor.delay_before ~attempt:0);
+  Alcotest.(check (float 1e-9)) "base" 1.0 (Supervisor.delay_before ~attempt:1);
+  Alcotest.(check (float 1e-9)) "doubled" 2.0 (Supervisor.delay_before ~attempt:2);
+  Alcotest.(check (float 1e-9)) "doubled again" 4.0 (Supervisor.delay_before ~attempt:3);
+  Alcotest.(check (float 1e-9)) "capped" 8.0 (Supervisor.delay_before ~attempt:4);
+  Alcotest.(check (float 1e-9)) "stays capped" 8.0 (Supervisor.delay_before ~attempt:9)
 
 let test_retry_succeeds_after_failures () =
   let result, stats =
-    Supervisor.retry Supervisor.default (fun ~attempt ->
+    Supervisor.retry (fun ~attempt ->
         if attempt < 2 then Error "transient" else Ok attempt)
   in
   check_bool "eventually ok" true (result = Ok 2);
@@ -93,12 +92,12 @@ let test_retry_succeeds_after_failures () =
 let test_retry_exhausts () =
   let calls = ref 0 in
   let result, stats =
-    Supervisor.retry Supervisor.default (fun ~attempt:_ ->
+    Supervisor.retry (fun ~attempt:_ ->
         incr calls;
         Error "permanent")
   in
   check_bool "last error" true (result = Error "permanent");
-  check_int "capped attempts" Supervisor.default.Supervisor.max_attempts !calls;
+  check_int "capped attempts" Supervisor.max_attempts !calls;
   check_int "stats agree" !calls stats.Supervisor.attempts;
   Alcotest.(check (float 1e-9)) "backoff 1+2+4+8" 15.0 stats.Supervisor.backoff
 
@@ -221,9 +220,8 @@ let make_stream seed ~n =
   let g = Ds_graph.Gen.connected_gnp rng ~n ~p:0.1 in
   Ds_stream.Stream_gen.with_churn (Prng.split rng) ~decoys:150 g
 
-let supervised ?mode ?policy ?allow_reingest ~plan ~seed ~n ~servers stream =
-  Cluster_sim.run_supervised ?mode ?policy ?allow_reingest ~plan (Prng.create seed) ~n ~servers
-    ~partition:Cluster_sim.Round_robin stream
+let supervised ?allow_reingest ~plan ~seed ~n ~servers stream =
+  Cluster_sim.run_supervised ?allow_reingest ~plan (Prng.create seed) ~n ~servers stream
 
 (* The acceptance gate: a run through a plan carrying at least one crash,
    one corruption and one drop heals to the byte-identical merged sketch
@@ -268,15 +266,6 @@ let test_supervised_replayable () =
   let b = supervised ~plan ~seed:43 ~n ~servers:4 stream in
   check_bool "replay gives the identical report" true (a = b)
 
-let test_supervised_mode_independent () =
-  let n = 50 in
-  let stream = make_stream 51 ~n in
-  let plan = FP.random ~seed:52 ~rate:0.15 in
-  let seq = supervised ~plan ~seed:53 ~n ~servers:4 stream in
-  Ds_par.Pool.with_pool ~domains:3 (fun pool ->
-      let par = supervised ~mode:(`Parallel pool) ~plan ~seed:53 ~n ~servers:4 stream in
-      check_bool "sequential = parallel under faults" true (seq = par))
-
 let test_clean_plan_full_quorum () =
   let n = 40 in
   let stream = make_stream 61 ~n in
@@ -295,7 +284,7 @@ let test_degraded_quorum_decode () =
   let copies = (Ds_agm.Agm_sketch.default_params ~n).Ds_agm.Agm_sketch.copies in
   (* Persistently drop server 1's repetition 3: every attempt fails. *)
   let drops =
-    List.init Supervisor.default.Supervisor.max_attempts (fun a -> ((1, 3, a), FP.Drop))
+    List.init Supervisor.max_attempts (fun a -> ((1, 3, a), FP.Drop))
   in
   let plan = FP.of_list ~seed:72 drops in
   let r = supervised ~allow_reingest:false ~plan ~seed:73 ~n ~servers:3 stream in
@@ -361,7 +350,6 @@ let () =
           Alcotest.test_case "healed = fault-free, byte for byte" `Quick
             test_healed_run_matches_fault_free;
           Alcotest.test_case "replayable" `Quick test_supervised_replayable;
-          Alcotest.test_case "mode independent" `Quick test_supervised_mode_independent;
           Alcotest.test_case "clean plan" `Quick test_clean_plan_full_quorum;
           Alcotest.test_case "degraded quorum decode" `Quick test_degraded_quorum_decode;
           Alcotest.test_case "late crash" `Quick test_late_crash_partial_quorum;

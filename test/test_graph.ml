@@ -98,10 +98,6 @@ let test_bfs_grid () =
   let d = Bfs.distances g ~source:0 in
   check_int "corner to corner" (4 + 6) d.((5 * 7) - 1)
 
-let test_eccentricity () =
-  check_int "path ecc" 9 (Bfs.eccentricity (Gen.path 10) 0);
-  check_int "cycle ecc" 5 (Bfs.eccentricity (Gen.cycle 10) 0)
-
 (* -------------------- Union_find / Components -------------------- *)
 
 let test_union_find () =
@@ -271,7 +267,6 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_bfs_disconnected;
           Alcotest.test_case "capped" `Quick test_bfs_capped;
           Alcotest.test_case "grid" `Quick test_bfs_grid;
-          Alcotest.test_case "eccentricity" `Quick test_eccentricity;
         ] );
       ( "connectivity",
         [

@@ -219,19 +219,6 @@ let test_spectral_subgraph_detected () =
   check_bool "max at most 1" true (lambda_max <= 1.0 +. 1e-6);
   check_bool "not a 0.1-sparsifier" false (Spectral.is_sparsifier ~base:g ~candidate:h ~eps:0.1)
 
-let test_spectral_ratio_samples () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 8) ~n:16 ~p:0.3) in
-  let { Spectral.lambda_min; lambda_max; _ } = Spectral.pencil_bounds ~base:g ~candidate:g in
-  let rng = Prng.create 9 in
-  let samples = Spectral.quadratic_ratio_samples rng ~base:g ~candidate:g ~samples:20 in
-  Array.iter
-    (fun r ->
-      check_bool "sample ratios inside exact bounds" true
-        (r >= lambda_min -. 1e-6 && r <= lambda_max +. 1e-6))
-    samples;
-  let cuts = Spectral.cut_ratio_samples rng ~base:g ~candidate:g ~samples:10 in
-  Array.iter (fun r -> check_float "cut ratio 1" ~tol:1e-9 1.0 r) cuts
-
 let prop_resistance_bounded_by_distance =
   QCheck.Test.make ~name:"R_uv <= d(u,v) on unit-weight graphs (Rayleigh)" ~count:25
     QCheck.small_nat
@@ -288,7 +275,6 @@ let () =
           Alcotest.test_case "identical" `Quick test_spectral_identical;
           Alcotest.test_case "scaled" `Quick test_spectral_scaled;
           Alcotest.test_case "subgraph detected" `Quick test_spectral_subgraph_detected;
-          Alcotest.test_case "ratio samples" `Quick test_spectral_ratio_samples;
         ] );
       ("properties", qcheck_cases);
     ]

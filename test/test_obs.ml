@@ -297,8 +297,9 @@ let test_ledger_constant_and_check () =
           check_int "words" 500 e.Ds_obs.Ledger.words;
           check_int "wire" 64 e.Ds_obs.Ledger.wire_bytes;
           Alcotest.(check (float 1e-9)) "constant = words / bound" 5.0 e.Ds_obs.Ledger.constant;
-          check_bool "within default tolerance" true (Ds_obs.Ledger.check e);
-          check_bool "fails a tight tolerance" false (Ds_obs.Ledger.check ~tolerance:2.0 e)
+          check_bool "within tolerance" true (Ds_obs.Ledger.check e);
+          check_bool "fails past the tolerance" false
+            (Ds_obs.Ledger.check { e with Ds_obs.Ledger.constant = 4097.0 })
       | es -> Alcotest.failf "expected one entry, got %d" (List.length es))
 
 let test_ledger_rejects_bad_bounds () =

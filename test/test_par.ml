@@ -1,8 +1,8 @@
 (* Parallel ingestion: pool mechanics and the linearity contract the static
    partition rests on. The load-bearing properties are the serialize-equality
-   ones — ingesting on a pool of any size, then adding the worker replicas,
-   must reproduce the sequential sketch state {e bit for bit}, for every
-   linear sketch. *)
+   ones — ingesting an AGM sketch on a pool of any size, then adding the
+   worker replicas, must reproduce the sequential sketch state {e bit for
+   bit}. *)
 
 open Ds_util
 open Ds_sketch
@@ -116,36 +116,6 @@ let state_of write t =
 let dim = 200
 let coord_gen = QCheck.(small_list (pair (int_bound (dim - 1)) (int_range (-3) 3)))
 
-(* Zipf-ish coordinates: rank r drawn uniformly, index = exp(u ln dim) so
-   P(index = k) ~ 1/(k+1).  A handful of hot keys carry most of the mass,
-   so every worker's slice lands on the same few counters and the
-   replicas overlap exactly where the sum is most likely to go wrong. *)
-let zipf_index r =
-  let u = float_of_int (r land 0xFFFFF) /. 1048576.0 in
-  min (dim - 1) (int_of_float (exp (u *. log (float_of_int dim))) - 1)
-
-let zipf_coord_gen =
-  QCheck.(
-    small_list (pair (int_bound 0xFFFFF) (int_range (-3) 3))
-    |> map (List.map (fun (r, d) -> (zipf_index r, d))))
-
-(* Ingest [w] through [Shard_ingest.linear] on a pool of every size in
-   [sizes] and demand byte-identical serialized state vs the sequential
-   fold. Every sketch is a [clone_zero] of one [make ()], so they share
-   one seed-derived structure. *)
-let pooled_matches ?(sizes = pool_sizes) (type s) (impl : s Linear_sketch.impl) ~make w =
-  let (module L) = impl in
-  let proto = make () in
-  let seq = L.clone_zero proto in
-  Array.iter (fun (index, delta) -> L.update seq ~index ~delta) w;
-  let expect = Linear_sketch.serialize impl seq in
-  List.for_all
-    (fun size ->
-      let par = L.clone_zero proto in
-      Shard_ingest.linear (pool_of size) impl par w;
-      Linear_sketch.serialize impl par = expect)
-    sizes
-
 let prop_one_sparse_batch =
   QCheck.Test.make ~name:"one_sparse update_batch = fold of update" ~count:50 coord_gen
     (fun coords ->
@@ -177,34 +147,6 @@ let prop_l0_batch =
       Array.iter (fun (index, delta) -> L0_sampler.update a ~index ~delta) w;
       L0_sampler.update_batch b w;
       state_of L0_sampler.write a = state_of L0_sampler.write b)
-
-let sr_make () = Sparse_recovery.create (Prng.create 11) ~dim ~params:sr_params
-let sr_pooled_matches w = pooled_matches (module Sparse_recovery.Linear) ~make:sr_make w
-
-let prop_sr_sharded =
-  QCheck.Test.make ~name:"sparse_recovery sharded+merge = sequential (all pool sizes)"
-    ~count:10 coord_gen (fun coords -> sr_pooled_matches (Array.of_list coords))
-
-let prop_sr_sharded_zipf =
-  QCheck.Test.make
-    ~name:"sparse_recovery sharded+merge = sequential (zipf-skewed keys)" ~count:10
-    zipf_coord_gen (fun coords -> sr_pooled_matches (Array.of_list coords))
-
-let prop_l0_sharded =
-  QCheck.Test.make ~name:"l0_sampler sharded+merge = sequential (all pool sizes)" ~count:8
-    coord_gen (fun coords ->
-      pooled_matches (module L0_sampler.Linear) (Array.of_list coords) ~make:(fun () ->
-          L0_sampler.create (Prng.create 11) ~dim ~params:L0_sampler.default_params))
-
-(* Every registered linear family, through the one generic entry point. *)
-let test_every_family () =
-  List.iter
-    (fun (Linear_families.F f) ->
-      let (module L) = f.impl in
-      let w = Linear_families.update_stream ~count:60 ~dim:(L.dim (f.make ())) 7 in
-      check_bool (f.name ^ " pooled = sequential") true
-        (pooled_matches f.impl ~make:f.make w))
-    Linear_families.all
 
 (* Edge streams for the AGM properties. *)
 let agm_n = 24
@@ -272,9 +214,6 @@ let test_short_streams () =
       List.iter
         (fun len ->
           let name = Printf.sprintf "pool %d, %d updates" size len in
-          let coords = Array.init len (fun _ -> (Prng.int rng dim, Prng.int rng 7 - 3)) in
-          check_bool (name ^ ": sparse_recovery") true
-            (pooled_matches ~sizes:[ size ] (module Sparse_recovery.Linear) ~make:sr_make coords);
           let edges =
             Array.init len (fun _ ->
                 let u = Prng.int rng (agm_n - 1) in
@@ -335,79 +274,6 @@ let test_arena_reuse () =
     [ 8; 5 ];
   check_int "steady-state footprint constant" before (Shard_ingest.arena_bytes arena)
 
-(* The generic arena over the packed linear interface: recycling through
-   [L.reset] must keep sparse-recovery ingest byte-identical too. *)
-let test_arena_linear () =
-  let make () = Sparse_recovery.create (Prng.create 19) ~dim ~params:sr_params in
-  let seq = make () and par = make () in
-  let arena = Shard_ingest.arena_of (module Sparse_recovery.Linear) in
-  let rng = Prng.create 92 in
-  for i = 1 to 4 do
-    let w = Array.init 500 (fun _ -> (Prng.int rng dim, Prng.int rng 7 - 3)) in
-    Array.iter (fun (index, delta) -> Sparse_recovery.update seq ~index ~delta) w;
-    Shard_ingest.linear (pool ()) ~arena (module Sparse_recovery.Linear) par w;
-    check_string
-      (Printf.sprintf "linear arena round %d bit-identical" i)
-      (state_of Sparse_recovery.write seq)
-      (state_of Sparse_recovery.write par)
-  done
-
-(* -------------------- Consumers -------------------- *)
-
-(* A valid dynamic stream: deletions only target currently-live edges, so the
-   offline ground-truth graph the consumers verify against is well-defined. *)
-let random_stream seed ~n ~updates =
-  let rng = Prng.create seed in
-  let live = ref [] in
-  let nlive = ref 0 in
-  Array.init updates (fun _ ->
-      if !nlive > 0 && Prng.int rng 5 = 0 then begin
-        let k = Prng.int rng !nlive in
-        let u, v = List.nth !live k in
-        live := List.filteri (fun i _ -> i <> k) !live;
-        decr nlive;
-        Ds_stream.Update.delete u v
-      end
-      else begin
-        let u = Prng.int rng n in
-        let v = (u + 1 + Prng.int rng (n - 1)) mod n in
-        live := (u, v) :: !live;
-        incr nlive;
-        Ds_stream.Update.insert u v
-      end)
-
-let test_cluster_sim_parallel_equal () =
-  let stream = random_stream 31 ~n:48 ~updates:600 in
-  List.iter
-    (fun partition ->
-      let seq =
-        Ds_sim.Cluster_sim.run ~mode:`Sequential (Prng.create 5) ~n:48 ~servers:4 ~partition
-          stream
-      in
-      let par =
-        Ds_sim.Cluster_sim.run ~mode:(`Parallel (pool ())) (Prng.create 5) ~n:48 ~servers:4
-          ~partition stream
-      in
-      check_bool "parallel report identical" true (seq = par);
-      check_bool "forest verified" true seq.Ds_sim.Cluster_sim.forest_correct)
-    [ Ds_sim.Cluster_sim.Round_robin; Ds_sim.Cluster_sim.By_vertex ]
-
-let test_two_pass_parallel_equal () =
-  let module T = Ds_core.Two_pass_spanner in
-  let n = 32 in
-  let stream = random_stream 33 ~n ~updates:400 in
-  let params = T.default_params ~k:2 in
-  let seq = T.run ~ingest:`Sequential (Prng.create 9) ~n ~params stream in
-  List.iter
-    (fun size ->
-      let par = T.run ~ingest:(`Parallel (pool_of size)) (Prng.create 9) ~n ~params stream in
-      let name = Printf.sprintf "pool %d: identical " size in
-      check_bool (name ^ "spanner") true (Ds_graph.Graph.equal_edge_sets seq.T.spanner par.T.spanner);
-      check_bool (name ^ "accessed edges") true
-        (List.sort compare seq.T.accessed_edges = List.sort compare par.T.accessed_edges);
-      check_int (name ^ "space accounting") seq.T.space_words par.T.space_words)
-    pool_sizes
-
 (* -------------------- Kwise.to_range uniformity -------------------- *)
 
 (* Regression for the modulo-bias fix: with [bound = 0x60000000] (~0.75 p) a
@@ -455,9 +321,6 @@ let qcheck_cases =
       prop_sr_batch;
       prop_l0_batch;
       prop_agm_batch;
-      prop_sr_sharded;
-      prop_sr_sharded_zipf;
-      prop_l0_sharded;
       prop_agm_sharded;
       prop_agm_sharded_star;
     ]
@@ -477,22 +340,8 @@ let () =
           Alcotest.test_case "empty and tiny streams" `Quick test_short_streams;
           Alcotest.test_case "slices tile the stream" `Quick test_slices_tile;
         ] );
-      ( "linearity",
-        qcheck_cases
-        @ [ Alcotest.test_case "every linear family pooled = sequential" `Quick test_every_family ]
-      );
-      ( "arena",
-        [
-          Alcotest.test_case "agm replica reuse stays exact" `Quick test_arena_reuse;
-          Alcotest.test_case "generic linear arena stays exact" `Quick test_arena_linear;
-        ] );
-      ( "consumers",
-        [
-          Alcotest.test_case "cluster_sim parallel = sequential" `Quick
-            test_cluster_sim_parallel_equal;
-          Alcotest.test_case "two_pass parallel = sequential" `Quick
-            test_two_pass_parallel_equal;
-        ] );
+      ("linearity", qcheck_cases);
+      ("arena", [ Alcotest.test_case "agm replica reuse stays exact" `Quick test_arena_reuse ]);
       ( "hashing",
         [
           Alcotest.test_case "to_range unbiased" `Quick test_to_range_unbiased;

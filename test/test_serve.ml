@@ -64,7 +64,7 @@ let test_frame_negative_rejected () =
   check_bool "poisoned" true (match Frame_reader.next r with Error _ -> true | _ -> false)
 
 let test_frame_oversized_rejected () =
-  let r = Frame_reader.create ~max_frame:1024 () in
+  let r = Frame_reader.create () in
   (* Header declares 2^30 bytes; the reader must refuse from the 4 header
      bytes alone, before any payload allocation. *)
   let b = Buffer.create 4 in
@@ -73,7 +73,7 @@ let test_frame_oversized_rejected () =
   match Frame_reader.next r with
   | Error (Wire.Frame_too_large { length; max }) ->
       check_int "declared" (1 lsl 30) length;
-      check_int "ceiling" 1024 max
+      check_int "ceiling" Frame_reader.max_frame max
   | _ -> Alcotest.fail "oversized length must be a typed error"
 
 (* Fuzz: any chunking of any frame sequence reassembles exactly. *)
@@ -111,11 +111,11 @@ let prop_reader_garbage =
   QCheck.Test.make ~name:"frame reader: garbage is typed-rejected or bounded" ~count:300
     QCheck.(string_of_size Gen.small_nat)
     (fun garbage ->
-      let r = Frame_reader.create ~max_frame:4096 () in
+      let r = Frame_reader.create () in
       Frame_reader.feed r garbage;
       let rec go () =
         match Frame_reader.next r with
-        | Ok (Some p) -> String.length p <= 4096 && go ()
+        | Ok (Some p) -> String.length p <= Frame_reader.max_frame && go ()
         | Ok None -> true
         | Error _ -> true
       in
@@ -448,20 +448,21 @@ let test_stat_rollup_through_core () =
   let config =
     {
       (Server.default_config ~dir) with
-      Server.tenant_stats_cap = 2;
-      checkpoint_every = 1_000_000;
+      Server.checkpoint_every = 1_000_000;
       drain_per_tick = 100;
     }
   in
   let server = Server.create config in
   let conn = Server.connect server in
   let payload = mk_payload ~family:"count_sketch" ~n:64 ~seed:3 [ (1, 1) ] in
+  (* One tenant more than the rollup shows. *)
+  let tenants = 65 in
   List.iter
     (fun tenant ->
       Server.feed server conn
         (create_frame ~tenant ~stream:"s" ~family:"count_sketch" ~n:64 ~seed:3);
       Server.feed server conn (ingest_frame ~tenant ~stream:"s" ~seq:1 ~payload))
-    [ "t0"; "t1"; "t2" ];
+    (List.init tenants (Printf.sprintf "t%02d"));
   Server.drain server;
   ignore (Server.take_output conn);
   Server.feed server conn (Sframe.frame (Sframe.encode_request Sframe.Stat_rollup));
@@ -480,14 +481,14 @@ let test_stat_rollup_through_core () =
       in
       check_string "schema" "serve_stats/v1"
         (Option.value ~default:"" (Option.bind (Json.member "schema" doc) Json.to_str));
-      check_int "tenant total" 3 (num [ "totals"; "tenants" ]);
-      check_int "applied total" 3 (num [ "totals"; "applied_frames" ]);
+      check_int "tenant total" tenants (num [ "totals"; "tenants" ]);
+      check_int "applied total" tenants (num [ "totals"; "applied_frames" ]);
       check_bool "words total positive" true (num [ "totals"; "words" ] > 0);
-      (* The per-tenant section is bounded by tenant_stats_cap: 2 shown,
-         1 rolled into the omitted line — the rollup's size does not
-         scale with tenant count. *)
+      (* The per-tenant section is bounded at 64 tenants: 64 shown, 1
+         rolled into the omitted line — the rollup's size does not scale
+         with tenant count. *)
       (match Option.bind (Json.member "tenants" doc) Json.to_obj with
-      | Some shown -> check_int "per-tenant section capped" 2 (List.length shown)
+      | Some shown -> check_int "per-tenant section capped" 64 (List.length shown)
       | None -> Alcotest.fail "no tenants object");
       check_int "omitted tenants counted" 1 (num [ "tenants_omitted"; "count" ]);
       check_bool "omitted words accounted" true (num [ "tenants_omitted"; "words" ] > 0)
@@ -765,17 +766,19 @@ let reap_children () =
     !children;
   children := []
 
-let start_server ?(obs = false) config ~socket:path =
+let start_server ?(obs = false) ?admin config ~socket:path =
   match Unix.fork () with
   | 0 ->
       (* Child: run the accept loop until signalled.  _exit avoids
          flushing the parent's test-runner buffers twice. *)
       if obs then Ds_obs.Export.enable ();
-      (try Server.run_unix (Server.create config) ~socket_path:path ~tick:0.002 ()
+      (try
+         Server.run_unix (Server.create config) ~socket_path:path ?admin_path:admin
+           ~tick:0.002 ()
        with _ -> ());
       Unix._exit 0
   | pid ->
-      let rec wait_listening tries =
+      let rec wait_listening path tries =
         if tries = 0 then Alcotest.fail "server did not come up";
         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -783,9 +786,10 @@ let start_server ?(obs = false) config ~socket:path =
         | exception Unix.Unix_error _ ->
             Unix.close fd;
             Unix.sleepf 0.02;
-            wait_listening (tries - 1)
+            wait_listening path (tries - 1)
       in
-      wait_listening 250;
+      wait_listening path 250;
+      Option.iter (fun a -> wait_listening a 250) admin;
       children := pid :: !children;
       pid
 
@@ -1071,6 +1075,68 @@ let test_flight_dump_survives_kill9 () =
               (Option.bind (Json.member "stats" doc) (Json.member "schema"))
               Json.to_str))
 
+(* One request on a fresh admin connection: send [request], then read
+   until the server closes.  A reset after the reply counts as the close
+   (the server may shut a connection whose input it stopped reading), and
+   a read that waits longer than 5 s fails the test. *)
+let admin_exchange path request =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let sent = ref 0 in
+  while !sent < String.length request do
+    sent := !sent + Unix.write_substring fd request !sent (String.length request - !sent)
+  done;
+  let reply = Buffer.create 256 and buf = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes reply buf 0 n;
+        read ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "admin socket: no reply and no close within 5 s (got %d bytes)"
+          (Buffer.length reply)
+  in
+  read ();
+  Buffer.contents reply
+
+let test_admin_head_bounded () =
+  (* A request head that never ends must not hold the select loop: past
+     8 KiB the admin plane answers 431 and closes, and the same loop
+     still serves a new admin request and acks ingest. *)
+  Fun.protect ~finally:reap_children @@ fun () ->
+  let dir = fresh_dir "serve-admin" in
+  incr tmp_counter;
+  let path = socket_path () in
+  let admin = path ^ ".admin" in
+  let pid = start_server ~admin (Server.default_config ~dir) ~socket:path in
+  let refused = admin_exchange admin (String.make 65536 'a') in
+  check_bool "unterminated 64 KiB head refused with 431" true
+    (String.starts_with ~prefix:"HTTP/1.0 431 " refused);
+  let health = admin_exchange admin "GET /healthz HTTP/1.0\r\n\r\n" in
+  check_bool "healthz answers afterwards" true
+    (String.starts_with ~prefix:"HTTP/1.0 200 OK" health
+    && String.ends_with ~suffix:"\r\n\r\nok\n" health);
+  let client = Client.connect ~socket_path:path ~delay_unit:0.005 () in
+  (match
+     Client.create_stream client ~tenant:"t" ~stream:"s" ~family:"count_sketch" ~n:64 ~seed:3
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("create: " ^ m));
+  (match
+     Client.ingest client ~tenant:"t" ~stream:"s"
+       ~payload:(mk_payload ~family:"count_sketch" ~n:64 ~seed:3 [ (1, 1) ])
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("ingest after the refused head: " ^ m));
+  Client.close client;
+  Unix.kill pid Sys.sigterm;
+  ignore (Unix.waitpid [] pid);
+  children := List.filter (fun p -> p <> pid) !children
+
 let test_flight_read_rejects_foreign_json () =
   (* Parseable JSON that is not a flight dump — an array, or the
      serve_stats/v1 rollup a dump embeds — must not pass the post-mortem
@@ -1148,5 +1214,6 @@ let () =
             test_flight_dump_survives_kill9;
           Alcotest.test_case "flight read rejects foreign JSON" `Quick
             test_flight_read_rejects_foreign_json;
+          Alcotest.test_case "admin head bounded" `Quick test_admin_head_bounded;
         ] );
     ]

@@ -14,60 +14,41 @@ let make_stream seed ~n =
 let test_round_robin () =
   let n = 60 in
   let stream = make_stream 1 ~n in
-  let r = Cluster_sim.run (Prng.create 2) ~n ~servers:4 ~partition:Cluster_sim.Round_robin stream in
+  let r = Cluster_sim.run (Prng.create 2) ~n ~servers:4 stream in
   check_bool "correct" true r.Cluster_sim.forest_correct;
-  check_int "all updates routed" (Array.length stream)
-    (Array.fold_left ( + ) 0 r.Cluster_sim.updates_per_server);
-  (* Round robin balances within 1. *)
-  let mn = Array.fold_left min max_int r.Cluster_sim.updates_per_server in
-  let mx = Array.fold_left max 0 r.Cluster_sim.updates_per_server in
-  check_bool "balanced" true (mx - mn <= 1);
+  check_int "all updates counted" (Array.length stream) r.Cluster_sim.updates_total;
+  check_int "one message per server" 4 (Array.length r.Cluster_sim.bytes_per_server);
   check_bool "communication accounted" true (r.Cluster_sim.bytes_total > 0)
-
-let test_by_vertex () =
-  let n = 60 in
-  let stream = make_stream 3 ~n in
-  let r = Cluster_sim.run (Prng.create 4) ~n ~servers:3 ~partition:Cluster_sim.By_vertex stream in
-  check_bool "correct under locality partition" true r.Cluster_sim.forest_correct
-
-let test_random_partition () =
-  let n = 60 in
-  let stream = make_stream 5 ~n in
-  let r = Cluster_sim.run (Prng.create 6) ~n ~servers:5 ~partition:(Cluster_sim.Random 7) stream in
-  check_bool "correct under random partition" true r.Cluster_sim.forest_correct
-
-let test_random_partition_deterministic () =
-  (* The Random partition draws routes from its own seeded stream, so two
-     identically-seeded runs shard identically and the full report — byte
-     counts included — replays exactly. *)
-  let n = 60 in
-  let stream = make_stream 30 ~n in
-  let go () =
-    Cluster_sim.run (Prng.create 31) ~n ~servers:5 ~partition:(Cluster_sim.Random 32) stream
-  in
-  check_bool "identical reports" true (go () = go ())
 
 let test_single_server_degenerate () =
   let n = 40 in
   let stream = make_stream 8 ~n in
-  let r = Cluster_sim.run (Prng.create 9) ~n ~servers:1 ~partition:Cluster_sim.Round_robin stream in
+  let r = Cluster_sim.run (Prng.create 9) ~n ~servers:1 stream in
   check_bool "one server is just streaming" true r.Cluster_sim.forest_correct;
   check_int "one message" 1 (Array.length r.Cluster_sim.bytes_per_server)
 
 let test_result_independent_of_partition () =
-  (* The merged sketch is the sketch of the union regardless of sharding;
-     with identical seeds all partitions give identical coordinators, hence
-     identical forests. *)
+  (* The merged sketch is the sketch of the union however the stream is
+     split: with identical seeds every server count gives a byte-identical
+     coordinator state, hence the same forest. *)
   let n = 50 in
   let stream = make_stream 10 ~n in
-  let run p = Cluster_sim.run (Prng.create 11) ~n ~servers:4 ~partition:p stream in
-  let a = run Cluster_sim.Round_robin in
-  let b = run Cluster_sim.By_vertex in
-  let c = run (Cluster_sim.Random 12) in
-  check_int "same forest size rr/bv" a.Cluster_sim.forest_edges b.Cluster_sim.forest_edges;
-  check_int "same forest size rr/rand" a.Cluster_sim.forest_edges c.Cluster_sim.forest_edges;
-  check_bool "all correct" true
-    (a.Cluster_sim.forest_correct && b.Cluster_sim.forest_correct && c.Cluster_sim.forest_correct)
+  let merged servers =
+    let r =
+      Cluster_sim.run_supervised ~plan:Ds_fault.Fault_plan.none (Prng.create 11) ~n ~servers
+        stream
+    in
+    check_bool (Printf.sprintf "%d servers correct" servers) true
+      r.Cluster_sim.sup_forest_correct;
+    Printf.sprintf "%Lx" r.Cluster_sim.sup_merged_hash
+  in
+  let one = merged 1 in
+  List.iter
+    (fun servers ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d servers merge to the 1-server state" servers)
+        one (merged servers))
+    [ 2; 3; 4; 7 ]
 
 let test_ship_families () =
   let dim = 512 in
@@ -115,10 +96,7 @@ let prop_sim_any_servers =
     (fun (seed, servers) ->
       let n = 30 in
       let stream = make_stream (seed + 20) ~n in
-      let r =
-        Cluster_sim.run (Prng.create (seed + 21)) ~n ~servers
-          ~partition:Cluster_sim.Round_robin stream
-      in
+      let r = Cluster_sim.run (Prng.create (seed + 21)) ~n ~servers stream in
       r.Cluster_sim.forest_correct)
 
 let () =
@@ -127,10 +105,6 @@ let () =
       ( "cluster",
         [
           Alcotest.test_case "round robin" `Quick test_round_robin;
-          Alcotest.test_case "by vertex" `Quick test_by_vertex;
-          Alcotest.test_case "random partition" `Quick test_random_partition;
-          Alcotest.test_case "random partition deterministic" `Quick
-            test_random_partition_deterministic;
           Alcotest.test_case "single server" `Quick test_single_server_degenerate;
           Alcotest.test_case "partition independence" `Quick test_result_independent_of_partition;
         ] );

@@ -148,20 +148,6 @@ let test_sr_overload_detected () =
           "if it decodes, it is right" (sort_vec vec) (sort_vec assoc)
   done
 
-let test_sr_decode_any () =
-  let prm = Sparse_recovery.default_params ~sparsity:4 in
-  let s = Sparse_recovery.create (Prng.create 3) ~dim:1000 ~params:prm in
-  Sparse_recovery.update s ~index:123 ~delta:4;
-  Sparse_recovery.update s ~index:456 ~delta:2;
-  (match Sparse_recovery.decode_any s with
-  | Some (i, w) ->
-      check_bool "member of support" true ((i, w) = (123, 4) || (i, w) = (456, 2))
-  | None -> Alcotest.fail "decode_any failed on 2-sparse");
-  check_bool "decode_any empty" true
-    (Sparse_recovery.decode_any
-       (Sparse_recovery.create (Prng.create 4) ~dim:10 ~params:prm)
-    = None)
-
 let test_sr_linearity () =
   let prm = Sparse_recovery.default_params ~sparsity:6 in
   let mk seed = Sparse_recovery.create (Prng.create seed) ~dim:10000 ~params:prm in
@@ -346,17 +332,6 @@ let test_count_sketch_pointwise () =
   check_bool "heavy coordinate estimated well" true (abs (e - 1000) <= 30);
   Count_sketch.update s ~index:77 ~delta:(-1000);
   check_bool "deleted coordinate forgotten" true (abs (Count_sketch.estimate s 77) <= 30)
-
-let test_count_sketch_heavy_hitters () =
-  let prm = { Count_sketch.rows = 5; cols = 512; hash_degree = 6 } in
-  let s = Count_sketch.create (Prng.create 16) ~dim:10000 ~params:prm in
-  Count_sketch.update s ~index:7 ~delta:500;
-  Count_sketch.update s ~index:9 ~delta:400;
-  Count_sketch.update s ~index:11 ~delta:1;
-  let candidates = [ 7; 9; 11; 13 ] in
-  let hh = Count_sketch.heavy_hitters s ~candidates ~threshold:100 in
-  let keys = List.map fst hh |> List.sort compare in
-  Alcotest.(check (list int)) "finds exactly the heavy ones" [ 7; 9 ] keys
 
 let test_count_sketch_rejects_out_of_range () =
   let prm = { Count_sketch.rows = 3; cols = 16; hash_degree = 4 } in
@@ -1109,7 +1084,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_sr_empty;
           Alcotest.test_case "exact recovery" `Quick test_sr_exact_recovery;
           Alcotest.test_case "overload detected" `Quick test_sr_overload_detected;
-          Alcotest.test_case "decode_any" `Quick test_sr_decode_any;
           Alcotest.test_case "linearity" `Quick test_sr_linearity;
           Alcotest.test_case "subtraction reveals" `Quick test_sr_subtraction_reveals;
         ] );
@@ -1132,7 +1106,6 @@ let () =
       ( "count_sketch",
         [
           Alcotest.test_case "pointwise" `Quick test_count_sketch_pointwise;
-          Alcotest.test_case "heavy hitters" `Quick test_count_sketch_heavy_hitters;
           Alcotest.test_case "rejects out-of-range index" `Quick
             test_count_sketch_rejects_out_of_range;
         ] );

@@ -191,9 +191,10 @@ let test_uniform_loses_bridges () =
     (Printf.sprintf "bridge lost ~(1-p) of the time (%.2f)" frac)
     true
     (abs_float (frac -. (1.0 -. p)) < 0.2);
-  (* SS08 never loses it: p_e = min(1, C w R log n / eps^2) = 1 for R = 1. *)
+  (* SS08 never loses it: p_e = min(1, C w R log n / eps^2) = 1 for R = 1,
+     since C log n / eps^2 = 0.5 ln 24 / 0.25 ~ 6.4. *)
   for t = 0 to 9 do
-    let h = Ss_sparsifier.run (Prng.create (200 + t)) ~eps:0.5 ~oversample:1.0 g in
+    let h = Ss_sparsifier.run (Prng.create (200 + t)) ~eps:0.5 g in
     check_bool "ss08 keeps the bridge" true (Weighted_graph.mem_edge h 11 12)
   done
 
