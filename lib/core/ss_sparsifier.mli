@@ -8,6 +8,3 @@
 val run : Ds_util.Prng.t -> eps:float -> Ds_graph.Weighted_graph.t -> Ds_graph.Weighted_graph.t
 (** The constant [C] is 0.5, tuned so that sizes at laptop scale are
     non-trivial; quality/size both appear in the tables. *)
-
-val expected_size : eps:float -> Ds_graph.Weighted_graph.t -> float
-(** [sum_e p_e], the expected number of sampled edges. *)

@@ -203,11 +203,14 @@ let attach p ~level ~root:_ ~members =
 (* Pass 2: terminal-cluster hash tables.                                *)
 (* ------------------------------------------------------------------ *)
 
-type terminal_table = {
-  members : int array;
-  table : Sketch_table.t;
-  payload_cfg : Packed_l0.config option; (* None for singleton clusters *)
-}
+(* A key [v]'s payload sketches N(v) ∩ T as a vector over T's member
+   ranks.  [Exact] stores it whole: one counter per member except rank 0,
+   whose count is the key's weight minus the stored ones.  A table takes
+   it whenever those [|T| - 1] counters fit in the L0 sampler's state and
+   keeps the [Sampler] otherwise, so no table grows. *)
+type payload = Exact | Sampler of Packed_l0.config
+
+type terminal_table = { members : int array; table : Sketch_table.t; payload : payload }
 
 type pass2 = {
   terminal_id_of : int array;
@@ -231,34 +234,32 @@ let make_pass2 rng ~n ~prm (clustering : Clustering.t) =
           *. (nf ** (float_of_int (level + 1) /. float_of_int prm.k))
         in
         let capacity = max 8 (min (2 * n) (int_of_float (ceil expected_keys))) in
-        let payload_cfg, payload_len =
-          if Array.length members <= 1 then (None, 0)
-          else begin
-            let cfg =
-              Packed_l0.make_config
-                (Prng.split_named trng "payload")
-                ~dim:(Array.length members) ~params:prm.payload
-            in
-            (Some cfg, Packed_l0.state_len cfg)
-          end
+        let cfg =
+          Packed_l0.make_config
+            (Prng.split_named trng "payload")
+            ~dim:(Array.length members) ~params:prm.payload
+        in
+        let exact_len = Array.length members - 1 and sampler_len = Packed_l0.state_len cfg in
+        let payload, payload_len =
+          if exact_len <= sampler_len then (Exact, exact_len) else (Sampler cfg, sampler_len)
         in
         let table =
           Sketch_table.create (Prng.split_named trng "cells") ~key_dim:n ~capacity
             ~rows:prm.table_rows ~hash_degree:prm.hash_degree ~payload_len
         in
-        { members; table; payload_cfg })
+        { members; table; payload })
       clustering.Clustering.terminals
   in
   { terminal_id_of; rank_in_terminal; tables }
 
 (* Pass 2 in table order.  An update whose endpoints lie in different
    terminal clusters makes two routes, one into each endpoint's table.
-   Taken in stream order they scatter over every table at once (tens of
-   MB on a churned n = 256 stream); grouped by table, one table is hot at
-   a time.  The grouping is a counting sort on the source's terminal id,
-   so each table still sees its routes in stream order, and every table
-   and payload counter is a plain integer add, so the order cannot change
-   a word.
+   Taken in stream order they scatter over every table at once (3.4 MB
+   of cells on a churned n = 256 stream); grouped by table, one table is
+   hot at a time.  The grouping is a counting sort on the source's
+   terminal id, so each table still sees its routes in stream order, and
+   every table and payload counter is a plain integer add, so the order
+   cannot change a word.
 
    A route is one word, [key lsl (route_bits + 1) lor rank lsl 1 lor neg]:
    the outside endpoint (the table key), the inside endpoint's rank in its
@@ -307,19 +308,38 @@ let pass2_fill p2 stream =
         let r = routes.(i) in
         let key = r lsr (route_bits + 1) in
         let delta = 1 - (2 * (r land 1)) in
-        (* The payload's hashes are evaluated once per route; each table
-           row only adds the prepared contribution. *)
+        let rank = (r lsr 1) land (max_n - 1) in
         let write =
-          match tt.payload_cfg with
-          | None -> no_payload
-          | Some cfg ->
-              let index = (r lsr 1) land (max_n - 1) in
-              let pl = Packed_l0.prepare cfg ~index ~delta in
+          match tt.payload with
+          | Exact when rank = 0 -> no_payload
+          | Exact ->
+              fun arr off ->
+                let o = off + rank - 1 in
+                Words.unsafe_set arr o (Words.unsafe_get arr o + delta)
+          | Sampler cfg ->
+              (* The sampler's hashes are evaluated once per route; each
+                 table row only adds the prepared contribution. *)
+              let pl = Packed_l0.prepare cfg ~index:rank ~delta in
               fun arr off -> Packed_l0.update_prepared cfg pl arr ~off
         in
         Sketch_table.update tt.table ~key ~weight:delta ~write
       done)
     p2.tables
+
+(* The rank of the member whose edge to a recovered key joins the
+   spanner.  An exact payload gives the lowest rank with a positive count;
+   with non-negative multiplicities the counts sum to [weight] > 0, so one
+   exists. *)
+let payload_rank tt ~weight payload =
+  match tt.payload with
+  | Sampler cfg -> Option.map fst (Packed_l0.decode cfg payload ~off:0)
+  | Exact ->
+      let len = Words.length payload in
+      let rec stored i acc = if i = len then acc else stored (i + 1) (acc + Words.get payload i) in
+      let rec first i =
+        if i = len then None else if Words.get payload i > 0 then Some (i + 1) else first (i + 1)
+      in
+      if weight > stored 0 0 then Some 0 else first 0
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: the pass boundary, serialised.                          *)
@@ -449,16 +469,11 @@ let finish rng p1 ~n ~prm stream =
               List.iter
                 (fun (key, weight, payload) ->
                   if weight > 0 then
-                    match tt.payload_cfg with
-                    | None ->
+                    match payload_rank tt ~weight payload with
+                    | Some rank ->
                         incr recovered;
-                        add tt.members.(0) key
-                    | Some cfg -> (
-                        match Packed_l0.decode cfg payload ~off:0 with
-                        | Some (rank, _) ->
-                            incr recovered;
-                            add tt.members.(rank) key
-                        | None -> incr payload_failures))
+                        add tt.members.(rank) key
+                    | None -> incr payload_failures)
                 entries)
         p2.tables);
   let pass2_space =

@@ -9,13 +9,18 @@
     parent and a witness edge are decoded.
 
     Pass 2 gives every terminal cluster [Tu] a linear hash table keyed by
-    outside vertices [v]; each key's payload sketches [N(v) ∩ Tu], so after
-    the pass one edge into the cluster is recovered for every outside
-    neighbour — exactly the edge set the offline algorithm adds.
+    outside vertices [v]. Each key's payload holds [N(v) ∩ Tu] as exact
+    member counts when the cluster's [|Tu| - 1] counters fit in the state
+    of the L0 sampler that [params.payload] describes (every cluster below
+    794 members at the defaults), and as that sampler otherwise. After the
+    pass one edge into the cluster is recovered for every outside
+    neighbour — exactly the edge set the offline algorithm adds. Exact
+    counts give the lowest-ranked member with a positive count.
 
     The [accessed_edges] field implements the augmentation of Claims 16/18/20
-    used by the spectral sparsifier: every edge of [G] that any successful
-    sketch decode revealed is reported. *)
+    used by the spectral sparsifier: every edge that a successful pass-1
+    decode revealed, and the spanner's edges. Pass 2 reports only the edge
+    it adds per key, even where exact counts reveal more. *)
 
 type params = {
   k : int;  (** stretch exponent: the spanner has stretch [<= 2^k] *)
@@ -24,7 +29,9 @@ type params = {
   table_rows : int;
   capacity_factor : float;
       (** terminal-table cells = [factor * log2 n * n^((i+1)/k)], capped at [2n] *)
-  payload : Ds_sketch.Packed_l0.params;  (** per-key neighbourhood sampler *)
+  payload : Ds_sketch.Packed_l0.params;
+      (** per-key neighbourhood sampler of a cluster whose exact member
+          counts would not fit in its state, which sets that threshold *)
   hash_degree : int;
 }
 
@@ -34,7 +41,9 @@ type diagnostics = {
   terminals_per_level : int array;
   pass1_decode_failures : int;  (** cluster attach scans that hit an undecodable window *)
   table_decode_failures : int;  (** terminal tables that failed to decode *)
-  payload_decode_failures : int;  (** keys whose neighbourhood sampler failed *)
+  payload_decode_failures : int;
+      (** recovered keys with no member to take: a sampler decline, or exact
+          counts with none positive (only negative multiplicities do that) *)
   recovered_edges : int;  (** pass-2 edges added to the spanner *)
 }
 

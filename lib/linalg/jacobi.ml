@@ -2,7 +2,11 @@ type eig = { values : float array; vectors : Matrix.t }
 
 let max_sweeps = 100
 
-let decompose ?(tol = 1e-12) m =
+(* The off-diagonal mass, relative to the Frobenius norm, at which the
+   sweeps stop. *)
+let tol = 1e-12
+
+let decompose m =
   if not (Matrix.is_symmetric ~tol:1e-8 m) then
     invalid_arg "Jacobi.decompose: matrix not symmetric";
   let n = Matrix.dim m in
@@ -57,4 +61,4 @@ let decompose ?(tol = 1e-12) m =
     idx;
   { values; vectors }
 
-let eigenvalues ?tol m = (decompose ?tol m).values
+let eigenvalues m = (decompose m).values

@@ -6,10 +6,10 @@ type eig = { values : float array; vectors : Matrix.t }
 (** [values] ascending; column [j] of [vectors] is the eigenvector of
     [values.(j)]. *)
 
-val decompose : ?tol:float -> Matrix.t -> eig
-(** Sweeps until the off-diagonal mass is below [tol] relative to the
+val decompose : Matrix.t -> eig
+(** Sweeps until the off-diagonal mass is below 1e-12 relative to the
     Frobenius norm, or 100 sweeps.
     @raise Invalid_argument if the matrix is not symmetric. *)
 
-val eigenvalues : ?tol:float -> Matrix.t -> float array
+val eigenvalues : Matrix.t -> float array
 (** Just the (ascending) spectrum. *)

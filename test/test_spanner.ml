@@ -198,6 +198,53 @@ let test_two_pass_diagnostics_clean () =
   check_int "no table failures" 0 d.Two_pass_spanner.table_decode_failures;
   check_bool "space accounted" true (r.Two_pass_spanner.space_words > 0)
 
+(* A terminal cluster keeps the L0-sampler payload when its |T| - 1 exact
+   member counts would not fit in the sampler's state. With one rep of
+   sparsity 1 that state is 12 words per level, 108 for a 199-member
+   cluster, so the star's leaves (one terminal cluster at these seeds)
+   are sampled. *)
+let test_two_pass_sampler_payload () =
+  let n = 200 and k = 2 in
+  let g = Gen.star n in
+  let params =
+    {
+      (Two_pass_spanner.default_params ~k) with
+      payload = { Ds_sketch.Packed_l0.reps = 1; sparsity = 1; hash_degree = 6 };
+    }
+  in
+  List.iter
+    (fun seed ->
+      let stream = Stream_gen.with_churn (Prng.create (seed + 1000)) ~decoys:2000 g in
+      let r = Two_pass_spanner.run (Prng.create seed) ~n ~params stream in
+      let largest =
+        Array.fold_left
+          (fun acc t -> max acc (List.length t.Clustering.members))
+          0 r.Two_pass_spanner.clustering.Clustering.terminals
+      in
+      let name = Printf.sprintf "seed %d" seed in
+      check_int (name ^ " terminal cluster size") 199 largest;
+      check_bool (name ^ " subgraph") true
+        (Graph.is_subgraph ~sub:r.Two_pass_spanner.spanner ~super:g);
+      check_bool (name ^ " stretch") true (stretch_ok g r.Two_pass_spanner.spanner (1 lsl k)))
+    [ 15; 27; 28 ]
+
+(* perfbench's spanner-churn instance: every terminal cluster is small
+   enough for exact member counts, whose decode cannot decline. *)
+let test_two_pass_churn_no_payload_declines () =
+  let n = 256 in
+  let root = Prng.create 20140721 in
+  let g = Gen.connected_gnp (Prng.split_named root "graph") ~n ~p:0.08 in
+  let stream = Stream_gen.with_churn (Prng.create 1) ~decoys:50_000 g in
+  let r =
+    Two_pass_spanner.run (Prng.split_named root "spanner") ~n
+      ~params:(Two_pass_spanner.default_params ~k:3)
+      stream
+  in
+  check_int "payload declines" 0
+    r.Two_pass_spanner.diagnostics.Two_pass_spanner.payload_decode_failures;
+  check_bool "subgraph" true (Graph.is_subgraph ~sub:r.Two_pass_spanner.spanner ~super:g);
+  check_bool "stretch" true (stretch_ok g r.Two_pass_spanner.spanner 8)
+
 let prop_two_pass_stretch =
   QCheck.Test.make ~name:"two-pass spanner respects 2^k on random graphs+streams" ~count:15
     QCheck.(pair small_nat (int_range 1 3))
@@ -417,6 +464,9 @@ let () =
           Alcotest.test_case "offline semantics" `Quick test_two_pass_matches_offline_semantics;
           Alcotest.test_case "accessed superset" `Quick test_two_pass_accessed_superset;
           Alcotest.test_case "diagnostics clean" `Quick test_two_pass_diagnostics_clean;
+          Alcotest.test_case "sampler payload" `Quick test_two_pass_sampler_payload;
+          Alcotest.test_case "churn: no payload declines" `Quick
+            test_two_pass_churn_no_payload_declines;
         ] );
       ( "multipass",
         [

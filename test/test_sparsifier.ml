@@ -226,12 +226,6 @@ let test_ss08_quality () =
   check_bool "ss08 compresses" true
     (Weighted_graph.num_edges h < Weighted_graph.num_edges g)
 
-let test_ss08_expected_size_formula () =
-  let g = Weighted_graph.of_graph (Gen.complete 32) in
-  let e = Ss_sparsifier.expected_size ~eps:0.5 g in
-  (* sum_e p_e <= m, and for a clique with eps=0.5 it is far below m. *)
-  check_bool "formula sane" true (e > 0.0 && e <= float_of_int (Weighted_graph.num_edges g))
-
 (* -------------------- single-pass (KLMMS chain) -------------------- *)
 
 module S1 = Ds_sparsify.Sparsify1p
@@ -480,7 +474,6 @@ let () =
       ( "ss08",
         [
           Alcotest.test_case "quality" `Quick test_ss08_quality;
-          Alcotest.test_case "expected size" `Quick test_ss08_expected_size_formula;
         ] );
       ( "sparsify1p",
         [
