@@ -374,13 +374,13 @@ let e9 () =
         done;
         Hashtbl.iter (fun i w -> Sparse_recovery.update sk ~index:i ~delta:w) truth;
         match Sparse_recovery.decode sk with
-        | Some assoc ->
+        | Found assoc ->
             let sorted = List.sort compare assoc in
             let expected =
               List.sort compare (Hashtbl.fold (fun i w acc -> (i, w) :: acc) truth [])
             in
             if sorted = expected then incr ok else incr wrong
-        | None -> ()
+        | Empty | Declined -> ()
       done;
       Fmt.pr "%-12.2f %-10.2f %-12d@." frac (float_of_int !ok /. 200.0) !wrong)
     [ 0.25; 0.5; 0.75; 1.0; 1.5; 2.0; 4.0 ];
@@ -413,9 +413,9 @@ let e9 () =
         ~dim:1024 ~params:L0_sampler.default_params
     in
     Array.iter (fun i -> L0_sampler.update sk ~index:i ~delta:1) support;
-    match L0_sampler.sample sk with
-    | Some (i, _) -> Array.iteri (fun j v -> if v = i then counts.(j) <- counts.(j) + 1) support
-    | None -> incr failures
+    match L0_sampler.decode sk with
+    | Found (i, _) -> Array.iteri (fun j v -> if v = i then counts.(j) <- counts.(j) + 1) support
+    | Empty | Declined -> incr failures
   done;
   let tv = Stats.total_variation (Array.map float_of_int counts) (Array.make 16 1.0) in
   Fmt.pr "trials=%d failures=%d TV=%.3f (perfectly uniform = 0)@." trials !failures tv;

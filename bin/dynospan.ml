@@ -374,7 +374,8 @@ let additive_cmd =
     let dg = r.Additive_spanner.diagnostics in
     Fmt.pr "diagnostics: centers=%d low=%d high=%d misclassified=%d orphan=%d@."
       dg.Additive_spanner.centers dg.Additive_spanner.low_degree dg.Additive_spanner.high_degree
-      dg.Additive_spanner.degree_misclassified dg.Additive_spanner.orphan_high
+      dg.Additive_spanner.degree_misclassified dg.Additive_spanner.orphan_high;
+    Fmt.pr "spanner-hash: %016Lx@." (spanner_hash r.Additive_spanner.spanner)
   in
   let d_arg =
     Arg.(value & opt positive_int 4 & info [ "d" ] ~docv:"D" ~doc:"Space/distortion knob.")

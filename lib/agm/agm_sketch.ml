@@ -191,10 +191,10 @@ let spanning_forest ?labels ?copies t =
                 Words.add_tri_range ~src:t.words ~src_pos:(sampler_off t c v) ~dst:merged
                   ~dst_pos:0 ~len:sw)
               rest;
-            match L0_sampler.classify_at cfg merged ~off:0 with
-            | `Empty -> ()
-            | `Fail -> all_empty := false
-            | `Sample (idx, _) ->
+            match L0_sampler.decode_at cfg merged ~off:0 with
+            | Empty -> ()
+            | Declined -> all_empty := false
+            | Found (idx, _) ->
                 all_empty := false;
                 let a, b = Edge_index.decode ~n:t.n idx in
                 (* Internal edges cancel, so exactly one endpoint should be

@@ -95,15 +95,16 @@ let run rng ~n ~params:prm stream =
     if F0.estimate deg_est.(u) <= threshold then begin
       incr low;
       match Sparse_recovery.decode nbr_sketch.(u) with
-      | Some assoc ->
+      | Found assoc ->
           List.iter (fun (v, m) -> if m > 0 && not (Graph.mem_edge e_low u v) then Graph.add_edge e_low u v) assoc
-      | None -> incr misclassified
+      | Empty -> ()
+      | Declined -> incr misclassified
     end
     else begin
       incr high;
-      match L0_sampler.sample center_sampler.(u) with
-      | Some (w, _) when w <> u -> parent.(u) <- w
-      | Some _ | None -> incr orphan
+      match L0_sampler.decode center_sampler.(u) with
+      | Found (w, _) when w <> u -> parent.(u) <- w
+      | Found _ | Empty | Declined -> incr orphan
     end
   done;
   (* E_low into the spanner, and out of the connectivity sketches. *)

@@ -22,7 +22,7 @@ let default_params ~k =
     hash_degree = 6;
   }
 
-type result = { spanner : Graph.t; passes : int; space_words : int; join_failures : int }
+type result = { spanner : Graph.t; passes : int; space_words : int }
 
 let stretch_bound ~k = (2 * k) - 1
 
@@ -50,7 +50,6 @@ let run rng ~n ~params:prm stream =
   let spanner = Graph.create n in
   let add a b = if a <> b && not (Graph.mem_edge spanner a b) then Graph.add_edge spanner a b in
   let cluster = Array.init n (fun v -> v) in
-  let failures = ref 0 in
   let max_space = ref 0 in
   let run_pass ~pass_idx ~final ~sampled_cluster =
     let prng = Prng.split_named rng (Printf.sprintf "pass%d" pass_idx) in
@@ -115,14 +114,14 @@ let run rng ~n ~params:prm stream =
     (* Post-pass decoding. *)
     let connect_all_adjacent v s =
       match Sketch_table.decode s.table with
-      | None -> incr failures
-      | Some entries ->
+      | Empty | Declined -> ()
+      | Found entries ->
           List.iter
             (fun (_, weight, payload) ->
               if weight > 0 then
                 match Packed_l0.decode s.payload_cfg payload ~off:0 with
-                | Some (w, _) -> add v w
-                | None -> incr failures)
+                | Found (w, _) -> add v w
+                | Empty | Declined -> ())
             entries
     in
     for v = 0 to n - 1 do
@@ -134,12 +133,12 @@ let run rng ~n ~params:prm stream =
             match s.join_sampler with
             | None -> ()
             | Some smp -> (
-                match L0_sampler.sample smp with
-                | Some (w, _) ->
+                match L0_sampler.decode smp with
+                | Found (w, _) ->
                     (* Join the sampled cluster through the witness edge. *)
                     add v w;
                     cluster.(v) <- cluster.(w)
-                | None ->
+                | Empty | Declined ->
                     (* No sampled neighbour: keep one edge per adjacent
                        cluster and retire. *)
                     connect_all_adjacent v s;
@@ -162,4 +161,4 @@ let run rng ~n ~params:prm stream =
     run_pass ~pass_idx:round ~final:false ~sampled_cluster
   done;
   run_pass ~pass_idx:prm.k ~final:true ~sampled_cluster:no_sampling;
-  { spanner; passes = prm.k; space_words = !max_space; join_failures = !failures }
+  { spanner; passes = prm.k; space_words = !max_space }

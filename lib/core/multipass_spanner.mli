@@ -35,7 +35,6 @@ type result = {
   spanner : Ds_graph.Graph.t;
   passes : int;
   space_words : int;  (** maximum sketch state alive during any single pass *)
-  join_failures : int;  (** sampler/table decode failures (degrade size, not stretch) *)
 }
 
 val run : Ds_util.Prng.t -> n:int -> params:params -> Ds_stream.Update.t array -> result

@@ -185,13 +185,13 @@ let attach p ~level ~root:_ ~members =
     if j < 0 then None
     else
       match Sparse_recovery.decode_at p.configs.(r - 1).(j) (merged j) ~off:0 with
-      | Some [] -> scan (j - 1)
-      | Some assoc -> (
+      | Empty -> scan (j - 1)
+      | Found assoc -> (
           record assoc;
           match pick assoc with
           | Some _ as res -> res
           | None -> scan (j - 1) (* decoded only intra-cluster edges; go denser *))
-      | None ->
+      | Declined ->
           (* Window [1, B] skipped between levels: count and fall back to
              terminal (costs table space, never correctness). *)
           p.decode_failures <- p.decode_failures + 1;
@@ -332,7 +332,10 @@ let pass2_fill p2 stream =
    exists. *)
 let payload_rank tt ~weight payload =
   match tt.payload with
-  | Sampler cfg -> Option.map fst (Packed_l0.decode cfg payload ~off:0)
+  | Sampler cfg -> (
+      match Packed_l0.decode cfg payload ~off:0 with
+      | Found (rank, _) -> Some rank
+      | Empty | Declined -> None)
   | Exact ->
       let len = Words.length payload in
       let rec stored i acc = if i = len then acc else stored (i + 1) (acc + Words.get payload i) in
@@ -464,8 +467,9 @@ let finish rng p1 ~n ~prm stream =
       Array.iter
         (fun tt ->
           match Sketch_table.decode tt.table with
-          | None -> incr table_failures
-          | Some entries ->
+          | Empty -> ()
+          | Declined -> incr table_failures
+          | Found entries ->
               List.iter
                 (fun (key, weight, payload) ->
                   if weight > 0 then

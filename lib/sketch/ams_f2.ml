@@ -59,14 +59,6 @@ let add t s =
   check_compatible t s;
   Words.add t.counters s.counters
 
-let sub t s =
-  check_compatible t s;
-  Words.sub t.counters s.counters
-
-let copy t = { t with counters = Words.copy t.counters }
-let clone_zero t = { t with counters = Words.create (Words.length t.counters) }
-let reset t = Words.fill t.counters 0
-
 let space_in_words t =
   (t.prm.reps * t.prm.rows)
   + Array.fold_left
@@ -94,11 +86,15 @@ module Linear = struct
   let family = "ams_f2"
   let dim t = t.dim
   let shape t = [| t.dim; t.prm.rows; t.prm.reps; t.prm.hash_degree |]
-  let clone_zero = clone_zero
+  let clone_zero t = { t with counters = Words.create (Words.length t.counters) }
   let add = add
-  let sub = sub
+
+  let sub t s =
+    check_compatible t s;
+    Words.sub t.counters s.counters
+
   let update = update
-  let reset = reset
+  let reset t = Words.fill t.counters 0
   let space_in_words = space_in_words
   let write_body = write
   let read_body = read_into

@@ -26,17 +26,5 @@ val estimate : t -> float
 (** Estimated [||x||_2^2]. *)
 
 val add : t -> t -> unit
-val sub : t -> t -> unit
-val copy : t -> t
-
-val clone_zero : t -> t
-(** A fresh zero sketch compatible with [t] (shared sign hashes). *)
-
-val reset : t -> unit
-val space_in_words : t -> int
-
-val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
-(** @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

@@ -57,24 +57,10 @@ let check_compatible t s =
   if t.config.dim <> s.config.dim || t.config.prm <> s.config.prm then
     invalid_arg "Count_sketch: incompatible sketches"
 
-let add t s =
-  check_compatible t s;
-  Words.add t.table s.table
-
-let sub t s =
-  check_compatible t s;
-  Words.sub t.table s.table
-
-let copy t = { t with table = Words.copy t.table }
-let clone_zero t = { t with table = Words.create (Words.length t.table) }
-let reset t = Words.fill t.table 0
-
 let space_in_words_of c =
   (c.prm.rows * c.prm.cols)
   + Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 c.bucket_hash
   + Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 c.sign_hash
-
-let space_in_words t = space_in_words_of t.config
 
 let write t sink =
   let c = t.config in
@@ -103,12 +89,19 @@ module Linear = struct
     let c = t.config in
     [| c.dim; c.prm.rows; c.prm.cols; c.prm.hash_degree |]
 
-  let clone_zero = clone_zero
-  let add = add
-  let sub = sub
+  let clone_zero t = { t with table = Words.create (Words.length t.table) }
+
+  let add t s =
+    check_compatible t s;
+    Words.add t.table s.table
+
+  let sub t s =
+    check_compatible t s;
+    Words.sub t.table s.table
+
   let update = update
-  let reset = reset
-  let space_in_words = space_in_words
+  let reset t = Words.fill t.table 0
+  let space_in_words t = space_in_words_of t.config
   let write_body = write
   let read_body = read_into
 end

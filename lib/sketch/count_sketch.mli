@@ -25,24 +25,6 @@ val estimate : t -> int -> int
     only that [rows]-word array). @raise Invalid_argument unless
     [0 <= i < dim]. *)
 
-val add : t -> t -> unit
-val sub : t -> t -> unit
-val copy : t -> t
-
-val clone_zero : t -> t
-(** A fresh zero sketch compatible with [t] (shared hash functions, zero
-    table). *)
-
-val reset : t -> unit
-val space_in_words : t -> int
-
-val write : t -> Ds_util.Wire.sink -> unit
-(** Serialise the table counters (hashes are seed-derived, not shipped). *)
-
-val read_into : t -> Ds_util.Wire.source -> unit
-(** Overwrite [t]'s counters; [t] must share the writer's seed/shape.
-    @raise Failure on mismatch or truncation. *)
-
 (** {2 Offset kernels}
 
     A bank of CountSketch tables ({!Ds_sparsify.Level_bank}) keeps one
@@ -64,7 +46,7 @@ val estimate_at : config -> Ds_util.Words.t -> off:int -> int -> int
 (** {!estimate} from the table at [off]; requires [0 <= index < dim]. *)
 
 val space_in_words_of : config -> int
-(** {!space_in_words} of any table of this structure: [rows * cols]
-    counters plus the hash coefficients. *)
+(** The space of any table of this structure: [rows * cols] counters plus
+    the hash coefficients. *)
 
 module Linear : Linear_sketch.S with type t = t

@@ -67,8 +67,9 @@ let estimate_rep t i =
     if j >= t.levels then t.dim (* nothing decoded: support is essentially full *)
     else
       match Sparse_recovery.decode_at t.grids.(i).(j) t.words ~off:(grid_off t i j) with
-      | Some assoc -> List.length assoc * (1 lsl j)
-      | None -> go (j + 1)
+      | Empty -> 0
+      | Found assoc -> List.length assoc * (1 lsl j)
+      | Declined -> go (j + 1)
   in
   go 0
 
@@ -87,10 +88,6 @@ let add t s =
 let sub t s =
   check_compatible t s;
   Words.sub_tri t.words s.words
-
-let copy t = { t with words = Words.copy t.words }
-let clone_zero t = { t with words = Words.create (Words.length t.words) }
-let reset t = Words.fill t.words 0
 
 let space_in_words t =
   Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 t.level_hashes
@@ -122,11 +119,11 @@ module Linear = struct
   let family = "f0"
   let dim t = t.dim
   let shape t = [| t.dim; t.prm.sparsity; t.prm.reps; t.prm.hash_degree; t.levels |]
-  let clone_zero = clone_zero
+  let clone_zero t = { t with words = Words.create (Words.length t.words) }
   let add = add
   let sub = sub
   let update = update
-  let reset = reset
+  let reset t = Words.fill t.words 0
   let space_in_words = space_in_words
   let write_body = write
   let read_body = read_into

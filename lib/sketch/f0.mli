@@ -4,11 +4,11 @@
     For each geometric sampling level [j] the sketch keeps a small
     {!Sparse_recovery} instance of the substream restricted to indices with
     hash level [>= j]. The estimate is [count * 2^j] at the first level that
-    decodes, medianed over independent repetitions. Decode failures are
-    detected (never silently wrong), so the estimator is a true
-    constant-factor F0 gate; accuracy tightens as [sparsity] grows
-    (relative error roughly [1/sqrt(sparsity)]). The paper only needs a
-    factor-2 gate (Section 2). *)
+    does not decline ([0] if it decodes [Empty]), medianed over independent
+    repetitions. Decode failures are detected (never silently wrong), so
+    the estimator is a true constant-factor F0 gate; accuracy tightens as
+    [sparsity] grows (relative error roughly [1/sqrt(sparsity)]). The paper
+    only needs a factor-2 gate (Section 2). *)
 
 type t
 
@@ -35,18 +35,6 @@ val estimate : t -> int
     single level-0 sketch (support [<= sparsity]). *)
 
 val add : t -> t -> unit
-val sub : t -> t -> unit
-val copy : t -> t
-
-val clone_zero : t -> t
-(** A fresh zero sketch compatible with [t] (shared level hashes and
-    per-level recovery structure). *)
-
-val reset : t -> unit
 val space_in_words : t -> int
-
-val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
-(** @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

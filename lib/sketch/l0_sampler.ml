@@ -68,54 +68,26 @@ let[@inline] update_prepared_pair_pows c w ~plus ~minus ~index ~x ~x2 ~x4 ~level
       ~minus:(minus + o) ~index ~x ~x2 ~x4 ~delta
   done
 
-let update_folded t ~index ~folded ~delta =
-  let x2 = Field.mul folded folded in
-  let x4 = Field.mul x2 x2 in
-  let c = t.config in
-  update_prepared_pows c t.words ~off:0 ~index ~x:folded ~x2 ~x4
-    ~level:(level_of_pows c ~x:folded ~x2 ~x4) ~delta
-
 let update t ~index ~delta =
-  if index < 0 || index >= t.config.dim then invalid_arg "L0_sampler.update: index out of range";
-  update_folded t ~index ~folded:(Kwise.fold_key index) ~delta
+  let c = t.config in
+  if index < 0 || index >= c.dim then invalid_arg "L0_sampler.update: index out of range";
+  let x = Kwise.fold_key index in
+  let x2 = Field.mul x x in
+  let x4 = Field.mul x2 x2 in
+  update_prepared_pows c t.words ~off:0 ~index ~x ~x2 ~x4 ~level:(level_of_pows c ~x ~x2 ~x4)
+    ~delta
 
 let update_batch t updates =
   Array.iter (fun (index, delta) -> update t ~index ~delta) updates
 
-let pick_min_tiebreak c assoc =
-  let best = ref None in
-  List.iter
-    (fun (i, w) ->
-      let h = Kwise.eval c.tie_break i in
-      match !best with
-      | Some (h0, _, _) when h0 <= h -> ()
-      | _ -> best := Some (h, i, w))
-    assoc;
-  match !best with None -> None | Some (_, i, w) -> Some (i, w)
+(* Levels are nested, so the first level from the top whose decoded
+   support is non-empty holds a random small subsample of the full
+   support. *)
+let decode_at c w ~off =
+  Decoded.sample_levels ~tie_break:c.tie_break ~levels:c.levels (fun j ->
+      Sparse_recovery.decode_at c.grids.(j) w ~off:(off + (j * c.level_words)))
 
-(* Scan from the sparsest level down: levels are nested, so the first level
-   (from the top) whose decoded support is non-empty holds a random small
-   subsample of the full support. Reaching below level 0 means every level
-   (including level 0 = the whole vector) decoded to the empty support, so
-   the vector is zero whp. *)
-let classify_at c w ~off =
-  let rec go j =
-    if j < 0 then `Empty
-    else
-      match Sparse_recovery.decode_at c.grids.(j) w ~off:(off + (j * c.level_words)) with
-      | Some [] -> go (j - 1)
-      | Some assoc -> (
-          match pick_min_tiebreak c assoc with
-          | Some (i, w) -> `Sample (i, w)
-          | None -> `Fail)
-      | None -> (* support here already > sparsity: a denser level won't help *) `Fail
-  in
-  go (c.levels - 1)
-
-let classify t = classify_at t.config t.words ~off:0
-
-let sample t =
-  match classify t with `Sample (i, w) -> Some (i, w) | `Empty | `Fail -> None
+let decode t = decode_at t.config t.words ~off:0
 
 let compatible c d =
   c.dim = d.dim && c.prm = d.prm && Array.for_all2 Sparse_recovery.compatible c.grids d.grids
@@ -131,10 +103,6 @@ let add t s =
 let sub t s =
   check_compatible t s;
   Words.sub_tri t.words s.words
-
-let copy t = { t with words = Words.copy t.words }
-let clone_zero t = { t with words = Words.create (Words.length t.words) }
-let reset t = Words.fill t.words 0
 
 let space_in_words_of c =
   Kwise.space_in_words c.level_hash
@@ -170,11 +138,11 @@ module Linear = struct
     let c = t.config in
     [| c.dim; c.prm.sparsity; c.prm.rows; c.prm.hash_degree; c.levels |]
 
-  let clone_zero = clone_zero
+  let clone_zero t = { t with words = Words.create (Words.length t.words) }
   let add = add
   let sub = sub
   let update = update
-  let reset = reset
+  let reset t = Words.fill t.words 0
   let space_in_words = space_in_words
   let write_body = write
   let read_body = read_into

@@ -4,10 +4,10 @@
     One {!Sparse_recovery} instance per geometric sampling level; sampling
     scans from the sparsest level downward, decodes the first level with a
     non-empty support and returns the member minimising an independent
-    tie-break hash. This is the primitive [AGM12a] builds connectivity from,
-    and the structure the paper's [Y_j] sets emulate (Section 3.2 notes the
-    two are interchangeable). Uniformity is validated empirically in
-    experiment E9. *)
+    tie-break hash ({!Decoded.sample_levels}). This is the primitive
+    [AGM12a] builds connectivity from, and the structure the paper's [Y_j]
+    sets emulate (Section 3.2 notes the two are interchangeable).
+    Uniformity is validated empirically in experiment E9. *)
 
 type t
 
@@ -30,31 +30,15 @@ val update : t -> index:int -> delta:int -> unit
 val update_batch : t -> (int * int) array -> unit
 (** [(index, delta)] pairs, applied in order; equals the fold of {!update}. *)
 
-val clone_zero : t -> t
-(** A fresh zero sampler compatible with [t], sharing its (immutable) hash
-    functions and fingerprint ladders: one zeroed buffer allocation. *)
-
-val update_folded : t -> index:int -> folded:int -> delta:int -> unit
-(** {!update} with the key fold hoisted out: [folded] must equal
-    [Kwise.fold_key index]. No bounds check. *)
-
-val sample : t -> (int * int) option
-(** [Some (index, value)] for a non-zero coordinate chosen near-uniformly,
-    or [None] when the vector is zero or sampling failed (detected). *)
-
-val classify : t -> [ `Empty | `Sample of int * int | `Fail ]
-(** Like {!sample} but separates the two [None] cases: [`Empty] certifies
-    (whp) that the vector is zero, [`Fail] is a detected decoding failure
-    (the support exists but no level isolated it). Boruvka loops need the
-    distinction to tell "done" from "retry with a fresh copy". *)
+val decode : t -> (int * int) Decoded.t
+(** [Found (index, value)] for a non-zero coordinate chosen
+    near-uniformly. [Empty] certifies (whp) that the vector is zero: every
+    level, level 0 (the whole vector) included, decoded [Empty].
+    [Declined] is a detected failure: the sparsest non-empty level did not
+    peel, as when it held more than [sparsity] coordinates. Boruvka loops
+    need the distinction to tell "done" from "retry with a fresh copy". *)
 
 val add : t -> t -> unit
-val sub : t -> t -> unit
-val copy : t -> t
-
-val reset : t -> unit
-(** Zero every counter in place — one fill of the underlying buffer. *)
-
 val space_in_words : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
@@ -104,8 +88,8 @@ val update_prepared_pair_pows :
     [minus], with [level = level_of_pows c ~x ~x2 ~x4] and one set of hash
     evaluations (see {!Sparse_recovery.update_pows_pair}). *)
 
-val classify_at : config -> Ds_util.Words.t -> off:int -> [ `Empty | `Sample of int * int | `Fail ]
-(** {!classify} of the sampler at [off]. *)
+val decode_at : config -> Ds_util.Words.t -> off:int -> (int * int) Decoded.t
+(** {!decode} of the sampler at [off]. *)
 
 val space_in_words_of : config -> int
 (** {!space_in_words} of any sampler of this structure. *)

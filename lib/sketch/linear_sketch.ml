@@ -18,7 +18,6 @@ end
 
 type 'a impl = (module S with type t = 'a)
 
-let version = 1
 let magic = "LSK1"
 
 (* Decode/encode telemetry: one counter bump per envelope, never per
@@ -53,8 +52,6 @@ let error_to_string = function
       Printf.sprintf "shape mismatch: message [%s], receiver [%s]"
         (String.concat ";" (Array.to_list (Array.map string_of_int got)))
         (String.concat ";" (Array.to_list (Array.map string_of_int expected)))
-
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 let deserialize_result (type a) ((module L) : a impl) (t : a) data =
   let tracing = Ds_obs.Trace.enabled () in

@@ -78,9 +78,6 @@ end
 
 type 'a impl = (module S with type t = 'a)
 
-val version : int
-(** Wire-format version (bumped with the magic tag). *)
-
 val serialize : ?trace:Ds_obs.Trace.context -> 'a impl -> 'a -> string
 (** The sketch's counters in the versioned envelope described above.
 
@@ -104,7 +101,6 @@ type error =
       (** same family, structurally incompatible parameters *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val deserialize_result : 'a impl -> 'a -> string -> (unit, error) result
 (** Overwrite the destination's counters with a serialized message from a

@@ -11,7 +11,6 @@ type config = {
 }
 
 type t = { config : config; words : Words.t }
-type result = Zero | One of int * int | Many
 
 let state_words = 3
 
@@ -21,7 +20,6 @@ let make_config rng ~dim =
   { dim; base; pows = Field.Pow.table ~base ~max_exp:dim }
 
 let create rng ~dim = { config = make_config rng ~dim; words = Words.create state_words }
-let clone_zero t = { t with words = Words.create state_words }
 
 let[@inline] fingerprint_pow c index = Field.Pow.get c.pows (index + 1)
 
@@ -42,22 +40,27 @@ let decode_at c w ~off:o =
   let c0 = Words.unsafe_get w o
   and c1 = Words.unsafe_get w (o + 1)
   and c2 = Words.unsafe_get w (o + 2) in
-  if c0 = 0 && c1 = 0 && c2 = 0 then Zero
-  else if c0 = 0 then Many
-  else if c1 mod c0 <> 0 then Many
-  else begin
+  if c0 = 0 && c1 = 0 && c2 = 0 then Decoded.Empty
+  else if c0 = 0 || c1 mod c0 <> 0 then Declined
+  else
     let i = c1 / c0 in
-    if i < 0 || i >= c.dim then Many
-    else if Field.scale_int c0 (fingerprint_pow c i) = c2 then One (i, c0)
-    else Many
-  end
+    if i < 0 || i >= c.dim || Field.scale_int c0 (fingerprint_pow c i) <> c2 then Declined
+    else Found (i, c0)
 
 let decode t = decode_at t.config t.words ~off:0
+
+let decode_raw ~dim ~base c0 c1 c2 =
+  if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then Decoded.Empty
+  else if c0 = 0 || c1 mod c0 <> 0 then Declined
+  else
+    let i = c1 / c0 in
+    if i < 0 || i >= dim || Field.of_int (c0 * Field.pow base (i + 1)) <> Field.of_int c2 then
+      Declined
+    else Found (i, c0)
+
 let[@inline] c0 t = Words.unsafe_get t.words 0
 let[@inline] c1 t = Words.unsafe_get t.words 1
 let[@inline] c2 t = Words.unsafe_get t.words 2
-let is_zero t = c0 t = 0 && c1 t = 0 && c2 t = 0
-
 let compatible c d = c.dim = d.dim && c.base = d.base
 
 let check_compatible t s =
@@ -70,7 +73,7 @@ let add t s =
      destination's dirty cache traffic.  Adding zero is the identity on
      every counter (including [c2]: [Field.add x 0 = x]), so the
      fast path is bit-invisible. *)
-  if not (is_zero s) then begin
+  if not (c0 s = 0 && c1 s = 0 && c2 s = 0) then begin
     Words.unsafe_set t.words 0 (c0 t + c0 s);
     Words.unsafe_set t.words 1 (c1 t + c1 s);
     Words.unsafe_set t.words 2 (Field.add (c2 t) (c2 s))
@@ -82,30 +85,20 @@ let sub t s =
   Words.unsafe_set t.words 1 (c1 t - c1 s);
   Words.unsafe_set t.words 2 (Field.sub (c2 t) (c2 s))
 
-let copy t = { t with words = Words.copy t.words }
-let reset t = Words.fill t.words 0
-let space_in_words _ = 4
-
-let write_raw t sink =
-  Wire.write_int sink (c0 t);
-  Wire.write_int sink (c1 t);
-  Wire.write_int sink (c2 t)
-
-let read_raw t src =
-  Words.unsafe_set t.words 0 (Wire.read_int src);
-  Words.unsafe_set t.words 1 (Wire.read_int src);
-  Words.unsafe_set t.words 2 (Wire.read_int src)
-
 let write t sink =
   Wire.write_tag sink "1sp";
   Wire.write_int sink t.config.dim;
-  write_raw t sink
+  Wire.write_int sink (c0 t);
+  Wire.write_int sink (c1 t);
+  Wire.write_int sink (c2 t)
 
 let read_into t src =
   Wire.expect_tag src "1sp";
   let dim = Wire.read_int src in
   if dim <> t.config.dim then failwith "One_sparse.read_into: dimension mismatch";
-  read_raw t src
+  for i = 0 to state_words - 1 do
+    Words.unsafe_set t.words i (Wire.read_int src)
+  done
 
 module Linear = struct
   type nonrec t = t
@@ -113,12 +106,12 @@ module Linear = struct
   let family = "one_sparse"
   let dim t = t.config.dim
   let shape t = [| t.config.dim |]
-  let clone_zero = clone_zero
+  let clone_zero t = { t with words = Words.create state_words }
   let add = add
   let sub = sub
   let update = update
-  let reset = reset
-  let space_in_words = space_in_words
+  let reset t = Words.fill t.words 0
+  let space_in_words _ = 4
   let write_body = write
   let read_body = read_into
 end

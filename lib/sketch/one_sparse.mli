@@ -16,11 +16,6 @@
 type t
 (** Mutable sketch state (3 words + the shared fingerprint ladder). *)
 
-type result =
-  | Zero  (** the sketched vector is (whp) identically zero *)
-  | One of int * int  (** [One (i, w)]: single non-zero coordinate [i] of value [w] *)
-  | Many  (** more than one non-zero coordinate (or fingerprint mismatch) *)
-
 val create : Ds_util.Prng.t -> dim:int -> t
 (** Fresh sketch of the zero vector over [0, dim). Two sketches built from
     generators with equal state are {e compatible}: they use the same
@@ -29,16 +24,12 @@ val create : Ds_util.Prng.t -> dim:int -> t
 val update : t -> index:int -> delta:int -> unit
 (** Add [delta] to coordinate [index]. O(1) field ops: the fingerprint power
     [r^(index+1)] comes from a cached ladder ({!Ds_util.Field.Pow}) built
-    once per base at {!create} time and shared by {!copy}/{!clone_zero}.
+    once per base at {!create} time and shared by every compatible sketch.
     @raise Invalid_argument unless [0 <= index < dim]. *)
 
 val update_batch : t -> (int * int) array -> unit
 (** [update_batch t pairs] applies [(index, delta)] pairs in order;
     equivalent to folding {!update} over the array. *)
-
-val clone_zero : t -> t
-(** A fresh zero sketch compatible with [t]: shares the fingerprint base and
-    the (immutable) power ladder. Allocates a private 3-word buffer. *)
 
 (** {2 Offset kernels}
 
@@ -71,14 +62,21 @@ val update_at : Ds_util.Words.t -> off:int -> index:int -> delta:int -> term:int
     the cell at [words.[off .. off+2]], where [term] must equal
     [Field.scale_int delta (fingerprint_pow c index)]. No bounds check. *)
 
-val decode_at : config -> Ds_util.Words.t -> off:int -> result
+val decode_at : config -> Ds_util.Words.t -> off:int -> (int * int) Decoded.t
 (** {!decode} of the cell at [words.[off .. off+2]]. *)
 
-val decode : t -> result
-(** Classify the current vector. *)
+val decode : t -> (int * int) Decoded.t
+(** [Empty] when all three counters are zero; [Found (i, w)] when they
+    pass the 1-sparse test for coordinate [i] of value [w]; [Declined]
+    otherwise: more than one non-zero coordinate, caught by the index-sum
+    or the fingerprint. *)
 
-val is_zero : t -> bool
-(** [decode t = Zero], cheaper to call. *)
+val decode_raw : dim:int -> base:int -> int -> int -> int -> (int * int) Decoded.t
+(** [decode_raw ~dim ~base c0 c1 c2] is the same test on a cell whose
+    fingerprint [c2] is a raw integer accumulator of
+    [w * base^(i+1)] terms, reduced only here ({!Packed_l0},
+    {!Sketch_table}): [Empty] when [c0], [c1] and [c2 mod p] are zero,
+    [Found] and [Declined] as in {!decode}. *)
 
 val add : t -> t -> unit
 (** [add dst src] sets [dst := dst + src] (compatible sketches only). *)
@@ -86,26 +84,8 @@ val add : t -> t -> unit
 val sub : t -> t -> unit
 (** [sub dst src] sets [dst := dst - src]. *)
 
-val copy : t -> t
-
-val reset : t -> unit
-(** Back to the zero vector. *)
-
-val space_in_words : t -> int
-
 val write : t -> Ds_util.Wire.sink -> unit
 (** Serialise the counters (structure is seed-derived and not shipped). *)
-
-val read_into : t -> Ds_util.Wire.source -> unit
-(** Overwrite [t]'s counters with serialised ones. [t] must have been built
-    from the same seed/dimension as the writer; the dimension is checked.
-    @raise Failure on tag/dimension mismatch or truncation. *)
-
-val write_raw : t -> Ds_util.Wire.sink -> unit
-(** The three counters only — no header. For containers that frame their
-    cells themselves (see {!Sparse_recovery.write}). *)
-
-val read_raw : t -> Ds_util.Wire.source -> unit
 
 module Linear : Linear_sketch.S with type t = t
 (** The universal interface: {!Linear_sketch.serialize} and friends over

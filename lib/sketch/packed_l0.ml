@@ -85,26 +85,17 @@ let update c state ~off ~index ~delta = update_prepared c (prepare c ~index ~del
 (* Decode one (rep, level) grid by peeling it in [scratch], which
    [decode] allocates once and this refills from the state.  A candidate's
    index is folded once, and its two bucket columns serve both the check
-   that it sits in its own bucket and the peel.  Returns [Some assoc] iff
-   the grid clears. *)
+   that it sits in its own bucket and the peel.  [Declined] unless the
+   grid clears. *)
 let decode_level c (state : Words.t) ~off ~rep ~level (scratch : Words.t) =
   let len = level_words c in
   Words.blit ~src:state ~src_pos:(off + cell_off c ~rep ~level ~row:0 ~bucket:0) ~dst:scratch
     ~dst_pos:0 ~len;
   let cell row bucket = ((row * c.buckets) + bucket) * triple_words in
   let decode_cell o =
-    let c0 = Words.unsafe_get scratch o
-    and c1 = Words.unsafe_get scratch (o + 1)
-    and c2 = Words.unsafe_get scratch (o + 2) in
-    if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then `Zero
-    else if c0 = 0 then `Many
-    else if c1 mod c0 <> 0 then `Many
-    else begin
-      let i = c1 / c0 in
-      if i < 0 || i >= c.dim then `Many
-      else if Field.of_int (c0 * Field.pow c.base (i + 1)) = Field.of_int c2 then `One (i, c0)
-      else `Many
-    end
+    One_sparse.decode_raw ~dim:c.dim ~base:c.base (Words.unsafe_get scratch o)
+      (Words.unsafe_get scratch (o + 1))
+      (Words.unsafe_get scratch (o + 2))
   in
   let peel o ~i ~w ~fp =
     Words.unsafe_set scratch o (Words.unsafe_get scratch o - w);
@@ -119,7 +110,7 @@ let decode_level c (state : Words.t) ~off ~rep ~level (scratch : Words.t) =
     for row = 0 to rows - 1 do
       for bucket = 0 to c.buckets - 1 do
         match decode_cell (cell row bucket) with
-        | `One (i, w) ->
+        | Found (i, w) ->
             let x = Kwise.fold_key i in
             let x2 = Field.mul x x in
             let x4 = Field.mul x2 x2 in
@@ -132,7 +123,7 @@ let decode_level c (state : Words.t) ~off ~rep ~level (scratch : Words.t) =
               peel (cell 1 b1) ~i ~w ~fp;
               progress := true
             end
-        | `Zero | `Many -> ()
+        | Empty | Declined -> ()
       done
     done
   done;
@@ -143,40 +134,23 @@ let decode_level c (state : Words.t) ~off ~rep ~level (scratch : Words.t) =
     end
     else if Words.unsafe_get scratch o <> 0 then cleared := false
   done;
-  if !cleared then Some !acc else None
+  if not !cleared then Decoded.Declined else match !acc with [] -> Empty | found -> Found found
 
-let pick_min_tiebreak c assoc =
-  let best = ref None in
-  List.iter
-    (fun (i, w) ->
-      let h = Kwise.eval c.tie_break i in
-      match !best with
-      | Some (h0, _, _) when h0 <= h -> ()
-      | _ -> best := Some (h, i, w))
-    assoc;
-  match !best with None -> None | Some (_, i, w) -> Some (i, w)
-
+(* Level 0 holds the whole vector, so a rep whose levels all decode
+   [Empty] certifies zero; a declining rep passes to the next. *)
 let decode c state ~off =
   let scratch = Words.create (level_words c) in
   let rec per_rep rep =
-    if rep >= c.prm.reps then None
-    else begin
-      let rec per_level level =
-        if level < 0 then None
-        else
-          match decode_level c state ~off ~rep ~level scratch with
-          | Some [] -> per_level (level - 1)
-          | Some assoc -> pick_min_tiebreak c assoc
-          | None -> None
-      in
-      match per_level (c.levels - 1) with
-      | Some _ as r -> r
-      | None -> per_rep (rep + 1)
-    end
+    if rep >= c.prm.reps then Decoded.Declined
+    else
+      match
+        Decoded.sample_levels ~tie_break:c.tie_break ~levels:c.levels (fun level ->
+            decode_level c state ~off ~rep ~level scratch)
+      with
+      | Declined -> per_rep (rep + 1)
+      | (Empty | Found _) as r -> r
   in
   per_rep 0
-
-let dim c = c.dim
 
 let config_space_in_words c =
   Kwise.space_in_words c.tie_break
@@ -196,11 +170,8 @@ module Owned = struct
     let config = make_config rng ~dim ~params in
     { config; state = Words.create (state_len config) }
 
-  let config t = t.config
   let update t ~index ~delta = update t.config t.state ~off:0 ~index ~delta
-  let sample t = decode t.config t.state ~off:0
   let clone_zero t = { t with state = Words.create (Words.length t.state) }
-  let copy t = { t with state = Words.copy t.state }
   let reset t = Words.fill t.state 0
 
   let check_compatible t s =

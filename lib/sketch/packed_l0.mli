@@ -49,12 +49,14 @@ val update : config -> Ds_util.Words.t -> off:int -> index:int -> delta:int -> u
     [prepare ~index ~delta], the one update path.
     @raise Invalid_argument unless [0 <= index < dim]. *)
 
-val decode : config -> Ds_util.Words.t -> off:int -> (int * int) option
-(** [Some (index, value)] for one non-zero coordinate (near-uniform among
-    the support), or [None] if the vector is zero or decoding failed. *)
-
-val dim : config -> int
-val config_space_in_words : config -> int
+val decode : config -> Ds_util.Words.t -> off:int -> (int * int) Decoded.t
+(** The reps in order, each an L0 sample over its levels
+    ({!Decoded.sample_levels}). [Found (index, value)] for one non-zero
+    coordinate (near-uniform among the support). [Empty] at the first rep
+    whose levels all decode [Empty]: its level 0 holds the whole vector,
+    so the vector is (whp) zero. [Declined] when every rep declines: in
+    each, the sparsest non-empty level did not peel, as when it held more
+    coordinates than its [2 x 2*sparsity] grid separates. *)
 
 (** The codec bundled with one state array of its own — the packed sampler
     as a first-class sketch. {!Sketch_table} cells keep using the
@@ -64,13 +66,8 @@ module Owned : sig
   type t
 
   val create : Ds_util.Prng.t -> dim:int -> params:params -> t
-  val config : t -> config
-
   val update : t -> index:int -> delta:int -> unit
-  val sample : t -> (int * int) option
-
   val clone_zero : t -> t
-  val copy : t -> t
   val reset : t -> unit
   val add : t -> t -> unit
   val sub : t -> t -> unit

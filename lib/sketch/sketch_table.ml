@@ -68,25 +68,14 @@ let update t ~key ~weight ~write =
     write w (payload_off t r c)
   done
 
-type cell_state = Zero | One of int * int | Many
-
-(* The key decoder of cell [(r, c)] in [keys]. [Zero] means the key
+(* The key decoder of cell [(r, c)] in [keys]. [Empty] means the key
    counters cancelled; the cell is empty only if its residual payload is
    zero too. *)
 let key_cell t (keys : Words.t) r c =
   let o = (r * 3 * t.cap) + c in
-  let c0 = Words.unsafe_get keys o
-  and c1 = Words.unsafe_get keys (o + t.cap)
-  and c2 = Words.unsafe_get keys (o + (2 * t.cap)) in
-  if c0 = 0 && c1 = 0 && Field.of_int c2 = 0 then Zero
-  else if c0 = 0 then Many
-  else if c1 mod c0 <> 0 then Many
-  else begin
-    let k = c1 / c0 in
-    if k < 0 || k >= t.key_dim then Many
-    else if Field.of_int (c0 * Field.pow t.base (k + 1)) = Field.of_int c2 then One (k, c0)
-    else Many
-  end
+  One_sparse.decode_raw ~dim:t.key_dim ~base:t.base (Words.unsafe_get keys o)
+    (Words.unsafe_get keys (o + t.cap))
+    (Words.unsafe_get keys (o + (2 * t.cap)))
 
 (* [dst] := cell [(r, c)]'s payload in [t] minus the payloads in [peeled]. *)
 let residual_into t peeled r c (dst : Words.t) =
@@ -117,7 +106,7 @@ let decode t =
     for r = 0 to t.rows - 1 do
       for c = 0 to t.cap - 1 do
         match key_cell t keys r c with
-        | One (k, w) ->
+        | Found (k, w) ->
             let x = Kwise.fold_key k in
             let x2 = Field.mul x x in
             let x4 = Field.mul x2 x2 in
@@ -138,7 +127,7 @@ let decode t =
               done;
               progress := true
             end
-        | Zero | Many -> ()
+        | Empty | Declined -> ()
       done
     done
   done;
@@ -149,13 +138,14 @@ let decode t =
     for c = 0 to t.cap - 1 do
       if !cleared then
         match key_cell t keys r c with
-        | Zero ->
+        | Empty ->
             residual_into t peeled r c residual;
             if not (is_zero residual) then cleared := false
-        | One _ | Many -> cleared := false
+        | Found _ | Declined -> cleared := false
     done
   done;
-  if !cleared then Some !results else None
+  if not !cleared then Decoded.Declined
+  else match !results with [] -> Empty | found -> Found found
 
 let check_compatible t s =
   if
@@ -167,17 +157,9 @@ let add t s =
   check_compatible t s;
   Words.add t.words s.words
 
-let sub t s =
-  check_compatible t s;
-  Words.sub t.words s.words
-
 let space_in_words t =
   (t.rows * t.cap * (3 + t.payload_len))
   + Array.fold_left (fun a h -> a + Kwise.space_in_words h) 0 t.hashes
-
-let clone_zero t = { t with words = Words.create (Words.length t.words) }
-let copy t = { t with words = Words.copy t.words }
-let reset t = Words.fill t.words 0
 
 let write t sink =
   Wire.write_tag sink "stb";
@@ -206,14 +188,17 @@ module Linear = struct
   let family = "sketch_table"
   let dim t = t.key_dim
   let shape t = [| t.key_dim; t.cap; t.rows; t.payload_len |]
-  let clone_zero = clone_zero
+  let clone_zero t = { t with words = Words.create (Words.length t.words) }
   let add = add
-  let sub = sub
+
+  let sub t s =
+    check_compatible t s;
+    Words.sub t.words s.words
 
   (* A key's weight is a linear accumulator; updating it with an empty
      payload contribution is the index/delta face of [update]. *)
   let update t ~index ~delta = update t ~key:index ~weight:delta ~write:(fun _ _ -> ())
-  let reset = reset
+  let reset t = Words.fill t.words 0
   let space_in_words = space_in_words
   let write_body = write
   let read_body = read_into

@@ -36,30 +36,22 @@ val update : t -> key:int -> weight:int -> write:(Ds_util.Words.t -> int -> unit
     before the call (see {!Packed_l0.prepare}), since it runs once per row.
     @raise Invalid_argument unless [0 <= key < key_dim]. *)
 
-val decode : t -> (int * int * Ds_util.Words.t) list option
-(** Recover all live keys: [(key, weight, payload)] triples. [None] when the
-    table is over capacity or peeling stalls (detected, never silently
-    wrong). Non-destructive: it peels a copy of the key counters only
-    ([rows * 3 * capacity] words), and reads payloads in place — a
+val decode : t -> (int * int * Ds_util.Words.t) list Decoded.t
+(** Recover all live keys: [Found] lists the [(key, weight, payload)]
+    triples. [Empty] when the peel clears every cell, key counters and
+    payloads, without recovering a key. [Declined] when some cell does not
+    clear: the table is over capacity or peeling stalled (detected, never
+    silently wrong). Non-destructive: it peels a copy of the key counters
+    only ([rows * 3 * capacity] words), and reads payloads in place — a
     recovered key's payload is its cell's payload minus the payloads
     already peeled from that cell, and the final all-clear check reads each
     cell's payload once. *)
 
 val add : t -> t -> unit
-val sub : t -> t -> unit
 val space_in_words : t -> int
 
-val clone_zero : t -> t
-(** A fresh all-zero table sharing [t]'s (immutable) hash functions and
-    fingerprint base. Tables are mergeable iff built from equal PRNG state,
-    so a clone is the only safe way to mint a compatible replica. *)
-
-val copy : t -> t
-
 val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
-(** Counter (de)serialisation; see {!One_sparse.write}.
-    @raise Failure on mismatch or truncation. *)
+(** Counter serialisation; see {!One_sparse.write}. *)
 
 module Linear : Linear_sketch.S with type t = t
 (** [update ~index ~delta] adds [delta] to key [index]'s weight with a zero

@@ -97,10 +97,8 @@ let zero_range w ~pos ~len =
 let[@inline] zero_cell w o =
   Words.unsafe_get w o = 0 && Words.unsafe_get w (o + 1) = 0 && Words.unsafe_get w (o + 2) = 0
 
-let is_zero t = zero_range t.words ~pos:0 ~len:(Words.length t.words)
-
-(* Peel a private copy of the grid at [off]: every recovered coordinate
-   if the residual cleared completely, [None] otherwise. *)
+(* Peel a private copy of the grid at [off]: [Declined] unless the
+   residual clears completely. *)
 let decode_at c w ~off =
   let len = grid_words c in
   let work = Words.create len in
@@ -112,7 +110,7 @@ let decode_at c w ~off =
     for r = 0 to c.prm.rows - 1 do
       for col = 0 to c.cols - 1 do
         match One_sparse.decode_at c.cell work ~off:(cell_off c r col) with
-        | One (i, v) when Kwise.to_range c.hashes.(r) i ~bound:c.cols = col ->
+        | Found (i, v) when Kwise.to_range c.hashes.(r) i ~bound:c.cols = col ->
             acc := (i, v) :: !acc;
             let term = Field.scale_int (-v) (One_sparse.fingerprint_pow c.cell i) in
             for r' = 0 to c.prm.rows - 1 do
@@ -120,11 +118,12 @@ let decode_at c w ~off =
               One_sparse.update_at work ~off:(cell_off c r' col') ~index:i ~delta:(-v) ~term
             done;
             progress := true
-        | Zero | One _ | Many -> ()
+        | Empty | Found _ | Declined -> ()
       done
     done
   done;
-  if zero_range work ~pos:0 ~len then Some !acc else None
+  if not (zero_range work ~pos:0 ~len) then Decoded.Declined
+  else match !acc with [] -> Empty | found -> Found found
 
 let decode t = decode_at t.config t.words ~off:0
 
@@ -145,16 +144,8 @@ let sub t s =
   check_compatible t s;
   Words.sub_tri t.words s.words
 
-let copy t = { t with words = Words.copy t.words }
 let clone_zero t = { t with words = Words.create (Words.length t.words) }
 let reset t = Words.fill t.words 0
-
-let merge_many = function
-  | [] -> invalid_arg "Sparse_recovery.merge_many: empty list"
-  | first :: rest ->
-      let acc = copy first in
-      List.iter (fun s -> add acc s) rest;
-      acc
 
 let space_in_words_of c =
   let cell_words = 4 in
@@ -162,7 +153,6 @@ let space_in_words_of c =
   (c.prm.rows * c.cols * cell_words) + hash_words
 
 let space_in_words t = space_in_words_of t.config
-let dim t = t.config.dim
 
 (* Cells are framed as (zero-run skip, counters) pairs: sketches of sparse
    shards are overwhelmingly zero cells, and a zero run costs one byte. The
@@ -220,7 +210,7 @@ module Linear = struct
   type nonrec t = t
 
   let family = "sparse_recovery"
-  let dim = dim
+  let dim t = t.config.dim
 
   let shape t =
     let c = t.config in

@@ -37,17 +37,15 @@ val update : t -> index:int -> delta:int -> unit
 val update_batch : t -> (int * int) array -> unit
 (** [(index, delta)] pairs, applied in order; equals the fold of {!update}. *)
 
-val decode : t -> (int * int) list option
-(** Full recovery attempt. [Some assoc] lists every non-zero coordinate with
-    its value (unordered); [None] means the vector was (detectably) not
-    [s]-sparse or an internal decode failed. Non-destructive. *)
-
-val is_zero : t -> bool
-(** Whether the sketched vector is (whp) identically zero. *)
+val decode : t -> (int * int) list Decoded.t
+(** Full recovery by peeling. [Found assoc] lists every non-zero
+    coordinate with its value (unordered); [Empty] means the peel cleared
+    the grid without recovering any, so the vector is (whp) zero;
+    [Declined] means the residual did not clear: the vector is
+    (detectably) not [s]-sparse. Non-destructive. *)
 
 val add : t -> t -> unit
 val sub : t -> t -> unit
-val copy : t -> t
 
 val clone_zero : t -> t
 (** A fresh zero sketch {e compatible} with [t] (same hashes and fingerprint
@@ -57,12 +55,7 @@ val clone_zero : t -> t
 val reset : t -> unit
 (** Zero every counter in place — one fill of the underlying buffer. *)
 
-val merge_many : t list -> t
-(** Sum of compatible sketches as a fresh sketch.
-    @raise Invalid_argument on the empty list. *)
-
 val space_in_words : t -> int
-val dim : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
 (** Serialise all cell counters (hashes are seed-derived, not shipped). *)
@@ -123,7 +116,7 @@ val update_pows_pair :
     evaluations and one fingerprint term — the edge-update kernel of
     {!Ds_agm.Agm_sketch}. *)
 
-val decode_at : config -> Ds_util.Words.t -> off:int -> (int * int) list option
+val decode_at : config -> Ds_util.Words.t -> off:int -> (int * int) list Decoded.t
 (** {!decode} of the grid at [off]; peels a private copy. *)
 
 val space_in_words_of : config -> int

@@ -47,7 +47,6 @@ let test_sketch_contracts () =
   let a = Sparse_recovery.create (Prng.create 1) ~dim:10 ~params:(Sparse_recovery.default_params ~sparsity:2) in
   let b = Sparse_recovery.create (Prng.create 2) ~dim:20 ~params:(Sparse_recovery.default_params ~sparsity:2) in
   check "Sparse_recovery incompatible add" (raises_invalid (fun () -> Sparse_recovery.add a b));
-  check "merge_many empty" (raises_invalid (fun () -> ignore (Sparse_recovery.merge_many [])));
   check "Ams_f2 needs 4-wise"
     (raises_invalid (fun () ->
          ignore

@@ -25,33 +25,33 @@ let sort_vec v = List.sort compare v
 
 let test_one_sparse_zero () =
   let s = One_sparse.create (Prng.create 1) ~dim:100 in
-  check_bool "fresh is zero" true (One_sparse.decode s = Zero)
+  check_bool "fresh is zero" true (One_sparse.decode s = Empty)
 
 let test_one_sparse_single () =
   let s = One_sparse.create (Prng.create 2) ~dim:100 in
   One_sparse.update s ~index:42 ~delta:3;
   (match One_sparse.decode s with
-  | One (i, w) ->
+  | Found (i, w) ->
       check_int "index" 42 i;
       check_int "weight" 3 w
-  | Zero | Many -> Alcotest.fail "expected One");
+  | Empty | Declined -> Alcotest.fail "expected Found");
   One_sparse.update s ~index:42 ~delta:(-3);
-  check_bool "back to zero" true (One_sparse.decode s = Zero)
+  check_bool "back to zero" true (One_sparse.decode s = Empty)
 
 let test_one_sparse_index_zero () =
   let s = One_sparse.create (Prng.create 21) ~dim:100 in
   One_sparse.update s ~index:0 ~delta:7;
   match One_sparse.decode s with
-  | One (i, w) ->
+  | Found (i, w) ->
       check_int "index 0 recoverable" 0 i;
       check_int "weight" 7 w
-  | Zero | Many -> Alcotest.fail "expected One at index 0"
+  | Empty | Declined -> Alcotest.fail "expected Found at index 0"
 
 let test_one_sparse_many () =
   let s = One_sparse.create (Prng.create 3) ~dim:100 in
   One_sparse.update s ~index:1 ~delta:1;
   One_sparse.update s ~index:2 ~delta:1;
-  check_bool "two coordinates detected" true (One_sparse.decode s = Many)
+  check_bool "two coordinates detected" true (One_sparse.decode s = Declined)
 
 let test_one_sparse_cancel_to_one () =
   let s = One_sparse.create (Prng.create 4) ~dim:1000 in
@@ -59,10 +59,10 @@ let test_one_sparse_cancel_to_one () =
   One_sparse.update s ~index:999 ~delta:2;
   One_sparse.update s ~index:999 ~delta:(-2);
   match One_sparse.decode s with
-  | One (i, w) ->
+  | Found (i, w) ->
       check_int "survivor index" 10 i;
       check_int "survivor weight" 5 w
-  | Zero | Many -> Alcotest.fail "expected One after cancellation"
+  | Empty | Declined -> Alcotest.fail "expected Found after cancellation"
 
 let test_one_sparse_linearity () =
   let rng = Prng.create 5 in
@@ -72,17 +72,17 @@ let test_one_sparse_linearity () =
   One_sparse.update b ~index:7 ~delta:3;
   One_sparse.add a b;
   (match One_sparse.decode a with
-  | One (i, w) ->
+  | Found (i, w) ->
       check_int "merged index" 7 i;
       check_int "merged weight" 5 w
-  | Zero | Many -> Alcotest.fail "expected One after merge");
+  | Empty | Declined -> Alcotest.fail "expected Found after merge");
   One_sparse.sub a b;
   One_sparse.sub a b;
   match One_sparse.decode a with
-  | One (i, w) ->
+  | Found (i, w) ->
       check_int "sub index" 7 i;
       check_int "sub weight" (-1) w
-  | Zero | Many -> Alcotest.fail "expected One after sub"
+  | Empty | Declined -> Alcotest.fail "expected Found after sub"
 
 let test_one_sparse_adversarial_many () =
   (* Vectors engineered so that c1/c0 lands on a valid index must still be
@@ -93,7 +93,7 @@ let test_one_sparse_adversarial_many () =
     One_sparse.update s ~index:10 ~delta:1;
     One_sparse.update s ~index:30 ~delta:1;
     (* c0 = 2, c1 = 40 => candidate index 20, which is in range *)
-    match One_sparse.decode s with One _ -> incr fooled | Zero | Many -> ()
+    match One_sparse.decode s with Found _ -> incr fooled | Empty | Declined -> ()
   done;
   check_int "fingerprint never fooled" 0 !fooled
 
@@ -106,17 +106,14 @@ let prop_one_sparse_roundtrip =
       One_sparse.update s ~index:150 ~delta:9;
       List.iter (fun (i, w) -> One_sparse.update s ~index:i ~delta:w) noise;
       List.iter (fun (i, w) -> One_sparse.update s ~index:i ~delta:(-w)) noise;
-      One_sparse.decode s = One (150, 9))
+      One_sparse.decode s = Found (150, 9))
 
 (* -------------------- Sparse_recovery -------------------- *)
 
 let test_sr_empty () =
   let prm = Sparse_recovery.default_params ~sparsity:4 in
   let s = Sparse_recovery.create (Prng.create 1) ~dim:1000 ~params:prm in
-  check_bool "zero" true (Sparse_recovery.is_zero s);
-  match Sparse_recovery.decode s with
-  | Some [] -> ()
-  | Some _ | None -> Alcotest.fail "expected empty decode"
+  check_bool "zero decodes Empty" true (Sparse_recovery.decode s = Empty)
 
 let test_sr_exact_recovery () =
   let rng = Prng.create 7 in
@@ -126,24 +123,25 @@ let test_sr_exact_recovery () =
     let vec = random_sparse_vec rng ~dim:100000 ~support:8 in
     apply_vec (Sparse_recovery.update s) vec;
     match Sparse_recovery.decode s with
-    | Some assoc ->
+    | Found assoc ->
         Alcotest.(check (list (pair int int)))
           "recovered exactly" (sort_vec vec) (sort_vec assoc)
-    | None -> Alcotest.failf "decode failed on trial %d" trial
+    | Empty | Declined -> Alcotest.failf "decode failed on trial %d" trial
   done
 
 let test_sr_overload_detected () =
   let rng = Prng.create 11 in
   let prm = Sparse_recovery.default_params ~sparsity:4 in
-  (* With support far above budget, decode must either fail or be correct —
-     never silently wrong. *)
+  (* With support far above budget, decode must either decline or be
+     correct — never silently wrong, and never Empty. *)
   for trial = 0 to 19 do
     let s = Sparse_recovery.create (Prng.create (2000 + trial)) ~dim:5000 ~params:prm in
     let vec = random_sparse_vec rng ~dim:5000 ~support:100 in
     apply_vec (Sparse_recovery.update s) vec;
     match Sparse_recovery.decode s with
-    | None -> ()
-    | Some assoc ->
+    | Declined -> ()
+    | Empty -> Alcotest.failf "non-zero vector decoded Empty on trial %d" trial
+    | Found assoc ->
         Alcotest.(check (list (pair int int)))
           "if it decodes, it is right" (sort_vec vec) (sort_vec assoc)
   done
@@ -156,12 +154,12 @@ let test_sr_linearity () =
   Sparse_recovery.update a ~index:20 ~delta:2;
   Sparse_recovery.update b ~index:20 ~delta:(-2);
   Sparse_recovery.update b ~index:30 ~delta:3;
-  let m = Sparse_recovery.merge_many [ a; b ] in
-  match Sparse_recovery.decode m with
-  | Some assoc ->
+  Sparse_recovery.add a b;
+  match Sparse_recovery.decode a with
+  | Found assoc ->
       Alcotest.(check (list (pair int int)))
         "sum of vectors" [ (10, 1); (30, 3) ] (sort_vec assoc)
-  | None -> Alcotest.fail "merged decode failed"
+  | Empty | Declined -> Alcotest.fail "merged decode failed"
 
 let test_sr_subtraction_reveals () =
   (* The key trick of Algorithm 3: sketch G, subtract an explicit edge set,
@@ -177,8 +175,8 @@ let test_sr_subtraction_reveals () =
   done;
   Sparse_recovery.sub a b;
   match Sparse_recovery.decode a with
-  | Some [ (50, 1) ] -> ()
-  | Some _ | None -> Alcotest.fail "difference not recovered"
+  | Found [ (50, 1) ] -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "difference not recovered"
 
 let prop_sr_within_budget =
   QCheck.Test.make ~name:"sparse_recovery recovers any vector within budget" ~count:100
@@ -190,8 +188,9 @@ let prop_sr_within_budget =
       let vec = random_sparse_vec rng ~dim:4000 ~support in
       apply_vec (Sparse_recovery.update s) vec;
       match Sparse_recovery.decode s with
-      | Some assoc -> sort_vec assoc = sort_vec vec
-      | None -> false)
+      | Found assoc -> sort_vec assoc = sort_vec vec
+      | Empty -> vec = []
+      | Declined -> false)
 
 let prop_sr_reset =
   QCheck.Test.make ~name:"reset returns to zero" ~count:50
@@ -201,7 +200,7 @@ let prop_sr_reset =
       let s = Sparse_recovery.create (Prng.create seed) ~dim:500 ~params:prm in
       Sparse_recovery.update s ~index:(seed mod 500) ~delta:2;
       Sparse_recovery.reset s;
-      Sparse_recovery.is_zero s)
+      Sparse_recovery.decode s = Empty)
 
 (* -------------------- F0 -------------------- *)
 
@@ -250,14 +249,14 @@ let test_f0_linearity () =
 
 let test_l0_empty () =
   let s = L0_sampler.create (Prng.create 1) ~dim:100 ~params:L0_sampler.default_params in
-  check_bool "empty sample" true (L0_sampler.sample s = None)
+  check_bool "empty sample" true (L0_sampler.decode s = Empty)
 
 let test_l0_single () =
   let s = L0_sampler.create (Prng.create 2) ~dim:100 ~params:L0_sampler.default_params in
   L0_sampler.update s ~index:33 ~delta:2;
-  match L0_sampler.sample s with
-  | Some (33, 2) -> ()
-  | Some _ | None -> Alcotest.fail "expected the unique element"
+  match L0_sampler.decode s with
+  | Found (33, 2) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "expected the unique element"
 
 let test_l0_membership () =
   let rng = Prng.create 12 in
@@ -269,9 +268,10 @@ let test_l0_membership () =
     in
     let vec = random_sparse_vec rng ~dim:5000 ~support:200 in
     apply_vec (L0_sampler.update s) vec;
-    match L0_sampler.sample s with
-    | Some (i, w) -> if List.mem (i, w) vec then incr successes else incr wrong
-    | None -> ()
+    match L0_sampler.decode s with
+    | Found (i, w) -> if List.mem (i, w) vec then incr successes else incr wrong
+    | Empty -> incr wrong
+    | Declined -> ()
   done;
   check_int "never returns a non-member" 0 !wrong;
   check_bool "succeeds in most trials" true (!successes >= trials * 8 / 10)
@@ -284,7 +284,7 @@ let test_l0_deletion_to_empty () =
   for i = 0 to 49 do
     L0_sampler.update s ~index:i ~delta:(-1)
   done;
-  check_bool "empty after full deletion" true (L0_sampler.sample s = None)
+  check_bool "empty after full deletion" true (L0_sampler.decode s = Empty)
 
 let test_l0_uniformity () =
   (* TV distance of the sampling distribution from uniform over a 16-element
@@ -298,10 +298,10 @@ let test_l0_uniformity () =
         ~params:L0_sampler.default_params
     in
     Array.iter (fun i -> L0_sampler.update s ~index:i ~delta:1) support;
-    match L0_sampler.sample s with
-    | Some (i, _) ->
+    match L0_sampler.decode s with
+    | Found (i, _) ->
         Array.iteri (fun j v -> if v = i then counts.(j) <- counts.(j) + 1) support
-    | None -> ()
+    | Empty | Declined -> ()
   done;
   let empirical = Array.map float_of_int counts in
   let uniform = Array.make 16 1.0 in
@@ -315,9 +315,9 @@ let test_l0_linearity () =
   L0_sampler.update b ~index:1 ~delta:(-1);
   L0_sampler.update b ~index:2 ~delta:1;
   L0_sampler.add a b;
-  match L0_sampler.sample a with
-  | Some (2, 1) -> ()
-  | Some _ | None -> Alcotest.fail "merge should cancel index 1 and keep index 2"
+  match L0_sampler.decode a with
+  | Found (2, 1) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "merge should cancel index 1 and keep index 2"
 
 (* -------------------- Count_sketch -------------------- *)
 
@@ -357,10 +357,10 @@ let test_packed_l0_single () =
   let st = Words.create (Packed_l0.state_len cfg) in
   Packed_l0.update cfg st ~off:0 ~index:9 ~delta:4;
   (match Packed_l0.decode cfg st ~off:0 with
-  | Some (9, 4) -> ()
-  | Some _ | None -> Alcotest.fail "expected unique element");
+  | Found (9, 4) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "expected unique element");
   Packed_l0.update cfg st ~off:0 ~index:9 ~delta:(-4);
-  check_bool "empty after deletion" true (Packed_l0.decode cfg st ~off:0 = None)
+  check_bool "empty after deletion" true (Packed_l0.decode cfg st ~off:0 = Empty)
 
 let test_packed_l0_offset () =
   let cfg =
@@ -369,11 +369,11 @@ let test_packed_l0_offset () =
   let len = Packed_l0.state_len cfg in
   let st = Words.create (3 * len) in
   Packed_l0.update cfg st ~off:len ~index:5 ~delta:1;
-  check_bool "slot 0 untouched" true (Packed_l0.decode cfg st ~off:0 = None);
-  check_bool "slot 2 untouched" true (Packed_l0.decode cfg st ~off:(2 * len) = None);
+  check_bool "slot 0 untouched" true (Packed_l0.decode cfg st ~off:0 = Empty);
+  check_bool "slot 2 untouched" true (Packed_l0.decode cfg st ~off:(2 * len) = Empty);
   match Packed_l0.decode cfg st ~off:len with
-  | Some (5, 1) -> ()
-  | Some _ | None -> Alcotest.fail "expected element in slot 1"
+  | Found (5, 1) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "expected element in slot 1"
 
 let test_packed_l0_success_rate () =
   let trials = 300 and failures = ref 0 and wrong = ref 0 in
@@ -389,8 +389,9 @@ let test_packed_l0_success_rate () =
     let vec = random_sparse_vec rng ~dim:256 ~support in
     List.iter (fun (i, w) -> Packed_l0.update cfg st ~off:0 ~index:i ~delta:w) vec;
     match Packed_l0.decode cfg st ~off:0 with
-    | Some (i, w) -> if not (List.mem (i, w) vec) then incr wrong
-    | None -> incr failures
+    | Found (i, w) -> if not (List.mem (i, w) vec) then incr wrong
+    | Empty -> incr wrong
+    | Declined -> incr failures
   done;
   check_int "never wrong" 0 !wrong;
   check_bool "failure rate < 2%" true (float_of_int !failures /. float_of_int trials < 0.02)
@@ -408,8 +409,8 @@ let test_packed_l0_raw_linearity () =
   let sum = Words.copy a in
   Words.add sum b;
   match Packed_l0.decode cfg sum ~off:0 with
-  | Some (8, 2) -> ()
-  | Some _ | None -> Alcotest.fail "componentwise sum should decode the difference"
+  | Found (8, 2) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "componentwise sum should decode the difference"
 
 let test_packed_l0_rejects_out_of_range () =
   let cfg =
@@ -446,16 +447,16 @@ let test_table_roundtrip () =
         Packed_l0.update cfg arr ~off ~index:(k mod 64) ~delta:1)
   done;
   match Sketch_table.decode t with
-  | None -> Alcotest.fail "table decode failed"
-  | Some entries ->
+  | Empty | Declined -> Alcotest.fail "table decode failed"
+  | Found entries ->
       check_int "all keys recovered" 20 (List.length entries);
       List.iter
         (fun (key, w, payload) ->
           let k = key / 37 in
           check_int "weight" 1 w;
           match Packed_l0.decode cfg payload ~off:0 with
-          | Some (i, 1) -> check_int "payload element" (k mod 64) i
-          | Some _ | None -> Alcotest.fail "payload decode failed")
+          | Found (i, 1) -> check_int "payload element" (k mod 64) i
+          | Found _ | Empty | Declined -> Alcotest.fail "payload decode failed")
         entries
 
 let test_table_deletions () =
@@ -474,11 +475,11 @@ let test_table_deletions () =
   upd 5 1 (-1);
   (* key 5 fully deleted *)
   match Sketch_table.decode t with
-  | Some [ (7, 1, payload) ] -> (
+  | Found [ (7, 1, payload) ] -> (
       match Packed_l0.decode cfg payload ~off:0 with
-      | Some (2, 1) -> ()
-      | Some _ | None -> Alcotest.fail "payload of surviving key wrong")
-  | Some _ | None -> Alcotest.fail "expected exactly the surviving key"
+      | Found (2, 1) -> ()
+      | Found _ | Empty | Declined -> Alcotest.fail "payload of surviving key wrong")
+  | Found _ | Empty | Declined -> Alcotest.fail "expected exactly the surviving key"
 
 let test_table_over_capacity_detected () =
   let cfg = payload_cfg 104 in
@@ -495,8 +496,9 @@ let test_table_over_capacity_detected () =
           Packed_l0.update cfg arr ~off ~index:0 ~delta:1)
     done;
     match Sketch_table.decode t with
-    | None -> ()
-    | Some entries -> if List.length entries <> 300 then incr wrongs
+    | Declined -> ()
+    | Empty -> incr wrongs
+    | Found entries -> if List.length entries <> 300 then incr wrongs
   done;
   check_int "overload never silently wrong" 0 !wrongs
 
@@ -514,8 +516,8 @@ let test_table_merge () =
       Packed_l0.update cfg arr ~off ~index:20 ~delta:1);
   Sketch_table.add a b;
   match Sketch_table.decode a with
-  | Some entries -> check_int "two keys after merge" 2 (List.length entries)
-  | None -> Alcotest.fail "merged table decode failed"
+  | Found entries -> check_int "two keys after merge" 2 (List.length entries)
+  | Empty | Declined -> Alcotest.fail "merged table decode failed"
 
 let test_table_capacity_stress () =
   (* Fill to ~60% of capacity many times; decode must always succeed. *)
@@ -531,8 +533,8 @@ let test_table_capacity_stress () =
           Words.set arr off (Words.get arr off + 1))
     done;
     match Sketch_table.decode t with
-    | Some entries when List.length entries = 38 -> ()
-    | Some _ | None -> incr failures
+    | Found entries when List.length entries = 38 -> ()
+    | Found _ | Empty | Declined -> incr failures
   done;
   check_int "no failures at 60% load" 0 !failures
 
@@ -618,14 +620,14 @@ let test_wire_sparse_recovery () =
   Sparse_recovery.update b ~index:999 ~delta:7 (* stale state must be overwritten *);
   Sparse_recovery.read_into b (Ds_util.Wire.source bytes);
   (match Sparse_recovery.decode b with
-  | Some assoc ->
+  | Found assoc ->
       Alcotest.(check (list (pair int int)))
         "decoded after wire" [ (17, 3); (4242, -2) ] (sort_vec assoc)
-  | None -> Alcotest.fail "decode after wire failed");
+  | Empty | Declined -> Alcotest.fail "decode after wire failed");
   (* And the deserialised copy is still linear: subtracting a re-read copy
      of [a] empties it. *)
   Sparse_recovery.sub b a;
-  check_bool "wire copy is exact" true (Sparse_recovery.is_zero b)
+  check_bool "wire copy is exact" true (Sparse_recovery.decode b = Empty)
 
 let test_wire_l0_roundtrip () =
   let mk () = L0_sampler.create (Prng.create 601) ~dim:500 ~params:L0_sampler.default_params in
@@ -635,15 +637,16 @@ let test_wire_l0_roundtrip () =
   L0_sampler.write a sink;
   let b = mk () in
   L0_sampler.read_into b (Ds_util.Wire.source (Ds_util.Wire.contents sink));
-  match L0_sampler.sample b with
-  | Some (77, 2) -> ()
-  | Some _ | None -> Alcotest.fail "sample after wire roundtrip"
+  match L0_sampler.decode b with
+  | Found (77, 2) -> ()
+  | Found _ | Empty | Declined -> Alcotest.fail "sample after wire roundtrip"
 
 (* Model-based fuzz: a Sketch_table tracks a map (key -> weight) through a
    random mix of inserts and deletes. Whenever the live-key count is within
-   the tested load, a decode that answers must reproduce the model exactly;
-   it may decline, since recovery is only promised whp, and the decline
-   rate is bounded over a fixed batch below. *)
+   the tested load, a decode that answers must reproduce the model exactly,
+   [Empty] only for the empty model; it may decline, since recovery is only
+   promised whp, and the decline rate is bounded over a fixed batch
+   below. *)
 let table_fuzz_arb = QCheck.(pair small_nat (small_list (pair (int_bound 199) bool)))
 
 let table_fuzz_case (seed, ops) =
@@ -664,8 +667,9 @@ let table_fuzz_case (seed, ops) =
   if Hashtbl.length model > 32 then `Beyond_load
   else
     match Sketch_table.decode t with
-    | None -> `Declined
-    | Some entries ->
+    | Declined -> `Declined
+    | Empty -> if Hashtbl.length model = 0 then `Agrees else `Wrong
+    | Found entries ->
         if
           List.length entries = Hashtbl.length model
           && List.for_all
@@ -696,7 +700,8 @@ let test_table_decline_rate () =
     true
     (float_of_int !declined /. 20_000. <= 1e-3)
 
-(* L0 sampler fuzz: any sample must come from the model's live support. *)
+(* L0 sampler fuzz: any sample must come from the model's live support,
+   and [Empty] only from an empty model. *)
 let prop_l0_fuzz =
   QCheck.Test.make ~name:"l0 sample always in the live support" ~count:80
     QCheck.(pair small_nat (small_list (int_bound 99)))
@@ -714,9 +719,65 @@ let prop_l0_fuzz =
           let now = current + delta in
           if now = 0 then Hashtbl.remove model k else Hashtbl.replace model k now)
         keys;
-      match L0_sampler.sample s with
-      | None -> true
-      | Some (i, w) -> Hashtbl.find_opt model i = Some w)
+      match L0_sampler.decode s with
+      | Declined -> true
+      | Empty -> Hashtbl.length model = 0
+      | Found (i, w) -> Hashtbl.find_opt model i = Some w)
+
+(* The outcome type's promise, over every decoder: after random churn a
+   vector that cancels to zero decodes [Empty], a non-zero one never does,
+   and [Found] agrees with the exact vector (for the samplers, a member of
+   its support). Half the cases append every update negated, so the
+   vector cancels to zero. *)
+let prop_decoded_invariant =
+  QCheck.Test.make ~name:"every decoder: Empty iff zero, Found exact" ~count:300
+    QCheck.(triple small_nat bool (small_list (pair (int_bound 63) (int_range (-3) 3))))
+    (fun (seed, cancel, ops) ->
+      let ops = if cancel then ops @ List.rev_map (fun (i, d) -> (i, -d)) ops else ops in
+      let rng = Prng.create (seed + 6000) in
+      let one = One_sparse.create (Prng.split rng) ~dim:64 in
+      let sr =
+        Sparse_recovery.create (Prng.split rng) ~dim:64
+          ~params:(Sparse_recovery.default_params ~sparsity:4)
+      in
+      let l0 = L0_sampler.create (Prng.split rng) ~dim:64 ~params:L0_sampler.default_params in
+      let pcfg = Packed_l0.make_config (Prng.split rng) ~dim:64 ~params:Packed_l0.default_params in
+      let pl0 = Words.create (Packed_l0.state_len pcfg) in
+      let table =
+        Sketch_table.create (Prng.split rng) ~key_dim:64 ~capacity:16 ~rows:3 ~hash_degree:6
+          ~payload_len:1
+      in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (index, delta) ->
+          One_sparse.update one ~index ~delta;
+          Sparse_recovery.update sr ~index ~delta;
+          L0_sampler.update l0 ~index ~delta;
+          Packed_l0.update pcfg pl0 ~off:0 ~index ~delta;
+          (* A key's payload is its weight times [key + 1]: non-zero
+             exactly when the weight is. *)
+          Sketch_table.update table ~key:index ~weight:delta ~write:(fun arr off ->
+              Words.set arr off (Words.get arr off + (delta * (index + 1))));
+          let now = delta + Option.value (Hashtbl.find_opt model index) ~default:0 in
+          if now = 0 then Hashtbl.remove model index else Hashtbl.replace model index now)
+        ops;
+      let zero = Hashtbl.length model = 0 in
+      let ok found = function
+        | Decoded.Empty -> zero
+        | Declined -> not zero
+        | Found x -> (not zero) && found x
+      in
+      let member (i, w) = Hashtbl.find_opt model i = Some w in
+      let vec = Hashtbl.fold (fun i w acc -> (i, w) :: acc) model [] in
+      let table_exact entries =
+        List.length entries = List.length vec
+        && List.for_all (fun (k, w, pl) -> member (k, w) && Words.get pl 0 = w * (k + 1)) entries
+      in
+      ok (fun x -> vec = [ x ]) (One_sparse.decode one)
+      && ok (fun assoc -> sort_vec assoc = sort_vec vec) (Sparse_recovery.decode sr)
+      && ok member (L0_sampler.decode l0)
+      && ok member (Packed_l0.decode pcfg pl0 ~off:0)
+      && ok table_exact (Sketch_table.decode table))
 
 (* -------------------- Reference kernels -------------------- *)
 
@@ -965,9 +1026,10 @@ let prop_packed_l0_matches_reference =
       Words.to_array got = Words.to_array want)
 
 (* In-place grid peeling returns the copy-based decoder's exact answer,
-   [None] alike, and leaves the state untouched. Supports run to several
-   times [2 * sparsity] so that grids fail to clear, and a stray word in
-   some cases leaves garbage for the cell checks. *)
+   [Found x] as [Some x] and [Empty] or [Declined] as [None], and leaves
+   the state untouched. Supports run to several times [2 * sparsity] so
+   that grids fail to clear, and a stray word in some cases leaves garbage
+   for the cell checks. *)
 let prop_packed_l0_decode_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -995,11 +1057,17 @@ let prop_packed_l0_decode_matches_reference =
           Words.set st o (Words.get st o + v))
         stray;
       let before = Words.to_array st in
-      Packed_l0.decode cfg st ~off = Ref.pl0_decode r st ~off && Words.to_array st = before)
+      let got =
+        match Packed_l0.decode cfg st ~off with
+        | Found x -> Some x
+        | Empty | Declined -> None
+      in
+      got = Ref.pl0_decode r st ~off && Words.to_array st = before)
 
 (* Key-only peeling with in-place payload reads returns the reference's
-   exact answer — [None] alike, or the same (key, weight, payload) list in
-   the same order — and leaves the table's words untouched. *)
+   exact answer — [Declined] as [None], [Empty] as [Some []], or the same
+   (key, weight, payload) list in the same order — and leaves the table's
+   words untouched. *)
 let prop_table_decode_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -1042,7 +1110,13 @@ let prop_table_decode_matches_reference =
         ops;
       let before = Ref.words r t in
       let same =
-        match (Sketch_table.decode t, Ref.decode r before) with
+        let got =
+          match Sketch_table.decode t with
+          | Found got -> Some got
+          | Empty -> Some []
+          | Declined -> None
+        in
+        match (got, Ref.decode r before) with
         | None, None -> true
         | Some got, Some want ->
             List.length got = List.length want
@@ -1061,6 +1135,7 @@ let qcheck_cases =
       prop_sr_reset;
       prop_table_fuzz;
       prop_l0_fuzz;
+      prop_decoded_invariant;
       prop_packed_l0_matches_reference;
       prop_packed_l0_decode_matches_reference;
       prop_table_decode_matches_reference;
