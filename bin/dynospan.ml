@@ -160,13 +160,6 @@ let sparsifier_hash h =
     (List.sort compare (Weighted_graph.edges h));
   Wire.fnv1a64 (Buffer.contents buf)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  data
-
 (* ------------------------------------------------------------------ *)
 (* Sub-commands                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -244,7 +237,7 @@ let die_bad_checkpoint file e =
   exit 2
 
 let read_checkpoint_file file =
-  try read_file file
+  try In_channel.with_open_bin file In_channel.input_all
   with Sys_error msg ->
     Fmt.epr "dynospan: cannot read checkpoint: %s@." msg;
     exit 2
@@ -713,7 +706,7 @@ let trace_analyze_cmd =
     let spans =
       List.concat_map
         (fun path ->
-          try T.parse_jsonl (read_file path)
+          try T.parse_jsonl (In_channel.with_open_bin path In_channel.input_all)
           with
           | Sys_error msg ->
               Fmt.epr "dynospan: cannot read trace: %s@." msg;

@@ -5,11 +5,14 @@
 
    The telemetry subsystem (lib/obs) is off by default and costs one
    predicted branch per instrumentation site when disabled.  Turning it
-   on makes every library on the hot path -- sharded ingestion, the
-   sketch codec, the cluster simulator, both spanner algorithms --
-   publish counters, spans and space-ledger entries into one global
-   registry, exported here as a human summary, Prometheus text and
-   Chrome-traceable JSONL. *)
+   on makes the libraries on the hot path -- sharded ingestion, the
+   cluster simulator, both spanner algorithms -- record spans, the
+   sketch codec count what it serializes and decodes, and the spanners
+   file space-ledger entries, all exported here as a human summary,
+   Prometheus text and Chrome-traceable JSONL.  A run's own numbers
+   (updates, decode failures, wire bytes) come back in its result
+   record; the registry keeps the counters a long-lived process is
+   scraped for. *)
 
 open Ds_util
 open Ds_graph
@@ -27,9 +30,8 @@ let () =
   let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:1200 graph in
 
   (* 2. Run an instrumented workload: the two-pass spanner records spans
-     for both passes and the clustering step, bumps per-pass update
-     counters, and files two space-ledger entries checked against the
-     k n^(1+1/k) log n bound of Theorem 1. *)
+     for both passes and the clustering step, and files two space-ledger
+     entries checked against the k n^(1+1/k) log n bound of Theorem 1. *)
   let k = 3 in
   let result =
     Two_pass_spanner.run (Prng.split rng) ~n ~params:(Two_pass_spanner.default_params ~k) stream
@@ -56,7 +58,7 @@ let () =
   |> List.filter (fun l ->
          List.exists
            (fun p -> String.length l >= String.length p && String.sub l 0 (String.length p) = p)
-           [ "# TYPE spanner"; "spanner_"; "cluster_envelopes"; "par_ingest_updates" ])
+           [ "# TYPE sketch"; "sketch_" ])
   |> List.iter print_endline;
 
   Fmt.pr "@.-- spans (JSONL) ------------------------------------------------@.";

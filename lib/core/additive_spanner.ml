@@ -42,10 +42,6 @@ let space_bound ~n ~d =
   let nf = float_of_int n in
   nf *. float_of_int d *. log (max 2.0 nf) /. log 2.0
 
-let m_updates = Ds_obs.Metrics.counter "additive.updates"
-let m_misclassified = Ds_obs.Metrics.counter "additive.degree_misclassified"
-let m_orphans = Ds_obs.Metrics.counter "additive.orphan_high"
-
 let run rng ~n ~params:prm stream =
   if prm.d < 1 then invalid_arg "Additive_spanner.run: d must be >= 1";
   let rng = Prng.split_named rng "additive_spanner" in
@@ -71,7 +67,6 @@ let run rng ~n ~params:prm stream =
   in
   let agm = Agm_sketch.create (Prng.split_named rng "agm") ~n ~params:prm.agm in
   (* ---- The single pass. ---- *)
-  Ds_obs.Metrics.incr m_updates (Array.length stream);
   (Ds_obs.Trace.with_span "additive.pass" @@ fun () ->
    Array.iter
      (fun (u : Update.t) ->
@@ -129,8 +124,6 @@ let run rng ~n ~params:prm stream =
     + Agm_sketch.space_in_words agm
   in
   if Ds_obs.Metrics.enabled () then begin
-    Ds_obs.Metrics.incr m_misclassified !misclassified;
-    Ds_obs.Metrics.incr m_orphans !orphan;
     (* Wire bytes: the AGM sketch is the dominant shippable state; the
        per-vertex recovery sketches live coordinator-side only. *)
     Ds_obs.Ledger.record ~phase:"additive.total" ~words:space

@@ -63,8 +63,6 @@ let build ~n ~k ~centers ~attach =
     witnesses = !witnesses;
   }
 
-let terminal_level_of t v = t.terminals.(t.terminal_id_of.(v)).level
-
 let check_partition t =
   let seen = Array.make t.n false in
   let ok = ref true in

@@ -44,9 +44,6 @@ val build : n:int -> k:int -> centers:centers -> attach:attach -> t
 (** Run the first phase. [attach] is called once per live non-final-level
     cluster per step, in increasing level order. *)
 
-val terminal_level_of : t -> int -> int
-(** Level of the terminal cluster a vertex belongs to. *)
-
 val check_partition : t -> bool
 (** Terminal member lists partition the vertex set (internal invariant,
     exposed for tests). *)

@@ -44,19 +44,6 @@ let space_bound ~n ~k =
   let nf = float_of_int n and kf = float_of_int k in
   kf *. (nf ** (1.0 +. (1.0 /. kf))) *. log (max 2.0 nf) /. log 2.0
 
-(* Telemetry: per-pass counters and the space ledger (all no-ops unless
-   Ds_obs.Metrics is enabled).  Qualified [Ds_obs.Trace] throughout —
-   [open Ds_stream] is in scope. *)
-let m_p1_updates = Ds_obs.Metrics.counter "spanner.pass1.updates"
-let m_p2_updates = Ds_obs.Metrics.counter "spanner.pass2.updates"
-let m_fail_pass1 = Ds_obs.Metrics.counter "spanner.decode_fail.pass1"
-let m_fail_table = Ds_obs.Metrics.counter "spanner.decode_fail.table"
-let m_fail_payload = Ds_obs.Metrics.counter "spanner.decode_fail.payload"
-let m_recovered = Ds_obs.Metrics.counter "spanner.recovered_edges"
-let m_ckpt_bytes = Ds_obs.Metrics.counter "spanner.checkpoint.bytes"
-let m_resume_ok = Ds_obs.Metrics.counter "spanner.resume.ok"
-let m_resume_rejected = Ds_obs.Metrics.counter "spanner.resume.rejected"
-
 (* ------------------------------------------------------------------ *)
 (* Pass 1: the S^r_j sketches and the cluster forest.                   *)
 (* ------------------------------------------------------------------ *)
@@ -135,7 +122,6 @@ let pass1_update p (u : Update.t) =
   done
 
 let pass1_fill p stream =
-  Ds_obs.Metrics.incr m_p1_updates (Array.length stream);
   Ds_obs.Trace.with_span "spanner.pass1" (fun () -> Array.iter (pass1_update p) stream)
 
 (* Attach callback: sum member sketches for target level r = level+1, then
@@ -456,7 +442,6 @@ let finish rng p1 ~n ~prm stream =
     Ds_obs.Trace.with_span "spanner.derive" (fun () ->
         make_pass2 (Prng.split_named rng "pass2") ~n ~prm clustering)
   in
-  Ds_obs.Metrics.incr m_p2_updates (Array.length stream);
   Ds_obs.Trace.with_span "spanner.pass2" (fun () -> pass2_fill p2 stream);
   (* Assemble the spanner. *)
   let spanner = Graph.create n in
@@ -497,10 +482,6 @@ let finish rng p1 ~n ~prm stream =
       terminals_per_level.(level) <- terminals_per_level.(level) + 1)
     clustering.Clustering.terminals;
   if Ds_obs.Metrics.enabled () then begin
-    Ds_obs.Metrics.incr m_fail_pass1 p1.decode_failures;
-    Ds_obs.Metrics.incr m_fail_table !table_failures;
-    Ds_obs.Metrics.incr m_fail_payload !payload_failures;
-    Ds_obs.Metrics.incr m_recovered !recovered;
     (* The checkpoint blob is exactly the pass-1 state on the wire, so
        its length is the serialized-bytes column of the ledger entry. *)
     let bound = space_bound ~n ~k:prm.k in
@@ -538,20 +519,14 @@ let checkpoint rng ~n ~params:prm stream =
   Ds_obs.Trace.with_span "spanner.run" @@ fun () ->
   let _rng, p1 = derive rng ~n ~prm in
   pass1_fill p1 stream;
-  let data = Ds_obs.Trace.with_span "spanner.checkpoint" (fun () -> serialize_pass1 p1) in
-  Ds_obs.Metrics.incr m_ckpt_bytes (String.length data);
-  data
+  Ds_obs.Trace.with_span "spanner.checkpoint" (fun () -> serialize_pass1 p1)
 
 let resume_result rng ~n ~params:prm ~checkpoint stream =
   Ds_obs.Trace.with_span "spanner.run" @@ fun () ->
   let rng, p1 = derive rng ~n ~prm in
   match Ds_obs.Trace.with_span "spanner.resume.load" (fun () -> load_pass1_result p1 checkpoint) with
-  | Ok () ->
-      Ds_obs.Metrics.incr m_resume_ok 1;
-      Ok (finish rng p1 ~n ~prm stream)
-  | Error e ->
-      Ds_obs.Metrics.incr m_resume_rejected 1;
-      Error e
+  | Ok () -> Ok (finish rng p1 ~n ~prm stream)
+  | Error e -> Error e
 
 let resume rng ~n ~params:prm ~checkpoint stream =
   match resume_result rng ~n ~params:prm ~checkpoint stream with

@@ -26,11 +26,7 @@ let report_json () =
        ])
   ^ "\n"
 
-let write_report ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (report_json ()))
+let write_report ~path = Ds_util.Durable.write_atomic ~path (report_json ())
 
 let prometheus () =
   Metrics.to_prometheus (Metrics.snapshot ())

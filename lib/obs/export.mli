@@ -19,7 +19,8 @@ val report_json : unit -> string
     newline included. *)
 
 val write_report : path:string -> unit
-(** Write {!report_json} to [path] (truncating). *)
+(** Write {!report_json} to [path] through {!Ds_util.Durable.write_atomic}:
+    a crash leaves the old file or the whole new one. *)
 
 val prometheus : unit -> string
 (** Prometheus text format of the current metrics snapshot. *)

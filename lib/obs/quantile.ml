@@ -66,8 +66,6 @@ let quantile name =
           Hashtbl.add registry name q;
           q)
 
-let unregister name = with_lock (fun () -> Hashtbl.remove registry name)
-
 (* --- cell geometry --- *)
 
 let cell_of v =

@@ -23,10 +23,6 @@ val quantile : string -> t
     like {!Metrics.counter}).  Observation is gated on
     {!Metrics.enabled}. *)
 
-val unregister : string -> unit
-(** Drop a registered sketch (its cells survive in callers still
-    holding the handle, but it leaves all registry-wide views). *)
-
 val make : ?gated:bool -> unit -> t
 (** Anonymous single-row sketch.  [gated] (default [false]) makes
     observation respect {!Metrics.enabled}. *)

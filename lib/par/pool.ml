@@ -1,32 +1,13 @@
 type job = Job of (unit -> unit) | Quit
 
-(* Telemetry (no-ops unless Ds_obs.Metrics is enabled).  The queue-depth
-   gauge used to be written under [pool.lock] on every submit and pop,
-   which serialized all workers on the gauge's cache line whenever
-   metrics were on.  It is now *sampled*: one write per
-   [depth_sample_every] queue operations, performed outside the lock.
-   [Queue.length] is a field read (queues track their length), so the
-   unlocked read is a benign race — the gauge is an observability
-   signal, not a synchronization primitive, and a sampled value from a
-   few operations ago is exactly as useful. *)
-let m_jobs = Ds_obs.Metrics.counter "par.pool.jobs"
-let m_depth = Ds_obs.Metrics.gauge "par.pool.queue_depth"
-let depth_sample_every = 32
-
 type t = {
   size : int;
   jobs : job Queue.t;
   lock : Mutex.t;
   has_job : Condition.t;
-  ops : int Atomic.t; (* padded: submit/pop tick counter for gauge sampling *)
   mutable workers : unit Domain.t array;
   mutable closed : bool;
 }
-
-let sample_depth pool =
-  if Ds_obs.Metrics.enabled () then
-    if Atomic.fetch_and_add pool.ops 1 land (depth_sample_every - 1) = 0 then
-      Ds_obs.Metrics.set m_depth (Queue.length pool.jobs)
 
 let worker pool =
   let rec loop () =
@@ -36,12 +17,10 @@ let worker pool =
     done;
     let job = Queue.pop pool.jobs in
     Mutex.unlock pool.lock;
-    sample_depth pool;
     match job with
     | Quit -> ()
     | Job f ->
         f ();
-        Ds_obs.Metrics.incr m_jobs 1;
         loop ()
   in
   loop ()
@@ -59,7 +38,6 @@ let create ?domains () =
       jobs = Queue.create ();
       lock = Mutex.create ();
       has_job = Condition.create ();
-      ops = Ds_util.Padding.atomic 0;
       workers = [||];
       closed = false;
     }
@@ -82,12 +60,11 @@ let submit pool job =
   Mutex.lock pool.lock;
   if pool.closed then begin
     Mutex.unlock pool.lock;
-    invalid_arg "Pool.submit: pool is shut down"
+    invalid_arg "Pool.run: pool is shut down"
   end;
   Queue.push (Job job) pool.jobs;
   Condition.signal pool.has_job;
-  Mutex.unlock pool.lock;
-  sample_depth pool
+  Mutex.unlock pool.lock
 
 let run pool thunks =
   match thunks with

@@ -10,9 +10,7 @@
     Scheduling is deliberately minimal (one mutex, one condition variable,
     FIFO queue): ingestion jobs are long and coarse — {!Shard_ingest}
     submits one equal slice per domain — so queue contention is
-    irrelevant. Telemetry on the submit/pop path is sampled (one gauge
-    write per 32 queue operations, outside the lock) so enabling metrics
-    cannot serialize the workers. Do {e not} call
+    irrelevant. Do {e not} call
     {!run} from inside a job — a worker waiting on its own pool can
     deadlock when every other worker is busy. *)
 
@@ -31,12 +29,8 @@ val run : t -> (unit -> 'a) list -> 'a list
     returned in submission order. A singleton list runs in the calling
     domain. If any thunk raises, the remaining thunks still run to
     completion and the first exception (in completion order) is re-raised.
-    Thunks must not touch mutable state shared with other thunks. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Fire-and-forget enqueue. {!run} is the right call for almost everything;
-    [submit] exists for callers managing their own completion signalling.
-    @raise Invalid_argument after {!shutdown}. *)
+    Thunks must not touch mutable state shared with other thunks.
+    @raise Invalid_argument after {!shutdown} (for two or more thunks). *)
 
 val shutdown : t -> unit
 (** Drain outstanding jobs, stop and join every worker. Idempotent. *)

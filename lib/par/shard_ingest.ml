@@ -1,9 +1,3 @@
-(* Telemetry is call-granular: one counter bump per [ingest_into] call,
-   never per update, so the enabled overhead on the AGM path stays well
-   under the 3% budget. *)
-let m_updates = Ds_obs.Metrics.counter "par.ingest.updates"
-let m_arena_bytes = Ds_obs.Metrics.gauge "par.ingest.arena_bytes"
-
 (* ------------------------------------------------------------------ *)
 (* Replica arenas                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -40,8 +34,7 @@ let arena_refresh a =
   a.bytes <-
     Array.fold_left
       (fun acc -> function Some r -> acc + a.bytes_of r | None -> acc)
-      0 a.slots;
-  if Ds_obs.Metrics.enabled () then Ds_obs.Metrics.set m_arena_bytes a.bytes
+      0 a.slots
 
 (* ------------------------------------------------------------------ *)
 (* Static partition                                                    *)
@@ -84,8 +77,7 @@ let ingest_into pool ?arena ~clone_zero ~update ~add sketch items =
           Pool.run pool (List.init workers work))
     in
     (match arena with Some a -> arena_refresh a | None -> ());
-    List.iter (fun r -> if r != sketch then add sketch r) replicas;
-    Ds_obs.Metrics.incr m_updates n
+    List.iter (fun r -> if r != sketch then add sketch r) replicas
   end
 
 let agm pool ?arena sketch updates =

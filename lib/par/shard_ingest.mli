@@ -36,11 +36,11 @@ type 's arena
 val agm_arena : unit -> Ds_agm.Agm_sketch.t arena
 (** An arena for {!agm}: a recycled replica is returned to the zero
     sketch by {!Ds_agm.Agm_sketch.reset} and priced at
-    [8 * space_in_words] bytes for the [par.ingest.arena_bytes] gauge. *)
+    [8 * space_in_words] bytes. *)
 
 val arena_bytes : 's arena -> int
-(** Off-heap bytes currently held by the arena's replicas (also exported
-    as the [par.ingest.arena_bytes] gauge after every arena-backed run). *)
+(** Off-heap bytes currently held by the arena's replicas, as of the
+    last arena-backed run. *)
 
 (** {2 Ingestion} *)
 

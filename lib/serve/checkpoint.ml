@@ -180,11 +180,5 @@ let tenants ~dir =
   |> List.filter (fun name -> Sys.is_directory (Filename.concat dir name))
   |> List.sort compare
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  data
-
-let read path = try decode (read_file path) with Sys_error m -> Error m
+let read path =
+  try decode (In_channel.with_open_bin path In_channel.input_all) with Sys_error m -> Error m

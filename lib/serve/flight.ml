@@ -23,9 +23,8 @@ type t = { f_dir : string; mutable f_seq : int }
 let filename = "flight-latest.json"
 let path ~dir = Filename.concat dir filename
 
-(* A dump keeps the newest [max_spans] spans and [max_events] events. *)
+(* A dump keeps the newest [max_spans] spans. *)
 let max_spans = 256
-let max_events = 64
 let create ~dir = { f_dir = dir; f_seq = 0 }
 
 let dumps t = t.f_seq
@@ -37,10 +36,6 @@ let tail n l =
   else
     let rec drop k = function _ :: tl when k > 0 -> drop (k - 1) tl | l -> l in
     drop (len - n) l
-
-let take n l =
-  let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
-  go n l
 
 let dump t ~reason ~stats ~events =
   t.f_seq <- t.f_seq + 1;
@@ -63,19 +58,14 @@ let dump t ~reason ~stats ~events =
           ("quantiles", Ds_obs.Quantile.to_json (Ds_obs.Quantile.snapshot ()));
           ("stats", stats);
           (* Newest-first event tail, as kept by the server. *)
-          ("events", Arr (List.map (fun e -> Str e) (take max_events events)));
+          ("events", Arr (List.map (fun e -> Str e) events));
         ])
   in
   Ds_util.Durable.write_atomic ~path:(path ~dir:t.f_dir) (Ds_util.Json.to_string doc)
 
 let read ~dir =
   let p = path ~dir in
-  match
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin p In_channel.input_all with
   | data -> (
       let schema doc = Option.bind (Ds_util.Json.member "schema" doc) Ds_util.Json.to_str in
       match Ds_util.Json.parse data with

@@ -12,13 +12,13 @@
 type t
 
 val create : dir:string -> t
-(** A recorder writing under [dir]. Each dump keeps the newest 256 spans
-    and the newest 64 events. *)
+(** A recorder writing under [dir]. Each dump keeps the newest 256
+    spans. *)
 
 val dump : t -> reason:string -> stats:Ds_util.Json.t -> events:string list -> unit
 (** Write one dump (atomically replacing the previous one).  [stats] is
     the [serve_stats/v1] rollup; [events] is newest-first, as {!Server}
-    keeps it. *)
+    keeps it (its newest 64), and is written whole. *)
 
 val dumps : t -> int
 (** Dumps written so far by this recorder. *)

@@ -72,7 +72,7 @@ type t = {
   queue : pending Queue.t;
   mutable applied_since_checkpoint : int;
   mutable next_conn_id : int;
-  mutable events : string list;  (* newest first *)
+  mutable events : string list;  (* newest first, at most [max_events] *)
   mutable recovery : recovery_report;
   tstats : (string, tstat) Hashtbl.t;
   nack_totals : int array;  (* global taxonomy, ungated *)
@@ -112,7 +112,14 @@ let m_nack =
   List.iter (fun k -> Hashtbl.replace tbl k (Ds_obs.Metrics.counter ("serve.nack." ^ k))) kinds;
   fun reason -> Hashtbl.find tbl (Sframe.nack_name reason)
 
-let event t fmt = Printf.ksprintf (fun m -> t.events <- m :: t.events) fmt
+let take n l =
+  let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
+  go n l
+
+(* The event log is what a flight dump shows; a long-running server
+   keeps only its newest entries. *)
+let max_events = 64
+let event t fmt = Printf.ksprintf (fun m -> t.events <- take max_events (m :: t.events)) fmt
 let events t = List.rev t.events
 let recovery_report t = t.recovery
 let registry t = t.registry
@@ -156,10 +163,6 @@ let empty_summary =
     s_p99 = Float.nan;
     s_p999 = Float.nan;
   }
-
-let take n l =
-  let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
-  go n l
 
 (* Tenants by measured footprint, heaviest first (name-ascending among
    ties so the ordering — and every export derived from it — is
@@ -284,16 +287,6 @@ let checkpoint_tenant t (tn : Registry.tenant) =
   Registry.mark_durable tn ~generation;
   Checkpoint.prune ~dir:t.config.dir ~tenant:tn.Registry.t_name ~keep:t.config.retention;
   Ds_obs.Metrics.incr m_ckpt 1;
-  if Ds_obs.Metrics.enabled () then
-    (* The per-tenant budget enforced at admission, recorded against the
-       measured footprint: the ledger constant is words/quota <= 1.
-       (The per-tenant words *gauge* moved to the top-K refresh below —
-       a registry entry per tenant name does not survive a
-       million-tenant run.) *)
-    Ds_obs.Ledger.record
-      ~phase:("serve." ^ tn.Registry.t_name)
-      ~words:tn.Registry.words
-      (float_of_int (Registry.quota_words t.registry));
   event t "checkpoint: tenant %s generation %d (%d streams, %d words)" tn.Registry.t_name
     generation
     (Hashtbl.length tn.Registry.streams)

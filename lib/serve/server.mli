@@ -57,8 +57,10 @@ val config : t -> config
 
 val events : t -> string list
 (** Durability/degradation event log, oldest first — checkpoint writes,
-    quarantines, lost copies, dropped connections.  Tests assert on
-    exact event counts (e.g. "exactly one quarantine per torn file"). *)
+    quarantines, lost copies, dropped connections.  Only the newest 64
+    are kept, so a long-running server does not grow its log.  Tests
+    assert on exact event counts (e.g. "exactly one quarantine per torn
+    file"). *)
 
 val connect : t -> conn
 val conn_failed : conn -> bool

@@ -3,28 +3,6 @@ open Ds_graph
 open Ds_stream
 open Ds_agm
 
-(* Registry telemetry, published alongside (never instead of) the report
-   records below: the pp_* table output is part of the chaos CI contract
-   and must stay byte-identical, so the registry is a second export path
-   over the same numbers (E15 and E16 share it).  All no-ops unless
-   Ds_obs.Metrics is enabled. *)
-let m_envelopes = Ds_obs.Metrics.counter "cluster.envelopes"
-let m_wire_bytes = Ds_obs.Metrics.counter "cluster.wire_bytes"
-let m_attempts = Ds_obs.Metrics.counter "cluster.attempts"
-let m_faults = Ds_obs.Metrics.counter "cluster.faults"
-let m_retries = Ds_obs.Metrics.counter "cluster.retries"
-let m_backoff_milli = Ds_obs.Metrics.counter "cluster.backoff_milli"
-let m_dup_rejected = Ds_obs.Metrics.counter "cluster.duplicates_rejected"
-let m_decode_errors = Ds_obs.Metrics.counter "cluster.decode_errors"
-let m_crashed = Ds_obs.Metrics.counter "cluster.crashed_servers"
-let m_healed = Ds_obs.Metrics.counter "cluster.healed_servers"
-let m_reingested_updates = Ds_obs.Metrics.counter "cluster.reingested_updates"
-let m_recovery_bytes = Ds_obs.Metrics.counter "cluster.recovery_bytes"
-let m_lost = Ds_obs.Metrics.counter "cluster.lost_servers"
-let g_quorum = Ds_obs.Metrics.gauge "cluster.quorum"
-let g_copies = Ds_obs.Metrics.gauge "cluster.copies"
-let g_delta_ppm = Ds_obs.Metrics.gauge "cluster.degraded_delta_ppm"
-
 type report = {
   servers : int;
   updates_total : int;
@@ -96,14 +74,11 @@ let run rng ~n ~servers stream =
         messages);
   let forest = Agm_sketch.spanning_forest coordinator in
   let forest_correct = forest_ok ~n stream forest in
-  let bytes_total = Array.fold_left ( + ) 0 bytes_per_server in
-  Ds_obs.Metrics.incr m_envelopes servers;
-  Ds_obs.Metrics.incr m_wire_bytes bytes_total;
   {
     servers;
     updates_total = Array.length stream;
     bytes_per_server;
-    bytes_total;
+    bytes_total = Array.fold_left ( + ) 0 bytes_per_server;
     words_per_server = Agm_sketch.space_in_words shards.(0);
     forest_edges = List.length forest;
     forest_correct;
@@ -143,9 +118,6 @@ let ship (type s) ((module L) : s Linear_sketch.impl) ~make ~servers
   let bytes_per_server = Array.map String.length messages in
   (* Coordinator: deserialize each message and sum (the wire round-trip the
      paper's distributed setting counts). *)
-  Ds_obs.Metrics.incr m_envelopes servers;
-  Ds_obs.Metrics.incr m_wire_bytes
-    (Array.fold_left (fun acc m -> acc + String.length m) 0 messages);
   let coordinator = make () in
   Array.iter (fun m -> Linear_sketch.absorb (module L) coordinator m) messages;
   (* Ground truth: the same updates sketched directly in one process. *)
@@ -264,22 +236,6 @@ let faults_by_kind stats =
   List.map
     (fun k -> (k, Option.value ~default:0 (Hashtbl.find_opt stats.by_kind k)))
     Fault_plan.kind_names
-
-(* Fold one run's channel accounting into the registry. *)
-let publish_chan_stats stats =
-  if Ds_obs.Metrics.enabled () then begin
-    Ds_obs.Metrics.incr m_attempts stats.sent;
-    Ds_obs.Metrics.incr m_faults stats.faults;
-    List.iter
-      (fun (k, c) ->
-        if c > 0 then Ds_obs.Metrics.incr (Ds_obs.Metrics.counter ("cluster.fault." ^ k)) c)
-      (faults_by_kind stats);
-    Ds_obs.Metrics.incr m_retries stats.retries;
-    Ds_obs.Metrics.incr m_backoff_milli (int_of_float ((stats.backoff *. 1000.) +. 0.5));
-    Ds_obs.Metrics.incr m_dup_rejected stats.duplicates_rejected;
-    Ds_obs.Metrics.incr m_decode_errors stats.decode_errors;
-    Ds_obs.Metrics.incr m_wire_bytes stats.bytes
-  end
 
 (* Push one message through the faulted channel with retries. [absorb]
    validates-and-merges delivered bytes into the coordinator (untouched on
@@ -444,20 +400,6 @@ let run_supervised ?(allow_reingest = true) ~plan rng ~n ~servers stream =
   let crashed_servers =
     List.filter (fun s -> crashed.(s)) (List.init servers (fun s -> s))
   in
-  if Ds_obs.Metrics.enabled () then begin
-    publish_chan_stats stats;
-    Ds_obs.Metrics.incr m_envelopes (servers * copies);
-    Ds_obs.Metrics.incr m_crashed (List.length crashed_servers);
-    Ds_obs.Metrics.incr m_healed (List.length !reingested);
-    Ds_obs.Metrics.incr m_reingested_updates !reingested_updates;
-    Ds_obs.Metrics.incr m_recovery_bytes !recovery_bytes;
-    Ds_obs.Metrics.incr m_lost (List.length !lost);
-    Ds_obs.Metrics.set g_quorum (List.length quorum);
-    Ds_obs.Metrics.set g_copies copies;
-    Ds_obs.Metrics.set g_delta_ppm
-      (int_of_float
-         (Agm_sketch.certified_delta ~n ~copies:(List.length quorum) *. 1e6))
-  end;
   {
     sup_servers = servers;
     sup_updates_total = Array.length stream;

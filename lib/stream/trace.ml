@@ -28,45 +28,5 @@ let of_string text =
     (String.split_on_char '\n' text);
   Array.of_list (List.rev !updates)
 
-let save path updates =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string updates))
-
-let read_all path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load path = of_string (read_all path)
-
-let save_weighted path updates =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Array.iter
-        (fun { Update.wu; wv; weight; wsign } ->
-          output_string oc (Printf.sprintf "%c %d %d %.17g\n" (sign_char wsign) wu wv weight))
-        updates)
-
-let load_weighted path =
-  let updates = ref [] in
-  List.iteri
-    (fun i line ->
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then begin
-        let fail () = failwith (Printf.sprintf "Trace: malformed line %d: %S" (i + 1) line) in
-        match String.split_on_char ' ' line with
-        | [ s; a; b; w ] -> (
-            let wsign =
-              match s with "+" -> Update.Insert | "-" -> Update.Delete | _ -> fail ()
-            in
-            match (int_of_string_opt a, int_of_string_opt b, float_of_string_opt w) with
-            | Some wu, Some wv, Some weight ->
-                updates := { Update.wu; wv; weight; wsign } :: !updates
-            | _ -> fail ())
-        | _ -> fail ()
-      end)
-    (String.split_on_char '\n' (read_all path));
-  Array.of_list (List.rev !updates)
+let save path updates = Ds_util.Durable.write_atomic ~path (to_string updates)
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)

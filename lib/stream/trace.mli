@@ -1,16 +1,15 @@
 (** Plain-text stream traces, so real update sequences can be replayed
     through the algorithms and test failures can be shipped as files.
 
-    Format: one update per line. Unweighted: [+ u v] / [- u v]. Weighted:
-    [+ u v w] / [- u v w]. Lines starting with [#] and blank lines are
-    ignored. *)
+    Format: one update per line, [+ u v] / [- u v]. Lines starting with
+    [#] and blank lines are ignored. *)
 
 val save : string -> Update.t array -> unit
+(** Written through {!Ds_util.Durable.write_atomic}: a crash leaves the
+    old file or the whole new one. *)
+
 val load : string -> Update.t array
 (** @raise Failure with the offending line number on malformed input. *)
-
-val save_weighted : string -> Update.weighted array -> unit
-val load_weighted : string -> Update.weighted array
 
 val to_string : Update.t array -> string
 val of_string : string -> Update.t array

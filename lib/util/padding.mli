@@ -3,9 +3,9 @@
 
     A padded cell occupies its own 128-byte span, so independent cells
     written by different domains never false-share a cache line. Use for
-    contended hot-path cells (sharded counters, the pool's operation
-    tick); plain [Atomic.make] remains right for everything cold — each
-    padded cell costs 128 bytes. *)
+    contended hot-path cells (sharded metric counters, gauge cells);
+    plain [Atomic.make] remains right for everything cold — each padded
+    cell costs 128 bytes. *)
 
 val words_per_cell : int
 (** Heap words per padded cell (16 = 128 bytes on 64-bit). *)

@@ -140,26 +140,3 @@ let read_wire_array ~what src (t : t) ~pos ~len =
   for i = pos to pos + len - 1 do
     unsafe_set t i (Wire.read_int src)
   done
-
-(* Raw little-endian image of the buffer: the mmap-friendly checkpoint
-   form (not part of LSK1, which is pinned varint). *)
-let to_bytes (t : t) =
-  let len = length t in
-  let b = Bytes.create (8 * len) in
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le b (8 * i) (Int64.of_int (unsafe_get t i))
-  done;
-  b
-
-let of_bytes b =
-  let nb = Bytes.length b in
-  if nb mod 8 <> 0 then invalid_arg "Words.of_bytes: length not a multiple of 8";
-  let len = nb / 8 in
-  let w = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  for i = 0 to len - 1 do
-    unsafe_set w i (Int64.to_int (Bytes.get_int64_le b (8 * i)))
-  done;
-  w
-
-let bytes_per_word = 8
-let off_heap_bytes (t : t) = bytes_per_word * length t

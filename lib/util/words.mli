@@ -79,14 +79,3 @@ val read_wire_array : what:string -> Wire.source -> t -> pos:int -> len:int -> u
 (** Inverse of {!write_wire_array} into an existing range.
     @raise Failure ("[what]: length mismatch") when the stored length
     differs from [len]. *)
-
-val to_bytes : t -> bytes
-(** Raw little-endian image — the mmap-friendly flat checkpoint form. *)
-
-val of_bytes : bytes -> t
-
-val bytes_per_word : int
-(** 8: storage bytes per word slot. *)
-
-val off_heap_bytes : t -> int
-(** [bytes_per_word * length t]: what this buffer costs outside the heap. *)

@@ -488,10 +488,7 @@ let test_quantile_gating_and_export () =
       check_bool "prometheus summary type" true
         (contains ~needle:"# TYPE test_q_export summary" prom);
       check_bool "prometheus p99 series" true
-        (contains ~needle:"test_q_export{quantile=\"0.99\"}" prom);
-      Ds_obs.Quantile.unregister "test.q.export";
-      check_bool "unregistered sketch leaves the export" false
-        (contains ~needle:"test.q.export" (Ds_obs.Export.report_json ())))
+        (contains ~needle:"test_q_export{quantile=\"0.99\"}" prom))
 
 (* -------------------- end-to-end: instrumented spanner -------------------- *)
 
@@ -514,10 +511,6 @@ let test_spanner_files_ledger_entries () =
       check_bool "pass1 within bound" true (Ds_obs.Ledger.check p1);
       check_bool "total >= pass1" true
         (total.Ds_obs.Ledger.words >= p1.Ds_obs.Ledger.words);
-      let snap = Ds_obs.Metrics.snapshot () in
-      let counter name = List.assoc name snap.Ds_obs.Metrics.counters in
-      check_int "pass1 saw every update" (Array.length stream) (counter "spanner.pass1.updates");
-      check_int "pass2 saw every update" (Array.length stream) (counter "spanner.pass2.updates");
       check_bool "passes traced" true
         (List.exists
            (fun s -> s.Ds_obs.Trace.name = "spanner.pass2")

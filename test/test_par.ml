@@ -62,8 +62,8 @@ let test_pool_shutdown () =
   check_int "size" 2 (Pool.size p);
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *);
-  match Pool.submit p (fun () -> ()) with
-  | () -> Alcotest.fail "submit after shutdown should raise"
+  match Pool.run p [ (fun () -> ()); (fun () -> ()) ] with
+  | _ -> Alcotest.fail "run after shutdown should raise"
   | exception Invalid_argument _ -> ()
 
 (* -------------------- Static partition -------------------- *)

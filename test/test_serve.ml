@@ -675,6 +675,32 @@ let test_tmp_file_quarantined () =
   Server.checkpoint_now server;
   check_bool "generation numbers never reused" true (Sys.file_exists (gen_file dir 4))
 
+(* A long-running server logs one event per checkpointed tenant; the log
+   keeps the newest 64, oldest first, however many waves pass. *)
+let test_event_log_bounded () =
+  let dir = fresh_dir "serve-events" in
+  let config =
+    { (Server.default_config ~dir) with Server.checkpoint_every = 1_000_000 }
+  in
+  let server = Server.create config in
+  let conn = Server.connect server in
+  Server.feed server conn
+    (create_frame ~tenant:"t" ~stream:"s" ~family:"count_sketch" ~n:64 ~seed:3);
+  let waves = 120 in
+  for seq = 1 to waves do
+    let payload = mk_payload ~family:"count_sketch" ~n:64 ~seed:3 [ (seq mod 64, 1) ] in
+    Server.feed server conn (ingest_frame ~tenant:"t" ~stream:"s" ~seq ~payload);
+    Server.drain server;
+    ignore (Server.take_output conn);
+    Server.checkpoint_now server
+  done;
+  let events = Server.events server in
+  check_int "log bounded" 64 (List.length events);
+  check_bool "newest last" true
+    (String.starts_with
+       ~prefix:(Printf.sprintf "checkpoint: tenant t generation %d " waves)
+       (List.nth events 63))
+
 (* ------------------------------------------------------------------ *)
 (* End to end: the kill -9 property under a seeded fault sweep         *)
 (* ------------------------------------------------------------------ *)
@@ -1194,6 +1220,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_torn_generation_quarantined;
           Alcotest.test_case "tmp quarantined, numbers not reused" `Quick
             test_tmp_file_quarantined;
+          Alcotest.test_case "event log bounded" `Quick test_event_log_bounded;
         ] );
       ( "kill -9",
         [

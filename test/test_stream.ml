@@ -158,21 +158,6 @@ let test_trace_malformed () =
        false
      with Failure _ -> true)
 
-let test_trace_weighted_roundtrip () =
-  let updates =
-    [|
-      { Update.wu = 0; wv = 1; weight = 2.5; wsign = Update.Insert };
-      { Update.wu = 1; wv = 2; weight = 0.125; wsign = Update.Insert };
-      { Update.wu = 0; wv = 1; weight = 2.5; wsign = Update.Delete };
-    |]
-  in
-  let path = Filename.temp_file "wtrace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace.save_weighted path updates;
-      check_bool "weighted roundtrip" true (Trace.load_weighted path = updates))
-
 (* -------------------- Weight classes -------------------- *)
 
 let test_weight_class_bounds () =
@@ -237,7 +222,6 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_trace_roundtrip_file;
           Alcotest.test_case "comments/blanks" `Quick test_trace_comments_and_blanks;
           Alcotest.test_case "malformed" `Quick test_trace_malformed;
-          Alcotest.test_case "weighted roundtrip" `Quick test_trace_weighted_roundtrip;
         ] );
       ( "weight_classes",
         [
