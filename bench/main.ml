@@ -1,5 +1,5 @@
 (* Experiment harness: regenerates every table/figure of the reproduction
-   (see DESIGN.md section 2 for the experiment index E1..E13). Each
+   (see DESIGN.md section 2 for the experiment index E1..E21). Each
    experiment prints the paper's claim next to the measured quantities; the
    Bechamel suite (E10) times the sketch primitives and full passes.
 
@@ -485,118 +485,6 @@ let e11 () =
       Gc.compact ())
     [ 0.25; 0.5; 1.0 ];
   Fmt.pr "expected: smaller gamma = more classes = more space but tighter weighted stretch.@."
-
-(* ------------------------------------------------------------------ *)
-(* E12: the AGM12a substrate extensions (k-connectivity, bipartiteness, *)
-(* approximate MST) — the toolbox the paper's Section 1-2 builds on     *)
-(* ------------------------------------------------------------------ *)
-
-let e12 () =
-  header "E12" "[AGM12a] substrate: k-connectivity, bipartiteness, (1+g)-MST from sketches";
-  let open Ds_agm in
-  Fmt.pr "-- k-edge-connectivity certificates (10 random graphs per row)@.";
-  Fmt.pr "%-6s %-3s %-22s %-12s@." "n" "k" "verdict-agrees-exact" "space(w)";
-  line ();
-  List.iter
-    (fun (n, k) ->
-      let agree = ref 0 and words = ref 0 in
-      for t = 1 to 10 do
-        let rng = Prng.create (master_seed + (100 * n) + k + t) in
-        let g = Gen.gnp (Prng.split rng) ~n ~p:(6.0 /. float_of_int n) in
-        let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:200 g in
-        let kc =
-          K_connectivity.create (Prng.split rng) ~n ~k ~params:(Agm_sketch.default_params ~n)
-        in
-        Array.iter
-          (fun u -> K_connectivity.update kc ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
-          stream;
-        let verdict = K_connectivity.is_k_connected kc in
-        let exact = Min_cut.edge_connectivity g >= k in
-        if verdict = exact then incr agree;
-        words := K_connectivity.space_in_words kc
-      done;
-      Fmt.pr "%-6d %-3d %-22s %-12d@." n k (Printf.sprintf "%d/10" !agree) !words;
-      Gc.compact ())
-    [ (48, 2); (48, 3); (96, 2) ];
-  Fmt.pr "@.-- bipartiteness via the double cover (20 random graphs per row)@.";
-  Fmt.pr "%-10s %-22s@." "n" "verdict-agrees-exact";
-  line ();
-  List.iter
-    (fun n ->
-      let agree = ref 0 in
-      for t = 1 to 20 do
-        let rng = Prng.create (master_seed + (7 * n) + t) in
-        (* Half the trials bipartite by construction. *)
-        let g =
-          if t mod 2 = 0 then Gen.random_bipartite (Prng.split rng) ~left:(n / 2) ~right:(n - (n / 2)) ~p:0.15
-          else Gen.gnp (Prng.split rng) ~n ~p:0.15
-        in
-        let exact =
-          (* 2-colourability by BFS *)
-          let color = Array.make n (-1) in
-          let ok = ref true in
-          for s = 0 to n - 1 do
-            if color.(s) = -1 then begin
-              color.(s) <- 0;
-              let q = Queue.create () in
-              Queue.add s q;
-              while not (Queue.is_empty q) do
-                let u = Queue.take q in
-                Graph.iter_neighbors g u (fun v ->
-                    if color.(v) = -1 then begin
-                      color.(v) <- 1 - color.(u);
-                      Queue.add v q
-                    end
-                    else if color.(v) = color.(u) then ok := false)
-              done
-            end
-          done;
-          !ok
-        in
-        let b = Bipartiteness.create (Prng.split rng) ~n ~params:(Agm_sketch.default_params ~n) in
-        let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:100 g in
-        Array.iter
-          (fun u -> Bipartiteness.update b ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
-          stream;
-        if (Bipartiteness.test b).Bipartiteness.is_bipartite = exact then incr agree
-      done;
-      Fmt.pr "%-10d %-22s@." n (Printf.sprintf "%d/20" !agree);
-      Gc.compact ())
-    [ 32; 64 ];
-  Fmt.pr "@.-- (1+gamma)-approximate MST (weight ratio vs exact Kruskal, 5 graphs per row)@.";
-  Fmt.pr "%-8s %-6s %-14s %-14s@." "gamma" "n" "mean ratio" "guarantee";
-  line ();
-  List.iter
-    (fun gamma ->
-      let n = 64 in
-      let ratios = ref [] in
-      for t = 1 to 5 do
-        let rng = Prng.create (master_seed + t + int_of_float (100.0 *. gamma)) in
-        let g0 = Gen.connected_gnp (Prng.split rng) ~n ~p:0.1 in
-        let wg = Weighted_graph.create n in
-        Graph.iter_edges g0 (fun u v ->
-            Weighted_graph.add_edge wg u v (1.0 +. Prng.float (Prng.copy rng) 31.0));
-        let t_mst =
-          Mst.create (Prng.split rng) ~n
-            ~params:{ Mst.gamma; w_min = 1.0; w_max = 32.0; sketch = Agm_sketch.default_params ~n }
-        in
-        Weighted_graph.iter_edges wg (fun u v w -> Mst.update t_mst ~u ~v ~weight:w ~delta:1);
-        let forest = Mst.extract t_mst in
-        let true_cost =
-          List.fold_left
-            (fun acc (u, v, _) ->
-              acc +. Option.value ~default:0.0 (Weighted_graph.weight wg u v))
-            0.0 forest
-        in
-        let exact = Mst_offline.forest_weight (Mst_offline.kruskal wg) in
-        ratios := (true_cost /. exact) :: !ratios
-      done;
-      Fmt.pr "%-8.2f %-6d %-14.3f %-14.2f@." gamma n
-        (Stats.mean (Array.of_list !ratios))
-        (1.0 +. gamma);
-      Gc.compact ())
-    [ 0.1; 0.25; 0.5; 1.0 ];
-  Fmt.pr "expected: all verdicts agree with exact offline computation; MST ratio within 1+gamma.@."
 
 (* ------------------------------------------------------------------ *)
 (* E13: the distributed setting — communication vs number of servers    *)
@@ -1293,7 +1181,6 @@ let experiments =
     ("e9", e9);
     ("e10", e10);
     ("e11", e11);
-    ("e12", e12);
     ("e13", e13);
     ("e15", e15);
     ("e16", e16);
@@ -1310,15 +1197,17 @@ let () =
     | _ :: (_ :: _ as names) -> List.map String.lowercase_ascii names
     | _ -> List.map fst experiments
   in
+  (match List.filter (fun name -> not (List.mem_assoc name experiments)) requested with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "unknown experiment(s) %s (known: %s)@."
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst experiments));
+      exit 2);
   Fmt.pr "Spanners and Sparsifiers in Dynamic Streams (Kapralov-Woodruff, PODC 2014)@.";
   Fmt.pr "experiment harness -- see DESIGN.md section 2 for the index@.";
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          f ();
-          Gc.compact ()
-      | None ->
-          Fmt.epr "unknown experiment %S (known: %s)@." name
-            (String.concat ", " (List.map fst experiments)))
+      (List.assoc name experiments) ();
+      Gc.compact ())
     requested

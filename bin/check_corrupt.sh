@@ -101,15 +101,12 @@ while read -r args; do
 done <<EOF
 spanner -n 1
 forest -n 1
-kconn -n 1
 spanner -n 0
 spanner -k 0
 checkpoint -k 0 --file $TMP/k0.ckpt
 trace -k 0
 sparsify -k 0
 offline -k 0
-kconn -k 0
-mst --gamma 0
 additive -d 0
 sparsify --eps 0
 sparsify1p --eps 1.5

@@ -491,104 +491,6 @@ let forest_cmd =
       const run $ family_arg $ n_arg $ p_arg $ seed_arg $ decoys_arg $ metrics_arg
       $ metrics_out_arg)
 
-let kconn_cmd =
-  let run family n p seed decoys k metrics metrics_out =
-    with_obs ~metrics ~metrics_out @@ fun () ->
-    let rng, g, stream = setup ~family ~n ~p ~seed ~decoys in
-    let n = Graph.n g in
-    let t =
-      Ds_agm.K_connectivity.create (Prng.split rng) ~n ~k
-        ~params:(Ds_agm.Agm_sketch.default_params ~n)
-    in
-    Array.iter
-      (fun u ->
-        Ds_agm.K_connectivity.update t ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
-      stream;
-    let cert = Ds_agm.K_connectivity.certificate t in
-    Fmt.pr "== k-edge-connectivity certificate ([AGM12a]), k=%d ==@." k;
-    Fmt.pr "graph: n=%d edges=%d exact-connectivity=%d@." n (Graph.num_edges g)
-      (Min_cut.edge_connectivity g);
-    Fmt.pr "certificate: %d edges, connectivity %d@." (Graph.num_edges cert)
-      (Min_cut.edge_connectivity cert);
-    Fmt.pr "k-connected (sketch verdict): %b@." (Min_cut.edge_connectivity cert >= k);
-    Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.K_connectivity.space_in_words t)
-  in
-  let k_arg =
-    Arg.(value & opt positive_int 2 & info [ "k" ] ~docv:"K" ~doc:"Connectivity to certify.")
-  in
-  Cmd.v
-    (Cmd.info "kconn" ~doc:"k-edge-connectivity certificate from sketches.")
-    Term.(
-      const run $ family_arg $ n_arg $ p_arg $ seed_arg $ decoys_arg $ k_arg $ metrics_arg
-      $ metrics_out_arg)
-
-let mst_cmd =
-  let run family n p seed gamma metrics metrics_out =
-    with_obs ~metrics ~metrics_out @@ fun () ->
-    let rng = Prng.create seed in
-    let g = make_graph (Prng.split rng) ~family ~n ~p in
-    let n = Graph.n g in
-    let wrng = Prng.split rng in
-    let wg = Weighted_graph.create n in
-    Graph.iter_edges g (fun u v -> Weighted_graph.add_edge wg u v (1.0 +. Prng.float wrng 31.0));
-    let t =
-      Ds_agm.Mst.create (Prng.split rng) ~n
-        ~params:
-          {
-            Ds_agm.Mst.gamma;
-            w_min = 1.0;
-            w_max = 32.0;
-            sketch = Ds_agm.Agm_sketch.default_params ~n;
-          }
-    in
-    Weighted_graph.iter_edges wg (fun u v w -> Ds_agm.Mst.update t ~u ~v ~weight:w ~delta:1);
-    let forest = Ds_agm.Mst.extract t in
-    let exact = Mst_offline.kruskal wg in
-    Fmt.pr "== (1+gamma)-approximate MST from sketches ([AGM12a]), gamma=%.2f ==@." gamma;
-    Fmt.pr "graph: n=%d edges=%d@." n (Weighted_graph.num_edges wg);
-    Fmt.pr "sketch forest: %d edges, rounded weight %.1f@." (List.length forest)
-      (Ds_agm.Mst.forest_weight forest);
-    Fmt.pr "exact MST: %d edges, weight %.1f@." (List.length exact)
-      (Mst_offline.forest_weight exact);
-    Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.Mst.space_in_words t)
-  in
-  let gamma_arg =
-    Arg.(
-      value
-      & opt (checked float (fun g -> g > 0.0) "a positive number") 0.25
-      & info [ "gamma" ] ~docv:"G" ~doc:"Weight-class rounding.")
-  in
-  Cmd.v
-    (Cmd.info "mst" ~doc:"Approximate minimum spanning forest from sketches.")
-    Term.(
-      const run $ family_arg $ n_arg $ p_arg $ seed_arg $ gamma_arg $ metrics_arg
-      $ metrics_out_arg)
-
-let bipartite_cmd =
-  let run family n p seed decoys metrics metrics_out =
-    with_obs ~metrics ~metrics_out @@ fun () ->
-    let rng, g, stream = setup ~family ~n ~p ~seed ~decoys in
-    let n = Graph.n g in
-    let t =
-      Ds_agm.Bipartiteness.create (Prng.split rng) ~n ~params:(Ds_agm.Agm_sketch.default_params ~n)
-    in
-    Array.iter
-      (fun u ->
-        Ds_agm.Bipartiteness.update t ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
-      stream;
-    let v = Ds_agm.Bipartiteness.test t in
-    Fmt.pr "== bipartiteness via double cover ([AGM12a]) ==@.";
-    Fmt.pr "graph: n=%d edges=%d@." n (Graph.num_edges g);
-    Fmt.pr "components=%d bipartite-components=%d is-bipartite=%b@." v.Ds_agm.Bipartiteness.components
-      v.Ds_agm.Bipartiteness.bipartite_components v.Ds_agm.Bipartiteness.is_bipartite;
-    Fmt.pr "space: %a@." Ds_util.Space.pp_words (Ds_agm.Bipartiteness.space_in_words t)
-  in
-  Cmd.v
-    (Cmd.info "bipartite" ~doc:"Bipartiteness test from sketches.")
-    Term.(
-      const run $ family_arg $ n_arg $ p_arg $ seed_arg $ decoys_arg $ metrics_arg
-      $ metrics_out_arg)
-
 let offline_cmd =
   let run family n p seed algo k metrics metrics_out =
     with_obs ~metrics ~metrics_out @@ fun () ->
@@ -1242,9 +1144,6 @@ let () =
             sparsify_cmd;
             sparsify1p_cmd;
             forest_cmd;
-            kconn_cmd;
-            mst_cmd;
-            bipartite_cmd;
             offline_cmd;
             serve_cmd;
             serve_stats_cmd;

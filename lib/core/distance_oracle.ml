@@ -1,47 +1,18 @@
 open Ds_graph
 
-type backend =
-  | Unweighted of Graph.t
-  | Weighted of Weighted_graph.t
-
 type t = {
-  backend : backend;
+  spanner : Graph.t;
   stretch : float;
   space_words : int;
   cache : (int, float array) Hashtbl.t; (* source -> distances *)
 }
 
-let of_result ~k (r : Two_pass_spanner.result) =
+let of_stream rng ~n ~k stream =
+  let r = Two_pass_spanner.run rng ~n ~params:(Two_pass_spanner.default_params ~k) stream in
   {
-    backend = Unweighted r.Two_pass_spanner.spanner;
+    spanner = r.Two_pass_spanner.spanner;
     stretch = float_of_int (1 lsl k);
     space_words = r.Two_pass_spanner.space_words;
-    cache = Hashtbl.create 16;
-  }
-
-let of_stream rng ~n ~k stream =
-  of_result ~k
-    (Two_pass_spanner.run rng ~n ~params:(Two_pass_spanner.default_params ~k) stream)
-
-let checkpoint_stream rng ~n ~k stream =
-  Two_pass_spanner.checkpoint rng ~n ~params:(Two_pass_spanner.default_params ~k) stream
-
-let resume_stream rng ~n ~k ~checkpoint stream =
-  of_result ~k
-    (Two_pass_spanner.resume rng ~n
-       ~params:(Two_pass_spanner.default_params ~k)
-       ~checkpoint stream)
-
-let of_weighted_stream rng ~n ~k ~gamma ~w_min ~w_max stream =
-  let r =
-    Weighted_spanner.run rng ~n
-      ~params:(Two_pass_spanner.default_params ~k)
-      ~gamma ~w_min ~w_max stream
-  in
-  {
-    backend = Weighted r.Weighted_spanner.spanner;
-    stretch = Weighted_spanner.stretch_bound ~k ~gamma;
-    space_words = r.Weighted_spanner.space_words;
     cache = Hashtbl.create 16;
   }
 
@@ -50,22 +21,14 @@ let distances_from t source =
   | Some d -> d
   | None ->
       let d =
-        match t.backend with
-        | Unweighted g ->
-            Array.map
-              (fun x -> if x = max_int then infinity else float_of_int x)
-              (Bfs.distances g ~source)
-        | Weighted g -> Dijkstra.distances g ~source
+        Array.map
+          (fun x -> if x = max_int then infinity else float_of_int x)
+          (Bfs.distances t.spanner ~source)
       in
       Hashtbl.replace t.cache source d;
       d
 
 let query t u v = (distances_from t u).(v)
 let stretch t = t.stretch
-
-let spanner_edges t =
-  match t.backend with
-  | Unweighted g -> Graph.num_edges g
-  | Weighted g -> Weighted_graph.num_edges g
-
+let spanner_edges t = Graph.num_edges t.spanner
 let space_words t = t.space_words

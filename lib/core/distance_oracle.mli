@@ -1,39 +1,15 @@
 (** The paper's motivating application, packaged: an approximate
     shortest-path-distance oracle built from a dynamic stream in two passes.
 
-    Construction sketches the stream with {!Two_pass_spanner} (unweighted)
-    or {!Weighted_spanner} (weighted); queries run single-source searches on
-    the retained spanner, memoised per source. Distance estimates [d^] obey
-    [d <= d^ <= stretch * d]. *)
+    Construction sketches the stream with {!Two_pass_spanner}; queries run
+    breadth-first searches on the retained spanner, memoised per source.
+    Distance estimates [d^] obey [d <= d^ <= stretch * d]. *)
 
 type t
 
 val of_stream :
   Ds_util.Prng.t -> n:int -> k:int -> Ds_stream.Update.t array -> t
 (** Two passes; stretch [2^k]. *)
-
-val checkpoint_stream :
-  Ds_util.Prng.t -> n:int -> k:int -> Ds_stream.Update.t array -> string
-(** Pass 1 only; the serialised pass boundary
-    (see {!Two_pass_spanner.checkpoint}). *)
-
-val resume_stream :
-  Ds_util.Prng.t -> n:int -> k:int -> checkpoint:string -> Ds_stream.Update.t array -> t
-(** Finish construction from a checkpoint taken with the same seed, [n] and
-    [k]; the oracle is identical to one built by {!of_stream} in an
-    uninterrupted process.
-    @raise Failure on a corrupt or mismatched checkpoint. *)
-
-val of_weighted_stream :
-  Ds_util.Prng.t ->
-  n:int ->
-  k:int ->
-  gamma:float ->
-  w_min:float ->
-  w_max:float ->
-  Ds_stream.Update.weighted array ->
-  t
-(** Two passes per weight class; stretch [2^k (1 + gamma)]. *)
 
 val query : t -> int -> int -> float
 (** Estimated distance; [infinity] if disconnected in the spanner. O(m) on

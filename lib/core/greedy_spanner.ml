@@ -9,18 +9,3 @@ let run ~k g =
       let d = Bfs.distances_capped spanner ~source:u ~cap:t in
       if d.(v) > t then Graph.add_edge spanner u v);
   spanner
-
-let run_weighted ~k g =
-  if k < 1 then invalid_arg "Greedy_spanner.run_weighted: k must be >= 1";
-  let n = Weighted_graph.n g in
-  let t = float_of_int ((2 * k) - 1) in
-  let edges =
-    List.sort (fun (_, _, w1) (_, _, w2) -> compare w1 w2) (Weighted_graph.edges g)
-  in
-  let spanner = Weighted_graph.create n in
-  List.iter
-    (fun (u, v, w) ->
-      let d = Dijkstra.distances spanner ~source:u in
-      if d.(v) > t *. w then Weighted_graph.add_edge spanner u v w)
-    edges;
-  spanner

@@ -5,7 +5,3 @@
     experiment E2 (it is slow: one truncated BFS per edge). *)
 
 val run : k:int -> Ds_graph.Graph.t -> Ds_graph.Graph.t
-
-val run_weighted : k:int -> Ds_graph.Weighted_graph.t -> Ds_graph.Weighted_graph.t
-(** Weighted variant: edges scanned in non-decreasing weight; an edge is kept
-    if the current weighted spanner distance exceeds [(2k-1) * w(e)]. *)

@@ -114,15 +114,6 @@ let preferential_attachment rng ~n ~m =
   done;
   g
 
-let random_bipartite rng ~left ~right ~p =
-  let g = Graph.create (left + right) in
-  for u = 0 to left - 1 do
-    for v = left to left + right - 1 do
-      if Prng.bernoulli rng p then Graph.add_edge g u v
-    done
-  done;
-  g
-
 let watts_strogatz rng ~n ~k ~beta =
   if k < 1 || 2 * k >= n then invalid_arg "Gen.watts_strogatz: need 1 <= k < n/2";
   let g = Graph.create n in

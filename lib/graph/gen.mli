@@ -32,8 +32,6 @@ val preferential_attachment : Ds_util.Prng.t -> n:int -> m:int -> Graph.t
 (** Barabasi–Albert: each new vertex attaches to [m] earlier vertices chosen
     proportionally to degree. Connected; heavy-tailed degrees. *)
 
-val random_bipartite : Ds_util.Prng.t -> left:int -> right:int -> p:float -> Graph.t
-
 val connected_gnp : Ds_util.Prng.t -> n:int -> p:float -> Graph.t
 (** G(n,p) with a random Hamiltonian path added, so it is always connected
     (stretch measurements need finite distances). *)

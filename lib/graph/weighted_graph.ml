@@ -62,15 +62,3 @@ let of_graph ?(weight = 1.0) g =
   let t = create (Graph.n g) in
   Graph.iter_edges g (fun u v -> add_edge t u v weight);
   t
-
-let weight_range t =
-  let lo = ref infinity and hi = ref neg_infinity in
-  iter_edges t (fun _ _ w ->
-      if w < !lo then lo := w;
-      if w > !hi then hi := w);
-  if !lo > !hi then (1.0, 1.0) else (!lo, !hi)
-
-let total_weight t =
-  let acc = ref 0.0 in
-  iter_edges t (fun _ _ w -> acc := !acc +. w);
-  !acc

@@ -31,8 +31,3 @@ val unweighted : t -> Graph.t
 
 val of_graph : ?weight:float -> Graph.t -> t
 (** Give every distinct edge the same weight (default [1.0]). *)
-
-val weight_range : t -> float * float
-(** [(w_min, w_max)] over present edges; [(1., 1.)] for the empty graph. *)
-
-val total_weight : t -> float

@@ -171,13 +171,6 @@ let summarize t =
     s_p999 = estimate_in tot ~count 0.999;
   }
 
-let merge_into ~into src =
-  let tot = totals src in
-  let row = into.q_rows.(0) in
-  for i = 0 to row_len - 1 do
-    if tot.(i) <> 0 then ignore (Atomic.fetch_and_add row.(i) tot.(i))
-  done
-
 let reset t =
   Array.iter (fun row -> Array.iter (fun c -> Atomic.set c 0) row) t.q_rows
 

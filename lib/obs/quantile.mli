@@ -51,10 +51,6 @@ val summarize : t -> summary
 (** One consistent pass over the cells (single snapshot of the totals,
     so the four quantiles agree on [s_count]). *)
 
-val merge_into : into:t -> t -> unit
-(** Cell-wise add of [src]'s totals into [into]'s first row: the
-    result estimates the concatenation of both streams exactly. *)
-
 val reset : t -> unit
 
 (** {1 Registry-wide views} *)

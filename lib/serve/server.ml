@@ -66,8 +66,43 @@ type recovery_report = {
   r_ns : int64;
 }
 
+(* Registry handles, looked up when a server is created so that a
+   program that never creates one exports none of them.  A name already
+   registered returns its existing handle: servers in one process share
+   their counters. *)
+type meters = {
+  m_frames : Ds_obs.Metrics.counter;
+  m_applied : Ds_obs.Metrics.counter;
+  m_duplicate : Ds_obs.Metrics.counter;
+  q_latency : Ds_obs.Quantile.t;
+      (* the STAT rollup needs an honest p99/p999 *)
+  m_queue_depth : Ds_obs.Metrics.gauge;
+  m_stat : Ds_obs.Metrics.counter;
+  m_ckpt : Ds_obs.Metrics.counter;
+  m_ckpt_lag : Ds_obs.Metrics.gauge;
+  m_quarantined : Ds_obs.Metrics.counter;
+  m_degraded : Ds_obs.Metrics.counter;
+  m_nack : Ds_obs.Metrics.counter array;  (* indexed by {!Sframe.nack_index} *)
+}
+
+let meters () =
+  {
+    m_frames = Ds_obs.Metrics.counter "serve.ingest.frames";
+    m_applied = Ds_obs.Metrics.counter "serve.ingest.applied";
+    m_duplicate = Ds_obs.Metrics.counter "serve.ingest.duplicate";
+    q_latency = Ds_obs.Quantile.quantile "serve.ingest.latency_ns";
+    m_queue_depth = Ds_obs.Metrics.gauge "serve.queue.depth";
+    m_stat = Ds_obs.Metrics.counter "serve.stat.requests";
+    m_ckpt = Ds_obs.Metrics.counter "serve.checkpoint.generations";
+    m_ckpt_lag = Ds_obs.Metrics.gauge "serve.checkpoint.lag_frames";
+    m_quarantined = Ds_obs.Metrics.counter "serve.checkpoint.quarantined";
+    m_degraded = Ds_obs.Metrics.counter "serve.recovery.degraded_copies";
+    m_nack = Array.map (fun k -> Ds_obs.Metrics.counter ("serve.nack." ^ k)) Sframe.nack_kinds;
+  }
+
 type t = {
   config : config;
+  meters : meters;
   registry : Registry.t;
   queue : pending Queue.t;
   mutable applied_since_checkpoint : int;
@@ -80,37 +115,6 @@ type t = {
   mutable gauged : string list;  (* tenants currently held as registry gauges *)
   mutable flight : Flight.t option;
 }
-
-(* Metrics: registered once, cheap when disabled (one atomic load). *)
-let m_frames = Ds_obs.Metrics.counter "serve.ingest.frames"
-let m_applied = Ds_obs.Metrics.counter "serve.ingest.applied"
-let m_duplicate = Ds_obs.Metrics.counter "serve.ingest.duplicate"
-
-(* Quantile sketch instead of the old log2 histogram: the STAT rollup
-   needs an honest p99/p999, which power-of-two buckets cannot give. *)
-let q_latency = Ds_obs.Quantile.quantile "serve.ingest.latency_ns"
-let m_queue_depth = Ds_obs.Metrics.gauge "serve.queue.depth"
-let m_stat = Ds_obs.Metrics.counter "serve.stat.requests"
-let m_ckpt = Ds_obs.Metrics.counter "serve.checkpoint.generations"
-let m_ckpt_lag = Ds_obs.Metrics.gauge "serve.checkpoint.lag_frames"
-let m_quarantined = Ds_obs.Metrics.counter "serve.checkpoint.quarantined"
-let m_degraded = Ds_obs.Metrics.counter "serve.recovery.degraded_copies"
-
-let m_nack =
-  let kinds =
-    [
-      "overloaded";
-      "quota_exceeded";
-      "unknown_stream";
-      "stream_exists";
-      "unknown_family";
-      "bad_seq";
-      "bad_frame";
-    ]
-  in
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun k -> Hashtbl.replace tbl k (Ds_obs.Metrics.counter ("serve.nack." ^ k))) kinds;
-  fun reason -> Hashtbl.find tbl (Sframe.nack_name reason)
 
 let take n l =
   let rec go n = function x :: tl when n > 0 -> x :: go (n - 1) tl | _ -> [] in
@@ -257,7 +261,7 @@ let stat_json t =
              ("checkpoint_lag", Json.int (total_lag t));
            ] );
        ("nacks", nacks_json t.nack_totals);
-       ("ingest", ingest_json q_latency);
+       ("ingest", ingest_json t.meters.q_latency);
        ( "flight",
          Json.Obj
            [
@@ -286,7 +290,7 @@ let checkpoint_tenant t (tn : Registry.tenant) =
   Checkpoint.write ~dir:t.config.dir ~tenant:tn.Registry.t_name ~generation records;
   Registry.mark_durable tn ~generation;
   Checkpoint.prune ~dir:t.config.dir ~tenant:tn.Registry.t_name ~keep:t.config.retention;
-  Ds_obs.Metrics.incr m_ckpt 1;
+  Ds_obs.Metrics.incr t.meters.m_ckpt 1;
   event t "checkpoint: tenant %s generation %d (%d streams, %d words)" tn.Registry.t_name
     generation
     (Hashtbl.length tn.Registry.streams)
@@ -319,7 +323,7 @@ let refresh_tenant_gauges t =
 let checkpoint_now t =
   List.iter (fun tn -> ignore (checkpoint_tenant t tn)) (Registry.dirty_tenants t.registry);
   t.applied_since_checkpoint <- 0;
-  Ds_obs.Metrics.set m_ckpt_lag 0;
+  Ds_obs.Metrics.set t.meters.m_ckpt_lag 0;
   refresh_tenant_gauges t;
   flight_dump t "checkpoint"
 
@@ -379,8 +383,8 @@ let recover t =
       in
       try_gens (Checkpoint.generations ~dir:t.config.dir ~tenant))
     (Checkpoint.tenants ~dir:t.config.dir);
-  Ds_obs.Metrics.incr m_quarantined !quarantined;
-  Ds_obs.Metrics.incr m_degraded !degraded;
+  Ds_obs.Metrics.incr t.meters.m_quarantined !quarantined;
+  Ds_obs.Metrics.incr t.meters.m_degraded !degraded;
   t.recovery <-
     {
       r_tenants = !tenants;
@@ -394,6 +398,7 @@ let create config =
   let t =
     {
       config;
+      meters = meters ();
       registry = Registry.create ~quota_words:config.quota_words;
       queue = Queue.create ();
       applied_since_checkpoint = 0;
@@ -435,8 +440,8 @@ let conn_failed c = (not c.alive) || Frame_reader.failed c.reader <> None
 let respond c resp = Buffer.add_string c.out (Sframe.frame (Sframe.encode_response resp))
 
 let nack ?tenant t c ~seq reason =
-  Ds_obs.Metrics.incr (m_nack reason) 1;
   let idx = Sframe.nack_index reason in
+  Ds_obs.Metrics.incr t.meters.m_nack.(idx) 1;
   t.nack_totals.(idx) <- t.nack_totals.(idx) + 1;
   (match tenant with
   | Some tn ->
@@ -460,7 +465,7 @@ let pending_depth t = Queue.length t.queue
 let handle t c ?ctx (req : Sframe.request) =
   match req with
   | Sframe.Ingest { tenant; stream; seq; payload } ->
-      Ds_obs.Metrics.incr m_frames 1;
+      Ds_obs.Metrics.incr t.meters.m_frames 1;
       let depth = Queue.length t.queue in
       if depth >= t.config.queue_bound then begin
         if not t.overloaded then begin
@@ -483,7 +488,7 @@ let handle t c ?ctx (req : Sframe.request) =
             p_ctx = ctx;
           }
           t.queue;
-        Ds_obs.Metrics.set m_queue_depth (depth + 1)
+        Ds_obs.Metrics.set t.meters.m_queue_depth (depth + 1)
       end
   | Sframe.Create { tenant; stream; family; n; seed } -> (
       match Registry.create_stream t.registry ~tenant ~stream ~family ~n ~seed with
@@ -526,7 +531,7 @@ let handle t c ?ctx (req : Sframe.request) =
       let tenants, streams, applied_frames, words = Registry.stats t.registry in
       respond c (Sframe.Stats_reply { tenants; streams; applied_frames; words })
   | Sframe.Stat_rollup ->
-      Ds_obs.Metrics.incr m_stat 1;
+      Ds_obs.Metrics.incr t.meters.m_stat 1;
       respond c (Sframe.Stat_rollup_reply { json = Json.to_string (stat_json t) })
 
 let feed t c bytes =
@@ -561,10 +566,10 @@ let apply_one t (p : pending) =
           | Registry.Applied ->
               (Registry.get_or_add_tenant t.registry p.p_tenant).Registry.dirty <- true;
               t.applied_since_checkpoint <- t.applied_since_checkpoint + 1;
-              Ds_obs.Metrics.incr m_applied 1
-          | Registry.Duplicate -> Ds_obs.Metrics.incr m_duplicate 1);
+              Ds_obs.Metrics.incr t.meters.m_applied 1
+          | Registry.Duplicate -> Ds_obs.Metrics.incr t.meters.m_duplicate 1);
           let dur_ns = Ds_obs.Clock.elapsed_ns p.p_arrival in
-          Ds_obs.Quantile.observe q_latency (Int64.to_int dur_ns);
+          Ds_obs.Quantile.observe t.meters.q_latency (Int64.to_int dur_ns);
           Ds_obs.Quantile.observe (tstat_for t p.p_tenant).ts_lat (Int64.to_int dur_ns);
           (* The frame carried the sender's span context: the apply span
              parents under it, linking client and server traces across
@@ -596,8 +601,8 @@ let drain t =
      half the bound, so a queue oscillating at the bound logs (and
      flight-dumps) one onset, not one per NACK. *)
   if t.overloaded && depth * 2 <= t.config.queue_bound then t.overloaded <- false;
-  Ds_obs.Metrics.set m_queue_depth depth;
-  Ds_obs.Metrics.set m_ckpt_lag (total_lag t);
+  Ds_obs.Metrics.set t.meters.m_queue_depth depth;
+  Ds_obs.Metrics.set t.meters.m_ckpt_lag (total_lag t);
   if t.applied_since_checkpoint >= t.config.checkpoint_every then checkpoint_now t
 
 (* ------------------------------------------------------------------ *)

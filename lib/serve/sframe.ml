@@ -36,17 +36,8 @@ type response =
   | Dropped of { copies_lost : int }
   | Stat_rollup_reply of { json : string }
 
-let nack_name = function
-  | Overloaded _ -> "overloaded"
-  | Quota_exceeded _ -> "quota_exceeded"
-  | Unknown_stream -> "unknown_stream"
-  | Stream_exists -> "stream_exists"
-  | Unknown_family _ -> "unknown_family"
-  | Bad_seq _ -> "bad_seq"
-  | Bad_frame _ -> "bad_frame"
-
-(* Dense taxonomy indexing for per-tenant NACK counts in the STAT
-   rollup: [nack_kinds.(nack_index r) = nack_name r]. *)
+(* Dense taxonomy indexing for the NACK metric counters and the
+   per-tenant NACK counts in the STAT rollup. *)
 let nack_kinds =
   [|
     "overloaded";

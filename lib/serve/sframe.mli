@@ -65,15 +65,13 @@ type response =
   | Stat_rollup_reply of { json : string }
       (** the [serve_stats/v1] document ({!Server.stat_json}) *)
 
-val nack_name : nack -> string
-(** Stable lowercase kind name — the keys of NACK metric counters. *)
-
 val nack_kinds : string array
-(** All kind names, indexed by {!nack_index} — the dense taxonomy used
-    by per-tenant NACK counts in the STAT rollup. *)
+(** All stable lowercase kind names, indexed by {!nack_index} — the
+    dense taxonomy keying the NACK metric counters and the per-tenant
+    NACK counts in the STAT rollup. *)
 
 val nack_index : nack -> int
-(** [nack_kinds.(nack_index r) = nack_name r]. *)
+(** The position of the reason's kind name in {!nack_kinds}. *)
 
 val nack_retryable : nack -> bool
 (** Whether re-sending the same frame after backoff can succeed. *)

@@ -21,8 +21,6 @@ val apply : Ds_graph.Graph.t -> t -> unit
 (** Apply to a reference graph (raises if a deletion would make a
     multiplicity negative — such a stream is outside the model). *)
 
-val apply_all : Ds_graph.Graph.t -> t array -> unit
-
 val final_graph : n:int -> t array -> Ds_graph.Graph.t
 (** The multigraph at the end of the stream. *)
 

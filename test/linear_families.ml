@@ -109,31 +109,6 @@ let all : fam list =
       };
     F
       {
-        name = "k_connectivity";
-        make =
-          (fun () ->
-            Ds_agm.K_connectivity.create (Prng.create 111) ~n:agm_n ~k:2 ~params:agm_params);
-        impl = (module Ds_agm.K_connectivity.Linear);
-      };
-    F
-      {
-        name = "bipartiteness";
-        make =
-          (fun () -> Ds_agm.Bipartiteness.create (Prng.create 112) ~n:agm_n ~params:agm_params);
-        impl = (module Ds_agm.Bipartiteness.Linear);
-      };
-    F
-      {
-        name = "mst";
-        make =
-          (fun () ->
-            Ds_agm.Mst.create (Prng.create 113) ~n:agm_n
-              ~params:
-                { Ds_agm.Mst.gamma = 0.5; w_min = 1.0; w_max = 8.0; sketch = agm_params });
-        impl = (module Ds_agm.Mst.Linear);
-      };
-    F
-      {
         name = "sparsify1p";
         make =
           (fun () ->

@@ -169,6 +169,37 @@ let test_wire_shape_mismatch () =
        false
      with Failure _ -> true)
 
+(* -------------------- Connectivity oracle -------------------- *)
+
+let test_connectivity_oracle () =
+  let n = 40 in
+  let rng = Prng.create 950 in
+  let g = Gen.gnp rng ~n ~p:0.06 in
+  let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:150 g in
+  let c = Connectivity.create (Prng.split rng) ~n ~params:(Agm_sketch.default_params ~n) in
+  Array.iter
+    (fun u -> Connectivity.update c ~u:u.Update.u ~v:u.Update.v ~delta:(Update.delta u))
+    stream;
+  let a = Connectivity.freeze c in
+  check_int "component count" (Components.count g) (Connectivity.components a);
+  let labels = Components.labels g in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      check_bool "pairwise connectivity" (labels.(u) = labels.(v)) (Connectivity.connected a u v)
+    done
+  done
+
+let test_connectivity_refreeze () =
+  let n = 6 in
+  let c = Connectivity.create (Prng.create 951) ~n ~params:(Agm_sketch.default_params ~n) in
+  Connectivity.update c ~u:0 ~v:1 ~delta:1;
+  let a1 = Connectivity.freeze c in
+  check_bool "before" true (Connectivity.connected a1 0 1);
+  check_bool "before disjoint" false (Connectivity.connected a1 0 2);
+  Connectivity.update c ~u:1 ~v:2 ~delta:1;
+  let a2 = Connectivity.freeze c in
+  check_bool "after" true (Connectivity.connected a2 0 2)
+
 let prop_agm_success_rate =
   QCheck.Test.make ~name:"spanning forest correct on random graphs" ~count:30
     QCheck.small_nat
@@ -197,6 +228,11 @@ let () =
           Alcotest.test_case "distributed merge" `Quick test_merge_distributed;
           Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "wire shape mismatch" `Quick test_wire_shape_mismatch;
+        ] );
+      ( "connectivity",
+        [
+          Alcotest.test_case "oracle" `Quick test_connectivity_oracle;
+          Alcotest.test_case "refreeze" `Quick test_connectivity_refreeze;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_agm_success_rate ]);
     ]

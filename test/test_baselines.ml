@@ -72,16 +72,6 @@ let test_greedy_girth () =
       let d = Bfs.distance h' u v in
       check_bool "edge essential" true (d > (2 * k) - 1))
 
-let test_greedy_weighted () =
-  let rng = Prng.create 53 in
-  let g0 = Gen.connected_gnp rng ~n:40 ~p:0.2 in
-  let wg = Weighted_graph.create 40 in
-  Graph.iter_edges g0 (fun u v -> Weighted_graph.add_edge wg u v (1.0 +. Prng.float rng 9.0));
-  let h = Greedy_spanner.run_weighted ~k:2 wg in
-  let s = Stretch.multiplicative_weighted ~base:wg ~spanner:h in
-  check_int "no violations" 0 s.Stretch.violations;
-  check_bool "weighted stretch <= 3" true (s.Stretch.max <= 3.0 +. 1e-9)
-
 (* -------------------- Aingworth additive-2 baseline -------------------- *)
 
 let test_aingworth_distortion () =
@@ -211,7 +201,6 @@ let () =
           Alcotest.test_case "stretch" `Quick test_greedy_stretch;
           Alcotest.test_case "k=1 identity" `Quick test_greedy_k1_identity;
           Alcotest.test_case "edges essential" `Quick test_greedy_girth;
-          Alcotest.test_case "weighted" `Quick test_greedy_weighted;
         ] );
       ( "aingworth",
         [

@@ -171,21 +171,6 @@ let test_resume_or_restart () =
   | `Resumed -> Alcotest.fail "corrupt checkpoint resumed");
   check_bool "recomputed = run, bit for bit" true (same r)
 
-let test_distance_oracle_resume () =
-  let n = 64 and k = 2 and seed = 12 in
-  let _g, stream = workload 9 ~n in
-  let direct = Distance_oracle.of_stream (Prng.create seed) ~n ~k stream in
-  let ck = Distance_oracle.checkpoint_stream (Prng.create seed) ~n ~k stream in
-  let resumed = Distance_oracle.resume_stream (Prng.create seed) ~n ~k ~checkpoint:ck stream in
-  check_int "same spanner size" (Distance_oracle.spanner_edges direct)
-    (Distance_oracle.spanner_edges resumed);
-  let rng = Prng.create 13 in
-  for _ = 1 to 50 do
-    let u = Prng.int rng n and v = Prng.int rng n in
-    check_bool "same query answers" true
-      (Distance_oracle.query direct u v = Distance_oracle.query resumed u v)
-  done
-
 let prop_resume_identical =
   QCheck.Test.make ~name:"resume = run for any seed and size" ~count:15
     QCheck.(pair (int_range 1 1000) (int_range 24 72))
@@ -210,7 +195,5 @@ let () =
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "resume or restart" `Quick test_resume_or_restart;
         ] );
-      ( "distance_oracle",
-        [ Alcotest.test_case "resume oracle" `Quick test_distance_oracle_resume ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_resume_identical ]);
     ]

@@ -123,11 +123,6 @@ let test_agm_contracts () =
          ignore (Agm_sketch.create (Prng.create 1) ~n:1 ~params:(Agm_sketch.default_params ~n:1))));
   let s = Agm_sketch.create (Prng.create 1) ~n:4 ~params:(Agm_sketch.default_params ~n:4) in
   check "agm self loop" (raises_invalid (fun () -> Agm_sketch.update s ~u:2 ~v:2 ~delta:1));
-  check "kconn k=0"
-    (raises_invalid (fun () ->
-         ignore
-           (K_connectivity.create (Prng.create 1) ~n:4 ~k:0
-              ~params:(Agm_sketch.default_params ~n:4))));
   check "agm wire garbage"
     (raises_failure (fun () -> Agm_sketch.deserialize_into s "not a sketch"));
   (* Samplers and repetitions are offsets into one buffer, read without

@@ -134,43 +134,6 @@ let test_forest_differential () =
         (streams rng g))
     [ 8; 9; 10 ]
 
-let test_mst_differential () =
-  List.iter
-    (fun seed ->
-      let n = 40 in
-      let rng = Prng.create (seed * 241) in
-      let g0 = Gen.connected_gnp (Prng.split rng) ~n ~p:0.15 in
-      let wg = Weighted_graph.create n in
-      Graph.iter_edges g0 (fun u v ->
-          Weighted_graph.add_edge wg u v (1.0 +. Prng.float rng 31.0));
-      let gamma = 0.25 in
-      let t =
-        Ds_agm.Mst.create (Prng.split rng) ~n
-          ~params:
-            {
-              Ds_agm.Mst.gamma;
-              w_min = 1.0;
-              w_max = 32.0;
-              sketch = Ds_agm.Agm_sketch.default_params ~n;
-            }
-      in
-      Weighted_graph.iter_edges wg (fun u v w -> Ds_agm.Mst.update t ~u ~v ~weight:w ~delta:1);
-      let approx = Ds_agm.Mst.extract t in
-      let exact = Mst_offline.kruskal wg in
-      let true_cost =
-        List.fold_left
-          (fun acc (u, v, _) -> acc +. Option.value ~default:0.0 (Weighted_graph.weight wg u v))
-          0.0 approx
-      in
-      let exact_cost = Mst_offline.forest_weight exact in
-      check_bool
-        (Printf.sprintf "MST ratio within 1+gamma (seed %d)" seed)
-        true
-        (List.length approx = List.length exact
-        && true_cost >= exact_cost -. 1e-6
-        && true_cost <= ((1.0 +. gamma) *. exact_cost) +. 1e-6))
-    [ 11; 12; 13 ]
-
 let test_f0_differential () =
   let open Ds_sketch in
   List.iter
@@ -232,7 +195,6 @@ let () =
           Alcotest.test_case "multipass vs BS07" `Slow test_multipass_vs_offline_bs;
           Alcotest.test_case "additive vs ACIM99" `Slow test_additive_vs_offline;
           Alcotest.test_case "forest vs offline" `Slow test_forest_differential;
-          Alcotest.test_case "mst vs kruskal" `Slow test_mst_differential;
           Alcotest.test_case "f0 vs model" `Quick test_f0_differential;
           Alcotest.test_case "sliding window spanner" `Slow test_sliding_window_spanner;
         ] );

@@ -186,11 +186,6 @@ let test_gen_watts_strogatz () =
   Alcotest.check_raises "k too large" (Invalid_argument "Gen.watts_strogatz: need 1 <= k < n/2")
     (fun () -> ignore (Gen.watts_strogatz (Prng.create 1) ~n:10 ~k:5 ~beta:0.1))
 
-let test_gen_bipartite () =
-  let g = Gen.random_bipartite (Prng.create 5) ~left:10 ~right:15 ~p:0.5 in
-  Graph.iter_edges g (fun u v ->
-      check_bool "crosses sides" true (min u v < 10 && max u v >= 10))
-
 (* -------------------- Weighted graphs / Dijkstra -------------------- *)
 
 let test_weighted_basic () =
@@ -202,15 +197,6 @@ let test_weighted_basic () =
       Weighted_graph.add_edge g 0 1 3.0);
   Weighted_graph.remove_edge g 0 1;
   check_bool "removed" false (Weighted_graph.mem_edge g 0 1)
-
-let test_weighted_range () =
-  let g =
-    Weighted_graph.of_edges 4 [ (0, 1, 0.5); (1, 2, 8.0); (2, 3, 2.0) ]
-  in
-  let lo, hi = Weighted_graph.weight_range g in
-  Alcotest.(check (float 1e-9)) "min" 0.5 lo;
-  Alcotest.(check (float 1e-9)) "max" 8.0 hi;
-  Alcotest.(check (float 1e-9)) "total" 10.5 (Weighted_graph.total_weight g)
 
 let test_dijkstra_matches_bfs () =
   let g = Gen.connected_gnp (Prng.create 6) ~n:40 ~p:0.08 in
@@ -284,12 +270,10 @@ let () =
           Alcotest.test_case "preferential attachment" `Quick test_gen_preferential;
           Alcotest.test_case "connected gnp" `Quick test_gen_connected_gnp;
           Alcotest.test_case "watts-strogatz" `Quick test_gen_watts_strogatz;
-          Alcotest.test_case "bipartite" `Quick test_gen_bipartite;
         ] );
       ( "weighted",
         [
           Alcotest.test_case "basic" `Quick test_weighted_basic;
-          Alcotest.test_case "range" `Quick test_weighted_range;
           Alcotest.test_case "dijkstra vs bfs" `Quick test_dijkstra_matches_bfs;
           Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
         ] );

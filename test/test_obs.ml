@@ -423,24 +423,6 @@ let prop_quantile_rank_error =
       Float.abs (Ds_obs.Quantile.estimate t q -. truth) <= (truth /. 20.0) +. 1.0)
     [ 0.5; 0.9; 0.99; 0.999 ]
 
-let prop_quantile_merge_is_concat =
-  QCheck.Test.make ~name:"merge_into = sketch of concatenated streams" ~count:60
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 200) (int_range 0 1_000_000_000))
-        (list_of_size Gen.(int_range 0 200) (int_range 0 1_000_000_000)))
-  @@ fun (xs, ys) ->
-  let a = Ds_obs.Quantile.make () and b = Ds_obs.Quantile.make () in
-  List.iter (Ds_obs.Quantile.observe a) xs;
-  List.iter (Ds_obs.Quantile.observe b) ys;
-  Ds_obs.Quantile.merge_into ~into:a b;
-  let whole = Ds_obs.Quantile.make () in
-  List.iter (Ds_obs.Quantile.observe whole) (xs @ ys);
-  (* Cells are pure counts, so the merged summary must be bit-identical
-     to the concatenation's — determinism, not approximation. [compare],
-     not [=]: an empty sketch's percentiles are NaN. *)
-  compare (Ds_obs.Quantile.summarize a) (Ds_obs.Quantile.summarize whole) = 0
-
 let test_quantile_sharded_under_domains () =
   with_obs (fun () ->
       let q = Ds_obs.Quantile.quantile "test.q.sharded" in
@@ -557,7 +539,6 @@ let () =
             test_quantile_sharded_under_domains;
           Alcotest.test_case "gating + export" `Quick test_quantile_gating_and_export;
           QCheck_alcotest.to_alcotest prop_quantile_rank_error;
-          QCheck_alcotest.to_alcotest prop_quantile_merge_is_concat;
         ] );
       ("export", [ Alcotest.test_case "json + prometheus" `Quick test_exporters_smoke ]);
       ( "end-to-end",
