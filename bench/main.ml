@@ -1,7 +1,7 @@
 (* Experiment harness: regenerates every table/figure of the reproduction
    (see DESIGN.md section 2 for the experiment index E1..E21). Each
-   experiment prints the paper's claim next to the measured quantities; the
-   Bechamel suite (E10) times the sketch primitives and full passes.
+   experiment prints the paper's claim next to the measured quantities; E10
+   times the sketch primitives and full passes.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe e1 e5      -- run selected experiments *)
@@ -535,25 +535,17 @@ let e13 () =
   Fmt.pr "is byte-identical to sketching the stream in one process.@."
 
 (* ------------------------------------------------------------------ *)
-(* E10: throughput (Bechamel)                                          *)
+(* E10: throughput                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let e10 () =
   header "E10" "Throughput: ns per operation for each sketch primitive and full passes";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
   let open Ds_sketch in
   let n = 256 in
   let dim = Edge_index.dim n in
   let rng = Prng.create (master_seed + 10) in
   let updates =
     Array.init 4096 (fun _ -> (Prng.int rng dim, if Prng.bool rng then 1 else -1))
-  in
-  let cursor = ref 0 in
-  let next () =
-    let u = updates.(!cursor land 4095) in
-    incr cursor;
-    u
   in
   let one_sparse = One_sparse.create (Prng.split rng) ~dim in
   let sr =
@@ -565,49 +557,36 @@ let e10 () =
   let agm =
     Ds_agm.Agm_sketch.create (Prng.split rng) ~n ~params:(Ds_agm.Agm_sketch.default_params ~n)
   in
-  let tests =
-    [
-      Test.make ~name:"one_sparse.update"
-        (Staged.stage (fun () ->
-             let i, d = next () in
-             One_sparse.update one_sparse ~index:i ~delta:d));
-      Test.make ~name:"sparse_recovery.update(s=8)"
-        (Staged.stage (fun () ->
-             let i, d = next () in
-             Sparse_recovery.update sr ~index:i ~delta:d));
-      Test.make ~name:"l0_sampler.update"
-        (Staged.stage (fun () ->
-             let i, d = next () in
-             L0_sampler.update l0 ~index:i ~delta:d));
-      Test.make ~name:"f0.update"
-        (Staged.stage (fun () ->
-             let i, d = next () in
-             F0.update f0 ~index:i ~delta:d));
-      Test.make ~name:"agm.update(n=256)"
-        (Staged.stage (fun () ->
-             let i, _ = next () in
-             let u, v = Edge_index.decode ~n i in
-             Ds_agm.Agm_sketch.update agm ~u ~v ~delta:1));
-    ]
+  (* Rounds of the 4096 updates for half a second each; a row is the
+     median round's ns per update. *)
+  let ns_per_op op =
+    let round () =
+      let t0 = Ds_obs.Clock.now_ns () in
+      Array.iter (fun (index, delta) -> op ~index ~delta) updates;
+      Int64.to_float (Ds_obs.Clock.elapsed_ns t0) /. 4096.0
+    in
+    let stop = Int64.add (Ds_obs.Clock.now_ns ()) 500_000_000L in
+    let rounds = ref [] in
+    while Ds_obs.Clock.now_ns () < stop do
+      rounds := round () :: !rounds
+    done;
+    Stats.median (Array.of_list !rounds)
   in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   Fmt.pr "%-30s %-14s@." "operation" "ns/op";
   line ();
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Fmt.pr "%-30s %-14.1f@." name t
-          | Some _ | None -> Fmt.pr "%-30s (no estimate)@." name)
-        results)
-    tests;
-  (* Full-pass wall-clock rates (dominated by structure building, so timed
-     end-to-end rather than with bechamel). *)
+    (fun (name, op) -> Fmt.pr "%-30s %-14.1f@." name (ns_per_op op))
+    [
+      ("one_sparse.update", One_sparse.update one_sparse);
+      ("sparse_recovery.update(s=8)", Sparse_recovery.update sr);
+      ("l0_sampler.update", L0_sampler.update l0);
+      ("f0.update", F0.update f0);
+      ( "agm.update(n=256)",
+        fun ~index ~delta:_ ->
+          let u, v = Edge_index.decode ~n index in
+          Ds_agm.Agm_sketch.update agm ~u ~v ~delta:1 );
+    ];
+  (* Full-pass wall-clock rates, dominated by structure building. *)
   let g = Gen.connected_gnp (Prng.split rng) ~n ~p:0.05 in
   let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:2000 g in
   let time f =

@@ -123,9 +123,9 @@ let setup ~family ~n ~p ~seed ~decoys =
   let rng = Prng.create seed in
   let g = make_graph (Prng.split rng) ~family ~n ~p in
   let stream = make_stream (Prng.split rng) ~decoys g in
-  let stats = Stream_stats.create (Prng.split rng) ~n:(Graph.n g) in
-  Array.iter (Stream_stats.update stats) stream;
-  Fmt.pr "stream: %a@." Stream_stats.pp_summary (Stream_stats.summary stats);
+  (* A third split once seeded stream statistics; drawing it still keeps
+     every algorithm's seed, and with it every pinned hash, unchanged. *)
+  ignore (Prng.split rng);
   (rng, g, stream)
 
 let report_spanner ~name ~g ~spanner ~space_words ~bound =
@@ -708,57 +708,25 @@ let dir_arg =
     & info [ "dir" ] ~docv:"DIR" ~doc:"Checkpoint store directory (created if missing).")
 
 let serve_cmd =
-  let run socket dir admin quota queue_bound drain checkpoint_every retention tenant_gauges
-      no_obs no_flight metrics metrics_out =
+  let run socket dir admin checkpoint_every metrics metrics_out =
     with_obs ~metrics ~metrics_out @@ fun () ->
     (* The service is the one command where telemetry defaults ON: the
        STAT rollup and the admin plane are only useful when the quantile
-       sketches are accumulating.  [--no-obs] restores the zero-overhead
-       path for byte-identical baselines. *)
-    if not no_obs then Ds_obs.Export.enable ();
+       sketches are accumulating. *)
+    Ds_obs.Export.enable ();
     let config =
-      {
-        (Ds_serve.Server.default_config ~dir) with
-        Ds_serve.Server.quota_words = quota;
-        queue_bound;
-        drain_per_tick = drain;
-        checkpoint_every;
-        retention;
-        tenant_gauges;
-        flight = not no_flight;
-      }
+      { (Ds_serve.Server.default_config ~dir) with Ds_serve.Server.checkpoint_every; flight = true }
     in
     let server = Ds_serve.Server.create config in
     Ds_serve.Server.run_unix server ~socket_path:socket ?admin_path:admin ();
     Fmt.pr "serve: stopped; %d event(s) logged@."
       (List.length (Ds_serve.Server.events server))
   in
-  let quota_arg =
-    Arg.(
-      value & opt int 4_000_000
-      & info [ "quota-words" ] ~docv:"W" ~doc:"Per-tenant sketch-space budget in words.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "queue-bound" ] ~docv:"Q"
-          ~doc:"Ingest queue depth; frames beyond it get an Overloaded NACK.")
-  in
-  let drain_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "drain-per-tick" ] ~docv:"D" ~doc:"Frames applied per event-loop tick.")
-  in
   let ck_arg =
     Arg.(
       value & opt int 64
       & info [ "checkpoint-every" ] ~docv:"K"
           ~doc:"Applied frames between durable generations.")
-  in
-  let retention_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retention" ] ~docv:"G" ~doc:"Durable generations kept per tenant.")
   in
   let admin_arg =
     Arg.(
@@ -770,45 +738,18 @@ let serve_cmd =
              GET /stats (serve_stats/v1 JSON), /metrics (Prometheus), /json (full ds_obs/v1 \
              report), /healthz.")
   in
-  let gauges_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "tenant-gauges" ] ~docv:"K"
-          ~doc:
-            "Heaviest tenants kept as per-tenant word gauges in the metric registry; the \
-             rest stay in the bounded STAT rollup only.")
-  in
-  let no_obs_arg =
-    Arg.(
-      value & flag
-      & info [ "no-obs" ]
-          ~doc:
-            "Disable the telemetry registry (quantiles, counters, spans). Stats served over \
-             STAT and the admin plane then report structure only, with empty latency \
-             summaries.")
-  in
-  let no_flight_arg =
-    Arg.(
-      value & flag
-      & info [ "no-flight" ]
-          ~doc:
-            "Disarm the crash flight recorder (no flight-latest.json dumps on overload, \
-             quarantine, checkpoint or shutdown).")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the multi-tenant sketch service on a Unix domain socket: bounded ingest queue \
           with typed Overloaded/Quota NACKs, periodic write-tmp/fsync/rename checkpoints, and \
           kill -9-safe recovery that quarantines torn generations and replays the undurable \
-          suffix by linearity. SIGTERM exits gracefully (drain + checkpoint). Telemetry is on \
-          by default ($(b,--no-obs) disables); $(b,--admin-socket) adds an in-loop HTTP scrape \
-          plane, and the flight recorder dumps recent spans and stats to flight-latest.json on \
-          overload, quarantine and shutdown.")
+          suffix by linearity. SIGTERM exits gracefully (drain + checkpoint). Telemetry is \
+          always on; $(b,--admin-socket) adds an in-loop HTTP scrape plane, and the flight \
+          recorder dumps recent spans and stats to flight-latest.json on overload, \
+          quarantine and shutdown.")
     Term.(
-      const run $ socket_arg $ dir_arg $ admin_arg $ quota_arg $ queue_arg $ drain_arg
-      $ ck_arg $ retention_arg $ gauges_arg $ no_obs_arg $ no_flight_arg $ metrics_arg
-      $ metrics_out_arg)
+      const run $ socket_arg $ dir_arg $ admin_arg $ ck_arg $ metrics_arg $ metrics_out_arg)
 
 let loadgen_cmd =
   let run socket seed tenants streams updates n batch ledger verify delay_unit metrics
@@ -1129,7 +1070,7 @@ let chaos_serve_cmd =
 
 let () =
   let doc = "spanners and sparsifiers in dynamic streams (Kapralov-Woodruff, PODC 2014)" in
-  let info = Cmd.info "dynospan" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "dynospan" ~version:Version.v ~doc in
   exit
     (Cmd.eval
        (Cmd.group info

@@ -268,7 +268,6 @@ end
 
 let serialize ?trace t = Ds_sketch.Linear_sketch.serialize ?trace (module Linear) t
 let deserialize_into t data = Ds_sketch.Linear_sketch.deserialize_into (module Linear) t data
-let deserialize_result t data = Ds_sketch.Linear_sketch.deserialize_result (module Linear) t data
 
 (* ------------------------------------------------------------------ *)
 (* One repetition as a first-class linear sketch: the unit of shipping

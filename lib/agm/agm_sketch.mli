@@ -119,10 +119,6 @@ val deserialize_into : t -> string -> unit
     created from the same seed and parameters as the sender's sketch.
     @raise Failure on shape mismatch, checksum failure or corrupt input. *)
 
-val deserialize_result : t -> string -> (unit, Ds_sketch.Linear_sketch.error) result
-(** Typed-error variant of {!deserialize_into} — what a supervising
-    coordinator branches on to decide retry vs refuse. *)
-
 (** One repetition of the sketch as a first-class linear sketch (family
     ["agm_copy"]). This is the unit of shipping in the supervised cluster
     protocol: each server sends every repetition as its own checksummed

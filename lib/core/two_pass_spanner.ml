@@ -336,7 +336,7 @@ let payload_rank tt ~weight payload =
 
 (* Everything pass 2 needs and the stream cannot regenerate is (a) the
    pass-1 sketch counters and (b) the seed-derived structure. (b) is rebuilt
-   by replaying the same PRNG chain in [resume], so the checkpoint carries
+   by replaying the same PRNG chain in [resume_result], so the checkpoint carries
    only (a) plus enough of (n, params) to verify the caller replays the
    chain with the same inputs, inside the {!Envelope} every versioned
    message shares. *)
@@ -389,12 +389,10 @@ let serialize_pass1 p1 =
 
 type checkpoint_error = Envelope of Envelope.error | Header_mismatch of { field : string }
 
-let checkpoint_error_to_string = function
-  | Envelope e -> Envelope.error_to_string e
+let pp_checkpoint_error ppf = function
+  | Envelope e -> Format.pp_print_string ppf (Envelope.error_to_string e)
   | Header_mismatch { field } ->
-      Printf.sprintf "checkpoint %s mismatch (taken with different inputs)" field
-
-let pp_checkpoint_error ppf e = Format.pp_print_string ppf (checkpoint_error_to_string e)
+      Format.fprintf ppf "checkpoint %s mismatch (taken with different inputs)" field
 
 (* On [Error] past the header checks the destination's counters may be
    partially overwritten — callers must discard [p1] (what
@@ -411,7 +409,7 @@ let load_pass1_result p1 data =
 
 (* ------------------------------------------------------------------ *)
 
-(* The PRNG chain is the contract between [run], [checkpoint] and [resume]:
+(* The PRNG chain is the contract between [run], [checkpoint] and [resume_result]:
    all three derive pass-1 structure from split_named rng
    "two_pass_spanner" -> "pass1" and pass-2 structure from -> "pass2", so a
    resumed process rebuilds hash functions bit-identical to the
@@ -527,11 +525,6 @@ let resume_result rng ~n ~params:prm ~checkpoint stream =
   match Ds_obs.Trace.with_span "spanner.resume.load" (fun () -> load_pass1_result p1 checkpoint) with
   | Ok () -> Ok (finish rng p1 ~n ~prm stream)
   | Error e -> Error e
-
-let resume rng ~n ~params:prm ~checkpoint stream =
-  match resume_result rng ~n ~params:prm ~checkpoint stream with
-  | Ok r -> r
-  | Error e -> failwith ("Two_pass_spanner: " ^ checkpoint_error_to_string e)
 
 let resume_or_restart rng ~n ~params:prm ~checkpoint stream =
   match resume_result rng ~n ~params:prm ~checkpoint stream with

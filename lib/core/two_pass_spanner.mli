@@ -76,7 +76,7 @@ val space_bound : n:int -> k:int -> float
     pass-1 sketch counters — the structure (hash functions, centers, the
     level hash) is seed-derived and rebuilt by replaying the same PRNG
     chain. [checkpoint] serialises that state into a versioned, checksummed
-    blob; [resume], given the {e same} caller PRNG, [n], [params] and
+    blob; [resume_result], given the {e same} caller PRNG, [n], [params] and
     stream, rebuilds the structure, loads the counters and runs the
     clustering plus pass 2, producing a result bit-identical to an
     uninterrupted {!run} — across process boundaries. *)
@@ -90,25 +90,9 @@ val checkpoint :
 (** Run pass 1 only and serialise its state. The caller PRNG is consumed
     exactly as by {!run}. *)
 
-val resume :
-  Ds_util.Prng.t ->
-  n:int ->
-  params:params ->
-  checkpoint:string ->
-  Ds_stream.Update.t array ->
-  result
-(** Rebuild pass-1 structure from the PRNG chain, restore the checkpointed
-    counters, and finish: clustering, pass 2 over the stream, spanner
-    assembly. [run rng ... stream] and
-    [resume rng ... ~checkpoint:(checkpoint rng ... stream) stream] (with
-    equal-seed PRNGs) return identical results.
-    @raise Failure if the checkpoint is corrupt, truncated, or was taken
-    with different [n]/[params]. *)
-
-(** Why a checkpoint was rejected, in the order the checks run — the typed
-    face of {!resume} for callers that must branch on failure (the CLI's
-    clean exit-code path, the self-healing fallback below) instead of
-    parsing exception strings. *)
+(** Why a checkpoint was rejected, in the order the checks run — what
+    callers branch on (the CLI's clean exit-code path, the self-healing
+    fallback below). *)
 type checkpoint_error =
   | Envelope of Ds_util.Envelope.error
       (** truncated, corrupt (caught before any parsing), not a TPS1
@@ -117,7 +101,6 @@ type checkpoint_error =
       (** a valid checkpoint taken with different [n], [params] or level
           count — resuming it would decode garbage *)
 
-val checkpoint_error_to_string : checkpoint_error -> string
 val pp_checkpoint_error : Format.formatter -> checkpoint_error -> unit
 
 val resume_result :
@@ -127,7 +110,13 @@ val resume_result :
   checkpoint:string ->
   Ds_stream.Update.t array ->
   (result, checkpoint_error) Stdlib.result
-(** {!resume} with a typed verdict instead of an exception. *)
+(** Rebuild pass-1 structure from the PRNG chain, restore the checkpointed
+    counters, and finish: clustering, pass 2 over the stream, spanner
+    assembly. [run rng ... stream] and
+    [resume_result rng ... ~checkpoint:(checkpoint rng ... stream) stream]
+    (with equal-seed PRNGs) give identical results.  [Error] if the
+    checkpoint is corrupt, truncated, or was taken with different
+    [n]/[params]. *)
 
 val resume_or_restart :
   Ds_util.Prng.t ->

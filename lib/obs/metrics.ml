@@ -1,8 +1,8 @@
-let shards = 32
-let shard_mask = shards - 1
-
-type counter = { c_name : string; c_cells : int Atomic.t array }
-type gauge = { g_name : string; g_cell : int Atomic.t }
+(* One atomic cell per metric.  Every writer is the serve select loop
+   or a codec call on its caller's domain, so a cell is not contended;
+   [fetch_and_add] still totals exactly if several domains write. *)
+type counter = int Atomic.t
+type gauge = int Atomic.t
 type metric = C of counter | G of gauge
 
 let enabled_flag = Atomic.make false
@@ -15,18 +15,12 @@ let with_lock f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-(* Counter shards exist precisely so domains don't contend, which only
-   works if each shard's cell sits on its own cache line — unpadded,
-   [Array.init] packs the 32 atomics into 2-3 lines and hammering
-   domains false-share them. *)
-let cells n = Ds_util.Padding.array n 0
-
-let register name ~kind ~make ~cast =
+let register name ~kind ~wrap ~cast =
   with_lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some m -> (
           match cast m with
-          | Some v -> v
+          | Some a -> a
           | None ->
               invalid_arg
                 (Printf.sprintf
@@ -34,34 +28,19 @@ let register name ~kind ~make ~cast =
                     (wanted %s)"
                    name kind))
       | None ->
-          let v, m = make () in
-          Hashtbl.add registry name m;
-          v)
+          let a = Atomic.make 0 in
+          Hashtbl.add registry name (wrap a);
+          a)
 
 let counter name =
-  register name ~kind:"counter"
-    ~make:(fun () ->
-      let c = { c_name = name; c_cells = cells shards } in
-      (c, C c))
-    ~cast:(function C c -> Some c | _ -> None)
+  register name ~kind:"counter" ~wrap:(fun a -> C a) ~cast:(function C a -> Some a | G _ -> None)
 
 let gauge name =
-  register name ~kind:"gauge"
-    ~make:(fun () ->
-      let g = { g_name = name; g_cell = Ds_util.Padding.atomic 0 } in
-      (g, G g))
-    ~cast:(function G g -> Some g | _ -> None)
+  register name ~kind:"gauge" ~wrap:(fun a -> G a) ~cast:(function G a -> Some a | C _ -> None)
 
-let shard_index () = (Domain.self () :> int) land shard_mask
-
-let incr c n =
-  if Atomic.get enabled_flag then
-    ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) n)
-
-let set g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
-
-let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_cells
-let gauge_value g = Atomic.get g.g_cell
+let incr c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
+let set g v = if Atomic.get enabled_flag then Atomic.set g v
+let value c = Atomic.get c
 
 type snapshot = { counters : (string * int) list; gauges : (string * int) list }
 
@@ -72,20 +51,14 @@ let snapshot () =
       let cs = ref [] and gs = ref [] in
       Hashtbl.iter
         (fun name -> function
-          | C c -> cs := (name, value c) :: !cs
-          | G g -> gs := (name, gauge_value g) :: !gs)
+          | C c -> cs := (name, Atomic.get c) :: !cs
+          | G g -> gs := (name, Atomic.get g) :: !gs)
         registry;
       { counters = List.sort by_name !cs; gauges = List.sort by_name !gs })
 
-let unregister name = with_lock (fun () -> Hashtbl.remove registry name)
-
 let reset () =
   with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ -> function
-          | C c -> Array.iter (fun a -> Atomic.set a 0) c.c_cells
-          | G g -> Atomic.set g.g_cell 0)
-        registry)
+      Hashtbl.iter (fun _ -> function C a | G a -> Atomic.set a 0) registry)
 
 (* --- exporters ------------------------------------------------------- *)
 

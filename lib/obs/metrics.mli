@@ -5,20 +5,17 @@
     - {b cheap when disabled}: every hot-path operation is a single load
       of one [bool Atomic.t] followed by a conditional branch; no
       allocation, no locking.
-    - {b domain-safe}: counters are sharded across a fixed array of
-      atomic cells indexed by [Domain.self () land (shards - 1)].  Writers never contend on a cache line unless two
-      domains alias the same shard; readers sum the shards at snapshot
-      time.  Totals are exact (every increment lands in exactly one
-      shard), so snapshots of a quiesced registry are deterministic.
-    - {b stable identity}: [counter name] returns the same cell set for
+    - {b domain-safe}: each counter and gauge is one [int Atomic.t].
+      Increments are [fetch_and_add], so totals are exact whichever
+      domains write, and snapshots of a quiesced registry are
+      deterministic.  No pool job writes a metric, so the cells are not
+      sharded by domain.
+    - {b stable identity}: [counter name] returns the same cell for
       the same name for the lifetime of the process; re-registration is
       idempotent.  Names must be unique across metric kinds.
 
     Gauges are last-writer-wins single cells: exact under quiesced
     reads, racy (but never torn) under concurrent writers. *)
-
-val shards : int
-(** Number of per-domain shards (a power of two). *)
 
 (** {1 Global switch} *)
 
@@ -37,16 +34,12 @@ val counter : string -> counter
 val gauge : string -> gauge
 
 val incr : counter -> int -> unit
-(** [incr c n] adds [n] to the calling domain's shard of [c].  No-op
-    when disabled. *)
+(** [incr c n] adds [n] to [c].  No-op when disabled. *)
 
 val set : gauge -> int -> unit
 (** Last-writer-wins store.  No-op when disabled. *)
 
 val value : counter -> int
-(** Sum over all shards. *)
-
-val gauge_value : gauge -> int
 
 (** {1 Snapshots} *)
 
@@ -57,13 +50,6 @@ val snapshot : unit -> snapshot
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations themselves persist). *)
-
-val unregister : string -> unit
-(** Remove a metric from the registry entirely: it stops appearing in
-    snapshots and exports.  Callers still holding the handle can keep
-    writing to its (now orphaned) cells; a later re-registration under
-    the same name creates fresh cells.  Exists so unbounded name
-    spaces (per-tenant gauges) can evict cold entries. *)
 
 val sanitize : string -> string
 (** Prometheus-legal metric name: out-of-charset bytes become ['_'],

@@ -11,14 +11,14 @@
 
    Memory is fixed: values 0..subs-1 get one exact cell each, and each
    octave [2^p, 2^(p+1)) for p in [sub_bits, 62] gets [subs] cells —
-   1888 int atomics per shard, ~15 KiB.  Cells are pure counts, so a
-   cell-wise sum of two sketches is exactly the sketch of the
+   1888 int atomics, ~44 KiB with their boxes.  Cells are pure counts,
+   so a cell-wise sum of two sketches is exactly the sketch of the
    concatenated streams: merge = concat, deterministically.
 
-   Concurrency mirrors [Metrics]: registered sketches shard their cell
-   rows by domain id and gate observation on the global metrics
-   switch; ad-hoc sketches ([make]) default to one row and no gate,
-   for single-domain callers like [Loadgen] that always want the
+   Every sketch is one row of atomic cells, like a [Metrics] counter:
+   concurrent observers still total exactly.  Registered sketches gate
+   observation on the global metrics switch; ad-hoc sketches ([make])
+   default to no gate, for callers like [Loadgen] that always want the
    numbers. *)
 
 let sub_bits = 5
@@ -29,18 +29,13 @@ let max_exp = 62
 let octaves = max_exp - sub_bits + 1
 let n_cells = subs * (octaves + 1)
 
-(* Each shard row carries the cells plus one trailing sum slot. *)
+(* The row carries the cells plus one trailing sum slot. *)
 let row_len = n_cells + 1
 
-type t = {
-  q_gated : bool;
-  q_mask : int;  (* shard count - 1; 0 for single-row sketches *)
-  q_rows : int Atomic.t array array;
-}
+type t = { q_gated : bool; q_row : int Atomic.t array }
 
-let make_rows n = Array.init n (fun _ -> Array.init row_len (fun _ -> Atomic.make 0))
-
-let make ?(gated = false) () = { q_gated = gated; q_mask = 0; q_rows = make_rows 1 }
+let make ?(gated = false) () =
+  { q_gated = gated; q_row = Array.init row_len (fun _ -> Atomic.make 0) }
 
 (* --- registry, mirroring Metrics --- *)
 
@@ -56,13 +51,7 @@ let quantile name =
       match Hashtbl.find_opt registry name with
       | Some q -> q
       | None ->
-          let q =
-            {
-              q_gated = true;
-              q_mask = Metrics.shards - 1;
-              q_rows = make_rows Metrics.shards;
-            }
-          in
+          let q = make ~gated:true () in
           Hashtbl.add registry name q;
           q)
 
@@ -99,25 +88,13 @@ let cell_mid c =
 let observe t v =
   if (not t.q_gated) || Metrics.enabled () then begin
     let v = if v < 0 then 0 else v in
-    let row =
-      if t.q_mask = 0 then t.q_rows.(0)
-      else t.q_rows.((Domain.self () :> int) land t.q_mask)
-    in
-    ignore (Atomic.fetch_and_add row.(cell_of v) 1);
-    ignore (Atomic.fetch_and_add row.(n_cells) v)
+    ignore (Atomic.fetch_and_add t.q_row.(cell_of v) 1);
+    ignore (Atomic.fetch_and_add t.q_row.(n_cells) v)
   end
 
 (* --- reading --- *)
 
-let totals t =
-  let tot = Array.make row_len 0 in
-  Array.iter
-    (fun row ->
-      for i = 0 to row_len - 1 do
-        tot.(i) <- tot.(i) + Atomic.get row.(i)
-      done)
-    t.q_rows;
-  tot
+let totals t = Array.map Atomic.get t.q_row
 
 let count_of tot =
   let n = ref 0 in
@@ -171,8 +148,7 @@ let summarize t =
     s_p999 = estimate_in tot ~count 0.999;
   }
 
-let reset t =
-  Array.iter (fun row -> Array.iter (fun c -> Atomic.set c 0) row) t.q_rows
+let reset t = Array.iter (fun c -> Atomic.set c 0) t.q_row
 
 (* --- registry-wide views --- *)
 

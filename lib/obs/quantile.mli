@@ -6,15 +6,15 @@
     sub-buckets, so [estimate] — the midpoint of the nearest-rank cell
     — carries at most [1/64] (~1.6%) relative error at any quantile,
     on any distribution of nonnegative int samples.  Memory is fixed
-    (~1.9k cells per shard); cells are pure counts, so merging sketches
-    cell-wise is exactly the sketch of the concatenated streams.
+    (one row of ~1.9k atomic cells); cells are pure counts, so merging
+    sketches cell-wise is exactly the sketch of the concatenated
+    streams.
 
     Two flavours:
-    - [quantile name]: registered, domain-sharded like
-      {!Metrics} (32 rows), gated on {!Metrics.enabled}; appears in
-      {!Export} JSON/Prometheus output.
-    - [make ()]: anonymous single-row sketch, ungated by default —
-      for single-domain callers that always want the numbers. *)
+    - [quantile name]: registered, gated on {!Metrics.enabled};
+      appears in {!Export} JSON/Prometheus output.
+    - [make ()]: anonymous, ungated by default — for callers that
+      always want the numbers. *)
 
 type t
 
@@ -24,8 +24,8 @@ val quantile : string -> t
     {!Metrics.enabled}. *)
 
 val make : ?gated:bool -> unit -> t
-(** Anonymous single-row sketch.  [gated] (default [false]) makes
-    observation respect {!Metrics.enabled}. *)
+(** Anonymous sketch.  [gated] (default [false]) makes observation
+    respect {!Metrics.enabled}. *)
 
 val observe : t -> int -> unit
 (** Record one sample; negatives clamp to 0.  Lock-free. *)

@@ -37,7 +37,6 @@ val write : dir:string -> tenant:string -> generation:int -> record list -> unit
 val read : string -> (int * string * record list, string) result
 (** Read and decode one generation file by path. *)
 
-val tenant_dir : dir:string -> tenant:string -> string
 val gen_path : dir:string -> tenant:string -> generation:int -> string
 
 val generations : dir:string -> tenant:string -> int list

@@ -289,13 +289,6 @@ let flush t ~tenant =
       | Sframe.Nack { reason; _ } -> nack_error reason
       | _ -> Error (`Transient "unexpected response to flush"))
 
-let drop_copies t ~tenant ~stream ~copies =
-  with_retries t (fun fd ->
-      match rpc_on fd t (Sframe.Drop_copies { tenant; stream; copies }) with
-      | Sframe.Dropped { copies_lost } -> Ok copies_lost
-      | Sframe.Nack { reason; _ } -> nack_error reason
-      | _ -> Error (`Transient "unexpected response to drop"))
-
 let stats t =
   with_retries t (fun fd ->
       match rpc_on fd t Sframe.Stats with

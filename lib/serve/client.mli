@@ -56,9 +56,6 @@ val seqs : t -> tenant:string -> stream:string -> (int * int, string) result
 val flush : t -> tenant:string -> (int, string) result
 (** Force a checkpoint; returns the durable generation number. *)
 
-val drop_copies :
-  t -> tenant:string -> stream:string -> copies:int list -> (int, string) result
-
 val stats : t -> (int * int * int * int, string) result
 (** (tenants, streams, applied frames, words). *)
 

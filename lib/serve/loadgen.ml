@@ -105,14 +105,12 @@ let expected_envelope ?frames spec =
       done;
       Linear_sketch.Packed.serialize mirror
 
-let hash payload = Wire.fnv1a64 payload
-
 (* Ledger line: tenant stream acked_frames fnv1a64-of-expected-envelope.
    Written by the driver after every ack so a kill -9 of the *client*
    also leaves a consistent ledger prefix. *)
 let ledger_line spec ~acked =
   Printf.sprintf "%s %s %d %016Lx" spec.l_tenant spec.l_stream acked
-    (hash (expected_envelope ~frames:acked spec))
+    (Wire.fnv1a64 (expected_envelope ~frames:acked spec))
 
 let parse_ledger_line line =
   match String.split_on_char ' ' (String.trim line) with
@@ -241,7 +239,7 @@ let verify client plan ~ledger_lines =
                 let expected = expected_envelope ~frames:st.Client.applied_seq spec in
                 if st.Client.payload <> expected then
                   fail "envelope differs from mirror at frame %d" st.Client.applied_seq;
-                let eh = hash (expected_envelope ~frames:acked_frames spec) in
+                let eh = Wire.fnv1a64 (expected_envelope ~frames:acked_frames spec) in
                 if eh <> ledger_hash then
                   fail "ledger hash %016Lx <> mirror %016Lx" ledger_hash eh
               end))

@@ -41,9 +41,9 @@ val batches : stream_spec -> string list
 val expected_envelope : ?frames:int -> stream_spec -> string
 (** Mirror envelope after the first [frames] batches (default: all). *)
 
-val hash : string -> int64
 val ledger_line : stream_spec -> acked:int -> string
-val parse_ledger_line : string -> (string * string * int * int64) option
+(** [tenant stream acked fnv1a64-of-expected-envelope], the line
+    {!run} appends after every ack and {!verify} reads back. *)
 
 type outcome = {
   o_acked_frames : int;

@@ -136,15 +136,6 @@ let certified_delta s =
       Ds_agm.Agm_sketch.certified_delta ~n:(Ds_agm.Agm_sketch.n a)
         ~copies:(List.length (surviving_copies s))
 
-let drop_copies s copies =
-  (match s.agm with
-  | None -> ()
-  | Some a ->
-      let total = Ds_agm.Agm_sketch.copies a in
-      let valid = List.filter (fun c -> c >= 0 && c < total) copies in
-      s.lost_copies <- List.sort_uniq compare (valid @ s.lost_copies));
-  List.length s.lost_copies
-
 let state s =
   Sframe.State
     {

@@ -64,19 +64,14 @@ val apply : stream -> seq:int -> payload:string -> (applied, Sframe.nack) result
     untouched. *)
 
 val copies_total : stream -> int
-val surviving_copies : stream -> int list
 
 val certified_delta : stream -> float
 (** {!Ds_agm.Agm_sketch.certified_delta} of the surviving quorum; 0 for
     scalar families. *)
 
-val drop_copies : stream -> int list -> int
-(** Mark AGM repetitions lost; returns the total lost count. *)
-
 val state : stream -> Sframe.response
 (** The [State] response: full envelope + quorum health. *)
 
-val to_record : stream -> Checkpoint.record
 val records_of_tenant : tenant -> Checkpoint.record list
 (** Streams sorted by name — generation bytes are deterministic. *)
 

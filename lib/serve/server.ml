@@ -6,8 +6,6 @@ type config = {
   queue_bound : int;
   drain_per_tick : int;
   checkpoint_every : int;
-  retention : int;
-  tenant_gauges : int;
   flight : bool;
 }
 
@@ -18,8 +16,6 @@ let default_config ~dir =
     queue_bound = 256;
     drain_per_tick = 128;
     checkpoint_every = 256;
-    retention = 2;
-    tenant_gauges = 8;
     flight = false;
   }
 
@@ -112,7 +108,6 @@ type t = {
   tstats : (string, tstat) Hashtbl.t;
   nack_totals : int array;  (* global taxonomy, ungated *)
   mutable overloaded : bool;  (* true between overload onset and relief *)
-  mutable gauged : string list;  (* tenants currently held as registry gauges *)
   mutable flight : Flight.t option;
 }
 
@@ -189,8 +184,8 @@ let ingest_json q = Ds_obs.Quantile.summary_json (Ds_obs.Quantile.summarize q)
 (* The [serve_stats/v1] document: global queue/backpressure state,
    totals, NACK taxonomy and ingest quantiles, plus a per-tenant
    rollup bounded at [tenant_stats_cap] heaviest tenants (the rest are
-   aggregated under [tenants_omitted]) — this is where per-tenant
-   numbers live now that registry gauges only track the top-K. *)
+   aggregated under [tenants_omitted]) — the one place per-tenant
+   numbers live. *)
 let stat_json t =
   let all = tenants_by_words t in
   let shown = take tenant_stats_cap all in
@@ -284,12 +279,16 @@ let flight_dump t reason =
 (* Durability                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Durable generations kept per tenant: the newest, and one older to
+   fall back to when the newest fails its checksum on recovery. *)
+let retention = 2
+
 let checkpoint_tenant t (tn : Registry.tenant) =
   let generation = max tn.Registry.generation tn.Registry.max_gen_seen + 1 in
   let records = Registry.records_of_tenant tn in
   Checkpoint.write ~dir:t.config.dir ~tenant:tn.Registry.t_name ~generation records;
   Registry.mark_durable tn ~generation;
-  Checkpoint.prune ~dir:t.config.dir ~tenant:tn.Registry.t_name ~keep:t.config.retention;
+  Checkpoint.prune ~dir:t.config.dir ~tenant:tn.Registry.t_name ~keep:retention;
   Ds_obs.Metrics.incr t.meters.m_ckpt 1;
   event t "checkpoint: tenant %s generation %d (%d streams, %d words)" tn.Registry.t_name
     generation
@@ -297,34 +296,10 @@ let checkpoint_tenant t (tn : Registry.tenant) =
     tn.Registry.words;
   generation
 
-(* Keep registry gauges for only the [tenant_gauges] heaviest tenants,
-   evicting names that fell out of the top-K ({!Metrics.unregister}):
-   the registry and the Prometheus export stay bounded no matter how
-   many tenant names pass through.  Everyone else is still visible in
-   the STAT rollup. *)
-let refresh_tenant_gauges t =
-  if Ds_obs.Metrics.enabled () then begin
-    let top = take t.config.tenant_gauges (tenants_by_words t) in
-    let top_names = List.map (fun (tn : Registry.tenant) -> tn.Registry.t_name) top in
-    List.iter
-      (fun name ->
-        if not (List.mem name top_names) then
-          Ds_obs.Metrics.unregister ("serve.tenant.words." ^ name))
-      t.gauged;
-    List.iter
-      (fun (tn : Registry.tenant) ->
-        Ds_obs.Metrics.set
-          (Ds_obs.Metrics.gauge ("serve.tenant.words." ^ tn.Registry.t_name))
-          tn.Registry.words)
-      top;
-    t.gauged <- top_names
-  end
-
 let checkpoint_now t =
   List.iter (fun tn -> ignore (checkpoint_tenant t tn)) (Registry.dirty_tenants t.registry);
   t.applied_since_checkpoint <- 0;
   Ds_obs.Metrics.set t.meters.m_ckpt_lag 0;
-  refresh_tenant_gauges t;
   flight_dump t "checkpoint"
 
 let recover t =
@@ -409,7 +384,6 @@ let create config =
       tstats = Hashtbl.create 16;
       nack_totals = Array.make n_nack_kinds 0;
       overloaded = false;
-      gauged = [];
       flight = (if config.flight then Some (Flight.create ~dir:config.dir) else None);
     }
   in
@@ -517,15 +491,6 @@ let handle t c ?ctx (req : Sframe.request) =
             if tn.Registry.dirty then checkpoint_tenant t tn else tn.Registry.generation
           in
           respond c (Sframe.Flushed { generation })
-      | None -> nack ~tenant t c ~seq:(-1) Sframe.Unknown_stream)
-  | Sframe.Drop_copies { tenant; stream; copies } -> (
-      match Option.bind (Registry.find_tenant t.registry tenant) (fun tn ->
-                Registry.find_stream tn stream)
-      with
-      | Some s ->
-          let lost = Registry.drop_copies s copies in
-          event t "degraded: tenant %s stream %s marked %d cop(ies) lost" tenant stream lost;
-          respond c (Sframe.Dropped { copies_lost = lost })
       | None -> nack ~tenant t c ~seq:(-1) Sframe.Unknown_stream)
   | Sframe.Stats ->
       let tenants, streams, applied_frames, words = Registry.stats t.registry in

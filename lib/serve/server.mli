@@ -24,11 +24,9 @@ type config = {
   quota_words : int;  (** per-tenant sketch-space budget *)
   queue_bound : int;  (** ingest queue depth before [Overloaded] *)
   drain_per_tick : int;  (** frames applied per {!drain} call *)
-  checkpoint_every : int;  (** applied frames between generations *)
-  retention : int;  (** durable generations kept per tenant *)
-  tenant_gauges : int;
-      (** heaviest tenants kept as [serve.tenant.words.*] registry
-          gauges (the rest are evicted — the registry stays bounded) *)
+  checkpoint_every : int;
+      (** applied frames between generations; each tenant keeps its
+          two newest *)
   flight : bool;  (** arm the crash {!Flight} recorder *)
 }
 
@@ -63,9 +61,6 @@ val events : t -> string list
     file"). *)
 
 val connect : t -> conn
-val conn_failed : conn -> bool
-(** True once the connection's length-prefix stream is poisoned (framing
-    error) — the transport must drop it after flushing output. *)
 
 val feed : t -> conn -> string -> unit
 (** Feed raw bytes; complete frames are decoded and handled.  Non-ingest
@@ -82,8 +77,8 @@ val take_output : conn -> string
 
 val pending_depth : t -> int
 val checkpoint_now : t -> unit
-(** Checkpoint every dirty tenant immediately (also the [Flush] path),
-    refresh the top-K tenant gauges, and flight-dump when armed. *)
+(** Checkpoint every dirty tenant immediately (also the [Flush] path)
+    and flight-dump when armed. *)
 
 val stat_json : t -> Ds_util.Json.t
 (** The [serve_stats/v1] rollup answered to [Stat_rollup] requests and

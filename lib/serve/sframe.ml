@@ -15,7 +15,6 @@ type request =
   | Query of { tenant : string; stream : string }
   | Seq_query of { tenant : string; stream : string }
   | Flush of { tenant : string }
-  | Drop_copies of { tenant : string; stream : string; copies : int list }
   | Stats
   | Stat_rollup
 
@@ -33,7 +32,6 @@ type response =
   | Seqs of { applied_seq : int; durable_seq : int }
   | Flushed of { generation : int }
   | Stats_reply of { tenants : int; streams : int; applied_frames : int; words : int }
-  | Dropped of { copies_lost : int }
   | Stat_rollup_reply of { json : string }
 
 (* Dense taxonomy indexing for the NACK metric counters and the
@@ -91,7 +89,10 @@ let pp_nack ppf = function
    decode error, never garbage state.  Requests may carry the envelope's
    trace extension; untraced frames are byte-identical to the format
    before it existed, so old servers and old clients interoperate with
-   new peers as long as tracing stays off (the default). *)
+   new peers as long as tracing stays off (the default).  Request kind
+   6 and response kind 71 are retired: a frame of either kind is an
+   unknown kind, and reusing the numbers would give old peers a
+   different meaning. *)
 
 let magic = "SRV1"
 
@@ -123,11 +124,6 @@ let encode_request ?trace r =
   | Flush { tenant } ->
       Wire.write_int buf 5;
       Wire.write_tag buf tenant
-  | Drop_copies { tenant; stream; copies } ->
-      Wire.write_int buf 6;
-      Wire.write_tag buf tenant;
-      Wire.write_tag buf stream;
-      Wire.write_array buf (Array.of_list copies)
   | Stats -> Wire.write_int buf 7
   | Stat_rollup -> Wire.write_int buf 8
 
@@ -187,9 +183,6 @@ let encode_response r =
       Wire.write_int buf streams;
       Wire.write_int buf applied_frames;
       Wire.write_int buf words
-  | Dropped { copies_lost } ->
-      Wire.write_int buf 71;
-      Wire.write_int buf copies_lost
   | Stat_rollup_reply { json } ->
       Wire.write_int buf 72;
       Wire.write_tag buf json
@@ -223,11 +216,6 @@ let read_request src =
       let stream = Wire.read_tag src in
       Seq_query { tenant; stream }
   | 5 -> Flush { tenant = Wire.read_tag src }
-  | 6 ->
-      let tenant = Wire.read_tag src in
-      let stream = Wire.read_tag src in
-      let copies = Array.to_list (Wire.read_array src) in
-      Drop_copies { tenant; stream; copies }
   | 7 -> Stats
   | 8 -> Stat_rollup
   | k -> failwith (Printf.sprintf "unknown request kind %d" k)
@@ -289,7 +277,6 @@ let read_response src =
       let applied_frames = Wire.read_int src in
       let words = Wire.read_int src in
       Stats_reply { tenants; streams; applied_frames; words }
-  | 71 -> Dropped { copies_lost = Wire.read_int src }
   | 72 -> Stat_rollup_reply { json = Wire.read_tag src }
   | k -> failwith (Printf.sprintf "unknown response kind %d" k)
 

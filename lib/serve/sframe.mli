@@ -33,8 +33,6 @@ type request =
   | Query of { tenant : string; stream : string }
   | Seq_query of { tenant : string; stream : string }
   | Flush of { tenant : string }  (** force a durable checkpoint now *)
-  | Drop_copies of { tenant : string; stream : string; copies : int list }
-      (** chaos/admin: mark AGM repetitions lost (degraded quorum) *)
   | Stats
   | Stat_rollup
       (** live observability rollup: per-tenant words vs quota,
@@ -61,7 +59,6 @@ type response =
   | Seqs of { applied_seq : int; durable_seq : int }
   | Flushed of { generation : int }
   | Stats_reply of { tenants : int; streams : int; applied_frames : int; words : int }
-  | Dropped of { copies_lost : int }
   | Stat_rollup_reply of { json : string }
       (** the [serve_stats/v1] document ({!Server.stat_json}) *)
 

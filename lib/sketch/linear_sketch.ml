@@ -109,8 +109,6 @@ module Packed = struct
   let reset (T ((module L), v)) = L.reset v
   let clone_zero (T ((module L), v)) = T ((module L), L.clone_zero v)
   let serialize ?trace (T (impl, v)) = serialize ?trace impl v
-  let deserialize_into (T (impl, v)) data = deserialize_into impl v data
   let deserialize_result (T (impl, v)) data = deserialize_result impl v data
-  let absorb (T (impl, v)) data = absorb impl v data
   let absorb_result (T (impl, v)) data = absorb_result impl v data
 end

@@ -140,14 +140,6 @@ module Packed : sig
   val reset : t -> unit
   val clone_zero : t -> t
   val serialize : ?trace:Ds_obs.Trace.context -> t -> string
-
-  val deserialize_into : t -> string -> unit
-  (** @raise Failure as the statically-typed {!deserialize_into}. *)
-
   val deserialize_result : t -> string -> (unit, error) result
-
-  val absorb : t -> string -> unit
-  (** @raise Failure as the statically-typed {!absorb}. *)
-
   val absorb_result : t -> string -> (unit, error) result
 end

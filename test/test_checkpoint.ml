@@ -28,10 +28,16 @@ let take_checkpoint ~seed ~n ~k stream =
     ~params:(Two_pass_spanner.default_params ~k)
     stream
 
-let resume_from ~seed ~n ~k ~checkpoint stream =
-  Two_pass_spanner.resume (Prng.create seed) ~n
+let resume_result_from ~seed ~n ~k ~checkpoint stream =
+  Two_pass_spanner.resume_result (Prng.create seed) ~n
     ~params:(Two_pass_spanner.default_params ~k)
     ~checkpoint stream
+
+let resume_from ~seed ~n ~k ~checkpoint stream =
+  match resume_result_from ~seed ~n ~k ~checkpoint stream with
+  | Ok r -> r
+  | Error e ->
+      Alcotest.failf "intact checkpoint rejected: %a" Two_pass_spanner.pp_checkpoint_error e
 
 let test_resume_bit_identical () =
   let n = 80 and k = 3 and seed = 42 in
@@ -56,12 +62,6 @@ let test_checkpoint_deterministic () =
   let b = take_checkpoint ~seed ~n ~k stream in
   check_bool "equal seeds give byte-identical checkpoints" true (a = b)
 
-let fails_with_failure f =
-  match f () with
-  | exception Failure _ -> true
-  | exception _ -> false
-  | _ -> false
-
 let test_corruption_rejected () =
   let n = 64 and k = 2 and seed = 10 in
   let _g, stream = workload 7 ~n in
@@ -72,14 +72,14 @@ let test_corruption_rejected () =
     let corrupted = Bytes.of_string ck in
     Bytes.set corrupted pos (Char.chr (Char.code ck.[pos] lxor (1 lsl Prng.int rng 8)));
     check_bool "bit flip rejected" true
-      (fails_with_failure (fun () ->
-           resume_from ~seed ~n ~k ~checkpoint:(Bytes.to_string corrupted) stream))
+      (Result.is_error
+         (resume_result_from ~seed ~n ~k ~checkpoint:(Bytes.to_string corrupted) stream))
   done;
   List.iter
     (fun cut ->
       check_bool "truncation rejected" true
-        (fails_with_failure (fun () ->
-             resume_from ~seed ~n ~k ~checkpoint:(String.sub ck 0 cut) stream)))
+        (Result.is_error
+           (resume_result_from ~seed ~n ~k ~checkpoint:(String.sub ck 0 cut) stream)))
     [ 0; 5; String.length ck / 2; String.length ck - 1 ]
 
 let test_mismatch_rejected () =
@@ -87,14 +87,9 @@ let test_mismatch_rejected () =
   let _g, stream = workload 8 ~n in
   let ck = take_checkpoint ~seed ~n ~k:2 stream in
   check_bool "different k rejected" true
-    (fails_with_failure (fun () -> resume_from ~seed ~n ~k:3 ~checkpoint:ck stream))
+    (Result.is_error (resume_result_from ~seed ~n ~k:3 ~checkpoint:ck stream))
 
 (* The typed face of checkpoint rejection: precise error per damage class. *)
-let resume_result_from ~seed ~n ~k ~checkpoint stream =
-  Two_pass_spanner.resume_result (Prng.create seed) ~n
-    ~params:(Two_pass_spanner.default_params ~k)
-    ~checkpoint stream
-
 let test_typed_errors () =
   let n = 64 and k = 2 and seed = 14 in
   let _g, stream = workload 15 ~n in
@@ -135,9 +130,7 @@ let test_typed_errors () =
       | Two_pass_spanner.Envelope (Envelope.Wrong_magic _ | Envelope.Malformed_body _) -> true
       | _ -> false)
     (resume_result_from ~seed ~n ~k ~checkpoint:foreign stream);
-  match resume_result_from ~seed ~n ~k ~checkpoint:ck stream with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "intact checkpoint rejected: %s" (Two_pass_spanner.checkpoint_error_to_string e)
+  ignore (resume_from ~seed ~n ~k ~checkpoint:ck stream)
 
 (* Self-healing: a damaged checkpoint falls back to recomputing pass 1, and
    the recomputed result is bit-identical to an uninterrupted run. *)
@@ -167,7 +160,7 @@ let test_resume_or_restart () =
   (match verdict with
   | `Recomputed (Two_pass_spanner.Envelope Envelope.Checksum_mismatch) -> ()
   | `Recomputed e ->
-      Alcotest.failf "unexpected error: %s" (Two_pass_spanner.checkpoint_error_to_string e)
+      Alcotest.failf "unexpected error: %a" Two_pass_spanner.pp_checkpoint_error e
   | `Resumed -> Alcotest.fail "corrupt checkpoint resumed");
   check_bool "recomputed = run, bit for bit" true (same r)
 

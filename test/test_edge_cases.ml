@@ -114,12 +114,6 @@ let test_two_components_two_pass () =
   let r = two_pass ~n:10 ~k:2 stream in
   check_int "components preserved" 2 (Components.count r.Two_pass_spanner.spanner)
 
-let test_oracle_disconnected_pair () =
-  let stream = [| Update.insert 0 1; Update.insert 2 3 |] in
-  let o = Distance_oracle.of_stream (Prng.create 15) ~n:4 ~k:2 stream in
-  check_bool "infinite across components" true (Distance_oracle.query o 0 3 = infinity);
-  Alcotest.(check (float 1e-9)) "connected pair" 1.0 (Distance_oracle.query o 0 1)
-
 let () =
   Alcotest.run "edge_cases"
     [
@@ -138,6 +132,5 @@ let () =
           Alcotest.test_case "additive small n" `Quick test_additive_small_n;
           Alcotest.test_case "additive d > n" `Quick test_additive_d_exceeds_n;
           Alcotest.test_case "empty stream everywhere" `Quick test_empty_stream_everything;
-          Alcotest.test_case "oracle disconnected" `Quick test_oracle_disconnected_pair;
         ] );
     ]

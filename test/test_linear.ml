@@ -32,6 +32,8 @@ let apply_random_updates ?(count = 30) seed packed =
     P.update packed ~index:(Prng.int rng dim) ~delta:(if Prng.bool rng then 2 else -1)
   done
 
+let ok = function Ok () -> () | Error e -> Alcotest.fail (LS.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic per-family checks                                     *)
 (* ------------------------------------------------------------------ *)
@@ -42,7 +44,7 @@ let test_roundtrip_bytes name () =
   apply_random_updates 7 a;
   let msg = P.serialize a in
   let b = make () in
-  P.deserialize_into b msg;
+  ok (P.deserialize_result b msg);
   check_string "reserialization is byte-identical" msg (P.serialize b)
 
 let test_absorb_equals_inprocess name () =
@@ -54,7 +56,7 @@ let test_absorb_equals_inprocess name () =
   apply_random_updates 22 c;
   apply_random_updates 21 d;
   apply_random_updates 22 d;
-  P.absorb b (P.serialize c);
+  ok (P.absorb_result b (P.serialize c));
   check_string "add-after-deserialize = in-process add" (P.serialize d) (P.serialize b)
 
 let test_clone_zero_is_zero name () =
@@ -115,7 +117,7 @@ let test_truncation_detected name () =
       check_bool
         (Printf.sprintf "truncation at %d detected" cut)
         true
-        (fails_with_failure (fun () -> P.deserialize_into b (String.sub msg 0 cut))))
+        (Result.is_error (P.deserialize_result b (String.sub msg 0 cut))))
     [ 0; 1; 4; len / 2; len - 9; len - 1 ]
 
 let test_bitflip_detected name () =
@@ -133,7 +135,7 @@ let test_bitflip_detected name () =
     check_bool
       (Printf.sprintf "bit flip at %d.%d detected" pos bit)
       true
-      (fails_with_failure (fun () -> P.deserialize_into b (Bytes.to_string corrupted)))
+      (Result.is_error (P.deserialize_result b (Bytes.to_string corrupted)))
   done
 
 let test_cross_family_rejected () =
@@ -148,7 +150,7 @@ let test_cross_family_rejected () =
             check_bool
               (Printf.sprintf "%s message rejected by %s" sender receiver)
               true
-              (fails_with_failure (fun () -> P.deserialize_into (make_receiver ()) msg)))
+              (Result.is_error (P.deserialize_result (make_receiver ()) msg)))
         makers)
     makers
 
@@ -340,8 +342,7 @@ let prop_roundtrip =
       apply_random_updates seed a;
       let msg = P.serialize a in
       let b = make () in
-      P.deserialize_into b msg;
-      P.serialize b = msg)
+      P.deserialize_result b msg = Ok () && P.serialize b = msg)
 
 let prop_absorb_linear =
   QCheck.Test.make ~name:"absorb msg = add in-process, for any family and streams" ~count:40
@@ -353,12 +354,11 @@ let prop_absorb_linear =
       apply_random_updates s2 c;
       apply_random_updates s1 d;
       apply_random_updates s2 d;
-      P.absorb b (P.serialize c);
-      P.serialize b = P.serialize d)
+      P.absorb_result b (P.serialize c) = Ok () && P.serialize b = P.serialize d)
 
 let prop_random_mutation_detected =
   QCheck.Test.make
-    ~name:"any single-byte mutation or truncation raises Failure" ~count:150
+    ~name:"any single-byte mutation or truncation is an Error" ~count:150
     QCheck.(quad (make family_gen) small_nat small_nat small_nat)
     (fun (name, seed, pos_seed, kind) ->
       let make = maker name in
@@ -385,7 +385,7 @@ let prop_random_mutation_detected =
       if mutated = msg then QCheck.assume_fail ()
       else
         let b = make () in
-        fails_with_failure (fun () -> P.deserialize_into b mutated))
+        Result.is_error (P.deserialize_result b mutated))
 
 (* The space-accounting invariant behind the ledger (lib/obs): the wire
    body is the counters and nothing else, so it can never exceed

@@ -60,11 +60,11 @@ let test_gauge_last_writer () =
       let g = Ds_obs.Metrics.gauge "test.gauge" in
       Ds_obs.Metrics.set g 41;
       Ds_obs.Metrics.set g 17;
-      check_int "last write wins" 17 (Ds_obs.Metrics.gauge_value g))
+      check_int "last write wins" 17
+        (List.assoc "test.gauge" (Ds_obs.Metrics.snapshot ()).Ds_obs.Metrics.gauges))
 
-(* Sharded counters merged at read must be exact (not sampled) no matter
-   how the increments were spread over domains, and two identical runs
-   must export identical snapshots. *)
+(* A counter written from several domains must total exactly (not
+   sampled), and two identical runs must export identical snapshots. *)
 let test_merge_under_domains_exact_and_deterministic () =
   with_obs (fun () ->
       let c = Ds_obs.Metrics.counter "test.domains" in
@@ -85,6 +85,16 @@ let test_merge_under_domains_exact_and_deterministic () =
         (Ds_obs.Metrics.value c);
       let json2 = run () in
       check_string "identical runs export identical snapshots" json1 json2)
+
+(* The registry allocates for the domains that write, not for every
+   domain that might: a registered quantile is one row of cells and a
+   counter one cell. *)
+let test_footprint () =
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let q = words (Ds_obs.Quantile.quantile "test.footprint.q") in
+  check_bool (Printf.sprintf "quantile %d words <= 6000" q) true (q <= 6_000);
+  let c = words (Ds_obs.Metrics.counter "test.footprint.c") in
+  check_bool (Printf.sprintf "counter %d words <= 8" c) true (c <= 8)
 
 (* -------------------- trace ring -------------------- *)
 
@@ -509,6 +519,7 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge_last_writer;
           Alcotest.test_case "merge under domains" `Quick
             test_merge_under_domains_exact_and_deterministic;
+          Alcotest.test_case "footprint" `Quick test_footprint;
         ] );
       ( "trace",
         [

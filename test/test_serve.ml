@@ -132,7 +132,6 @@ let requests =
     Sframe.Query { tenant = "a"; stream = "b" };
     Sframe.Seq_query { tenant = "a"; stream = "b" };
     Sframe.Flush { tenant = "a" };
-    Sframe.Drop_copies { tenant = "a"; stream = "b"; copies = [ 0; 2; 5 ] };
     Sframe.Stats;
     Sframe.Stat_rollup;
   ]
@@ -160,7 +159,6 @@ let responses =
     Sframe.Seqs { applied_seq = 5; durable_seq = 3 };
     Sframe.Flushed { generation = 2 };
     Sframe.Stats_reply { tenants = 1; streams = 2; applied_frames = 3; words = 4 };
-    Sframe.Dropped { copies_lost = 3 };
     Sframe.Stat_rollup_reply { json = "{\"schema\":\"serve_stats/v1\",\"queue\":{}}" };
   ]
 
@@ -427,8 +425,30 @@ let test_server_backpressure () =
       | Sframe.Ack _ -> () | _ -> Alcotest.fail "queued frames must ack after drain")
     acks
 
+(* Request kind 6 is retired.  A well-sealed frame of that kind is
+   refused like any undecodable payload, and the connection keeps
+   serving. *)
+let test_retired_request_kind () =
+  let server = Server.create (Server.default_config ~dir:(fresh_dir "serve-retired")) in
+  let conn = Server.connect server in
+  let kind6 =
+    Envelope.seal ~magic:"SRV1" (fun buf ->
+        Wire.write_int buf 6;
+        Wire.write_tag buf "t";
+        Wire.write_tag buf "s";
+        Wire.write_array buf [| 0; 2 |])
+  in
+  Server.feed server conn (Sframe.frame kind6);
+  (match read_responses conn with
+  | [ Sframe.Nack { seq = -1; reason = Sframe.Bad_frame _ } ] -> ()
+  | _ -> Alcotest.fail "kind 6 must get one Bad_frame NACK");
+  Server.feed server conn (Sframe.frame (Sframe.encode_request Sframe.Stats));
+  match read_responses conn with
+  | [ Sframe.Stats_reply _ ] -> ()
+  | _ -> Alcotest.fail "the connection must answer Stats after the NACK"
+
 (* ------------------------------------------------------------------ *)
-(* Observability: STAT rollup, bounded gauges, stitched apply spans    *)
+(* Observability: STAT rollup, stitched apply spans                     *)
 (* ------------------------------------------------------------------ *)
 
 let with_obs_here f =
@@ -492,46 +512,6 @@ let test_stat_rollup_through_core () =
       | None -> Alcotest.fail "no tenants object");
       check_int "omitted tenants counted" 1 (num [ "tenants_omitted"; "count" ]);
       check_bool "omitted words accounted" true (num [ "tenants_omitted"; "words" ] > 0)
-
-let test_tenant_gauges_top_k () =
-  with_obs_here @@ fun () ->
-  let dir = fresh_dir "serve-gauge" in
-  let config =
-    {
-      (Server.default_config ~dir) with
-      Server.tenant_gauges = 1;
-      checkpoint_every = 1_000_000;
-      drain_per_tick = 100;
-    }
-  in
-  let server = Server.create config in
-  let conn = Server.connect server in
-  (* heavy holds two streams, light one: only heavy earns a registry
-     gauge under tenant_gauges = 1. *)
-  Server.feed server conn
-    (create_frame ~tenant:"heavy" ~stream:"a" ~family:"count_sketch" ~n:64 ~seed:1);
-  Server.feed server conn
-    (create_frame ~tenant:"heavy" ~stream:"b" ~family:"count_sketch" ~n:64 ~seed:2);
-  Server.feed server conn
-    (create_frame ~tenant:"light" ~stream:"a" ~family:"count_sketch" ~n:64 ~seed:3);
-  ignore (Server.take_output conn);
-  Server.checkpoint_now server;
-  let gauges () = (Ds_obs.Metrics.snapshot ()).Ds_obs.Metrics.gauges in
-  check_bool "heavy gauged" true (List.mem_assoc "serve.tenant.words.heavy" (gauges ()));
-  check_bool "light not gauged (registry stays bounded)" false
-    (List.mem_assoc "serve.tenant.words.light" (gauges ()));
-  (* Weight flips: light grows past heavy, the next refresh evicts the
-     stale gauge instead of accumulating one per tenant forever. *)
-  Server.feed server conn
-    (create_frame ~tenant:"light" ~stream:"b" ~family:"count_sketch" ~n:64 ~seed:4);
-  Server.feed server conn
-    (create_frame ~tenant:"light" ~stream:"c" ~family:"count_sketch" ~n:64 ~seed:5);
-  ignore (Server.take_output conn);
-  Server.checkpoint_now server;
-  check_bool "light gauged after flip" true
-    (List.mem_assoc "serve.tenant.words.light" (gauges ()));
-  check_bool "heavy evicted after flip" false
-    (List.mem_assoc "serve.tenant.words.heavy" (gauges ()))
 
 let test_trace_context_stitches_apply () =
   with_obs_here @@ fun () ->
@@ -1206,11 +1186,14 @@ let () =
           Alcotest.test_case "sequence watermark" `Quick test_registry_watermark;
           Alcotest.test_case "idempotent create" `Quick test_registry_create_idempotent;
         ] );
-      ("backpressure", [ Alcotest.test_case "bounded queue" `Quick test_server_backpressure ]);
+      ( "backpressure",
+        [
+          Alcotest.test_case "bounded queue" `Quick test_server_backpressure;
+          Alcotest.test_case "retired request kind" `Quick test_retired_request_kind;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "stat rollup through core" `Quick test_stat_rollup_through_core;
-          Alcotest.test_case "tenant gauges top-k" `Quick test_tenant_gauges_top_k;
           Alcotest.test_case "trace context stitches apply" `Quick
             test_trace_context_stitches_apply;
         ] );

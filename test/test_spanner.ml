@@ -363,26 +363,6 @@ let test_multipass_pinned () =
       (12, 128, 0.08, 4000, 3, 537, "9f77d4003ff79297");
     ]
 
-(* -------------------- Distance oracle -------------------- *)
-
-let test_oracle_unweighted () =
-  let n = 64 in
-  let rng = Prng.create 60 in
-  let g = Gen.connected_gnp rng ~n ~p:0.08 in
-  let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:300 g in
-  let o = Distance_oracle.of_stream (Prng.split rng) ~n ~k:3 stream in
-  Alcotest.(check (float 1e-9)) "stretch constant" 8.0 (Distance_oracle.stretch o);
-  for u = 0 to 9 do
-    for v = 10 to 19 do
-      let exact = float_of_int (Bfs.distance g u v) in
-      let est = Distance_oracle.query o u v in
-      check_bool "lower bound" true (est >= exact -. 1e-9);
-      check_bool "stretch bound" true (est <= (8.0 *. exact) +. 1e-9)
-    done
-  done;
-  check_bool "reports space" true (Distance_oracle.space_words o > 0);
-  check_bool "reports size" true (Distance_oracle.spanner_edges o > 0)
-
 (* -------------------- Stretch evaluation itself -------------------- *)
 
 let test_stretch_exact () =
@@ -447,8 +427,6 @@ let () =
           Alcotest.test_case "tradeoff vs two-pass" `Quick test_multipass_vs_two_pass_tradeoff;
           Alcotest.test_case "pinned output" `Quick test_multipass_pinned;
         ] );
-      ( "distance_oracle",
-        [ Alcotest.test_case "unweighted" `Quick test_oracle_unweighted ] );
       ( "stretch_eval",
         [
           Alcotest.test_case "exact" `Quick test_stretch_exact;

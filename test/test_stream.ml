@@ -101,63 +101,6 @@ let prop_churn_valid =
       Update.is_valid ~n:15 s
       && Graph.equal_edge_sets g (Update.final_graph ~n:15 s))
 
-(* -------------------- Stream statistics -------------------- *)
-
-let test_stream_stats () =
-  let n = 20 in
-  let g = Gen.connected_gnp (Prng.create 30) ~n ~p:0.2 in
-  let stream = Stream_gen.with_churn (Prng.create 31) ~decoys:40 g in
-  let st = Stream_stats.create (Prng.create 32) ~n in
-  Array.iter (Stream_stats.update st) stream;
-  let s = Stream_stats.summary st in
-  Alcotest.(check int) "updates" (Array.length stream) s.Stream_stats.updates;
-  Alcotest.(check int) "inserts - deletes = live" (Graph.num_edges g)
-    (s.Stream_stats.inserts - s.Stream_stats.deletes);
-  Alcotest.(check int) "live multiplicity" (Graph.num_edges g) s.Stream_stats.live_multiplicity;
-  check_bool "touched >= live" true (s.Stream_stats.distinct_touched >= Graph.num_edges g);
-  (* F2 of a 0/1 vector equals F1. *)
-  let f1 = float_of_int s.Stream_stats.live_multiplicity in
-  check_bool "F2 ~ F1 for multiplicity-1 graphs" true
-    (s.Stream_stats.f2_estimate >= 0.5 *. f1 && s.Stream_stats.f2_estimate <= 1.5 *. f1);
-  check_bool "max vertex sane" true (s.Stream_stats.max_vertex < n)
-
-(* -------------------- Trace I/O -------------------- *)
-
-let test_trace_roundtrip_string () =
-  let g = Gen.connected_gnp (Prng.create 20) ~n:15 ~p:0.2 in
-  let s = Stream_gen.with_churn (Prng.create 21) ~decoys:30 g in
-  let s' = Trace.of_string (Trace.to_string s) in
-  Alcotest.(check int) "length" (Array.length s) (Array.length s');
-  Array.iteri (fun i u -> check_bool "update equal" true (u = s'.(i))) s
-
-let test_trace_roundtrip_file () =
-  let g = Gen.cycle 10 in
-  let s = Stream_gen.insert_only (Prng.create 22) g in
-  let path = Filename.temp_file "trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace.save path s;
-      let s' = Trace.load path in
-      check_bool "file roundtrip" true (s = s'))
-
-let test_trace_comments_and_blanks () =
-  let s = Trace.of_string "# header\n\n+ 0 1\n- 0 1\n  \n+ 2 3\n" in
-  Alcotest.(check int) "three updates" 3 (Array.length s);
-  check_bool "delete parsed" true (s.(1) = Update.delete 0 1)
-
-let test_trace_malformed () =
-  check_bool "garbage rejected" true
-    (try
-       ignore (Trace.of_string "+ 0\n");
-       false
-     with Failure _ -> true);
-  check_bool "bad sign rejected" true
-    (try
-       ignore (Trace.of_string "* 0 1\n");
-       false
-     with Failure _ -> true)
-
 (* -------------------- Weight classes -------------------- *)
 
 let test_weight_class_bounds () =
@@ -214,14 +157,6 @@ let () =
           Alcotest.test_case "flapping" `Quick test_flapping;
           Alcotest.test_case "sliding window" `Quick test_sliding_window;
           Alcotest.test_case "sliding window mismatch" `Quick test_sliding_window_size_mismatch;
-        ] );
-      ("stats", [ Alcotest.test_case "summary" `Quick test_stream_stats ]);
-      ( "trace",
-        [
-          Alcotest.test_case "string roundtrip" `Quick test_trace_roundtrip_string;
-          Alcotest.test_case "file roundtrip" `Quick test_trace_roundtrip_file;
-          Alcotest.test_case "comments/blanks" `Quick test_trace_comments_and_blanks;
-          Alcotest.test_case "malformed" `Quick test_trace_malformed;
         ] );
       ( "weight_classes",
         [
